@@ -13,25 +13,13 @@ from .analysis import (
     theorem1_bound,
     theorem2_bounds,
 )
-from .bandit_core import (
-    HedgeState,
-    Marginals,
-    RoundOutcome,
-    WeightState,
-    cap_threshold,
-    dep_round,
-    exp3_round,
-    exp3mvp_round,
-    hedge_distribution,
-    marginals_from_weights,
-)
+from .bandit_core import cap_threshold, dep_round
 from .baselines import FrequentistState, epsilon_greedy_select, ucb1_select
 from .environments import (
     BernoulliEnv,
     IntrusionTrace,
     PayoffProfile,
     bernoulli_rewards,
-    heterogeneous_payoff,
     ingest_can_log,
     synthesize_intrusion_trace,
 )
@@ -41,15 +29,13 @@ from .game import (
     GameConfig,
     GameTrace,
     GreedyAttacker,
-    ScanEstimate,
     SinglePlayerSpec,
-    greedy_attacker_select,
     play_round,
     run_comparison,
     run_game,
     run_game_replicas,
     run_single_player,
 )
-from .scaling import MovingAverage, ScalingSpec, sample_arm_count, update_moving_average
+from .scaling import MovingAverage, ScalingSpec, sample_arm_count
 
 __version__ = "0.1.0"

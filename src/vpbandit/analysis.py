@@ -192,7 +192,7 @@ class RegretReport:
     replicas: int = 0
 
 
-def _replica_curves(spec, child, record_weights):
+def _replica_curves(spec, record_weights, child):
     from .game import run_single_player
 
     run = run_single_player(spec, child, record_weights=record_weights)
@@ -210,18 +210,9 @@ def pseudo_regret(spec, replicas, rng, record_weights=False, workers=1):
     that module to keep this one free of simulation code.  Replica seeds are
     spawned up front, so results do not depend on ``workers``.
     """
-    if replicas < 1:
-        raise InvalidParameterError("need at least one replica")
-    seeds = rng.spawn(replicas)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    from .game import map_replicas
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_replica_curves, [spec] * replicas, seeds, [record_weights] * replicas)
-            )
-    else:
-        results = [_replica_curves(spec, child, record_weights) for child in seeds]
+    results = map_replicas(_replica_curves, rng, replicas, workers, spec, record_weights)
     regrets = [r[0] for r in results]
     bounds = [r[1] for r in results]
     gmaxes = [r[2] for r in results]

@@ -1,25 +1,21 @@
-"""Exponential-weight learners with variable plays.
+"""Weight capping and subset sampling for the variable-play learner.
 
-The multi-play learner keeps one positive weight per arm, caps the largest
-weights so that no selection marginal exceeds 1, samples a subset of arms by
-dependent rounding, and updates weights multiplicatively from
-importance-weighted reward estimates.  A single-play exponential-weight
-learner (weights kept as cumulative rewards, "hedge" form) is included for
-the opponent side.
+The learner (``vpbandit.game.Exp3MVPLearner``) keeps one positive weight per
+arm.  It caps the largest weights with ``cap_threshold`` so that no
+selection marginal exceeds 1, and samples a subset of arms with exactly
+those marginals by dependent rounding (``dep_round``).
 
 All randomness comes from an explicitly passed ``numpy.random.Generator``;
 there is no global RNG use anywhere in this module.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     InvalidMarginalsError,
     InvalidPlayCountError,
-    InvalidRewardError,
     InvalidTargetError,
     NumericPathologyError,
 )
@@ -38,92 +34,6 @@ except ImportError:  # pragma: no cover - numba is an optional speedup
             return f
 
         return deco if not (args and callable(args[0])) else args[0]
-
-
-# ---------------------------------------------------------------------------
-# state containers
-
-
-@dataclass
-class WeightState:
-    """Per-arm weights of the multi-play learner plus its exploration rate."""
-
-    weights: np.ndarray
-    eta: float
-    round: int = 0
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.validate()
-
-    def validate(self):
-        w = self.weights
-        if w.ndim != 1 or w.size < 2:
-            raise ValueError("need at least 2 arms")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("weights must be strictly positive and finite")
-        # eta = 0 (no exploration mixing) is a legitimate edge: the marginals
-        # reduce to pure weight proportions and the update becomes the identity
-        if not (0.0 <= self.eta < 1.0):
-            raise ValueError("eta must lie in [0, 1)")
-        if self.round < 0:
-            raise ValueError("round must be nonnegative")
-
-    @property
-    def n_arms(self):
-        return self.weights.size
-
-    @classmethod
-    def initial(cls, n_arms, eta):
-        return cls(weights=np.ones(n_arms), eta=eta)
-
-
-@dataclass
-class Marginals:
-    """Selection marginals for one round: sum to ``m``, capped arms at 1."""
-
-    probs: np.ndarray
-    capped: frozenset
-    m: int
-
-    def validate(self):
-        if abs(float(self.probs.sum()) - self.m) > MARGINAL_SUM_TOL:
-            raise InvalidMarginalsError(
-                f"marginals sum to {self.probs.sum()!r}, expected {self.m}"
-            )
-        for i in self.capped:
-            if self.probs[i] != 1.0:
-                raise InvalidMarginalsError(f"capped arm {i} has prob {self.probs[i]!r}")
-
-
-@dataclass
-class RoundOutcome:
-    """Chosen arms, their observed rewards, and the full estimate vector."""
-
-    chosen: frozenset
-    observed: dict
-    estimates: np.ndarray
-
-
-@dataclass
-class HedgeState:
-    """Cumulative (estimated) rewards of the single-play learner."""
-
-    cumulative: np.ndarray
-    iota: float
-
-    def __post_init__(self):
-        self.cumulative = np.asarray(self.cumulative, dtype=float)
-        if self.iota <= 0:
-            raise ValueError("iota must be positive")
-
-    @property
-    def n_arms(self):
-        return self.cumulative.size
-
-    @classmethod
-    def initial(cls, n_arms, iota):
-        return cls(cumulative=np.zeros(n_arms), iota=iota)
 
 
 # ---------------------------------------------------------------------------
@@ -158,35 +68,6 @@ def cap_threshold(weights, target):
     raise NumericPathologyError(
         "no consistent cap size found; check the capping precondition and weights"
     )
-
-
-def marginals_from_weights(state, m):
-    """Selection marginals for playing ``m`` of the ``N`` arms.
-
-    Large weights are capped so every marginal stays at most 1; the
-    remaining probability mass is mixed with uniform exploration eta/N.
-    """
-    n = state.n_arms
-    if not 1 <= m < n:
-        raise InvalidPlayCountError(f"m must satisfy 1 <= m < {n}, got {m}")
-    w = state.weights
-    eta = state.eta
-    total = float(w.sum())
-    c = (1.0 / m - eta / n) / (1.0 - eta)
-    if float(w.max()) >= c * total:
-        kappa, capped_idx = cap_threshold(w, c)
-        wp = w.copy()
-        wp[capped_idx] = kappa
-        capped = frozenset(int(i) for i in capped_idx)
-    else:
-        wp = w
-        capped = frozenset()
-    probs = wp * (m * (1.0 - eta) / float(wp.sum()))
-    probs += m * eta / n
-    if capped:
-        # algebraically exactly 1; pin it so downstream code can rely on it
-        probs[list(capped)] = 1.0
-    return Marginals(probs=probs, capped=capped, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -305,88 +186,3 @@ def _depround_batch(p, u, out):
         row = p.copy()
         _depround_kernel(row, u[r])
         out[r] = row
-
-
-# ---------------------------------------------------------------------------
-# multi-play round
-
-
-def exp3mvp_round(state, m, reward_oracle, rng):
-    """One full round of the variable-play learner.
-
-    Computes marginals, draws the arm set, queries ``reward_oracle`` (a
-    callable mapping the chosen index array to a dict arm -> reward in
-    [0, 1]), forms importance-weighted estimates, and applies the
-    multiplicative update to the uncapped arms.  Weights are rescaled so the
-    maximum is 1 to keep them bounded over long horizons (the marginals are
-    scale invariant, so this does not change behavior).
-
-    Returns ``(RoundOutcome, new WeightState)``.
-    """
-    marg = marginals_from_weights(state, m)
-    chosen = dep_round(m, marg.probs, rng)
-    observed = reward_oracle(chosen)
-    n = state.n_arms
-    estimates = np.zeros(n)
-    new_w = state.weights.copy()
-    coef = m * state.eta / n
-    for i in chosen:
-        i = int(i)
-        y = float(observed[i])
-        if not 0.0 <= y <= 1.0:
-            raise InvalidRewardError(f"reward {y} for arm {i} outside [0, 1]")
-        yhat = y / marg.probs[i]
-        estimates[i] = yhat
-        if i not in marg.capped:
-            new_w[i] *= math.exp(coef * yhat)
-    new_w /= new_w.max()
-    out = RoundOutcome(
-        chosen=frozenset(int(i) for i in chosen),
-        observed={int(i): float(observed[int(i)]) for i in chosen},
-        estimates=estimates,
-    )
-    return out, WeightState(weights=new_w, eta=state.eta, round=state.round + 1)
-
-
-# ---------------------------------------------------------------------------
-# single-play learner (hedge form)
-
-
-def hedge_distribution(state):
-    """Sampling distribution proportional to (1 + iota) ** cumulative_reward.
-
-    The maximum cumulative reward is subtracted before exponentiation so the
-    result is stable for arbitrarily large cumulative values.
-    """
-    g = state.cumulative * math.log1p(state.iota)
-    g = g - g.max()
-    e = np.exp(g)
-    return e / e.sum()
-
-
-def exp3_round(hedge, eta, reward_oracle, rng):
-    """One round of the single-play learner with exploration mixing.
-
-    Samples an arm from ``(1 - eta) * beta + eta / N``, observes its reward
-    via ``reward_oracle(arm)``, and feeds the scaled one-hot estimate
-    ``(eta / N) * x / p`` back into the cumulative rewards.
-
-    Returns ``(RoundOutcome, new HedgeState)``.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    n = hedge.n_arms
-    beta = hedge_distribution(hedge)
-    beta_hat = (1.0 - eta) * beta + eta / n
-    arm = int(np.searchsorted(np.cumsum(beta_hat), rng.random()))
-    arm = min(arm, n - 1)
-    x = float(reward_oracle(arm))
-    if not 0.0 <= x <= 1.0:
-        raise InvalidRewardError(f"reward {x} outside [0, 1]")
-    xhat = (eta / n) * x / beta_hat[arm]
-    cumulative = hedge.cumulative.copy()
-    cumulative[arm] += xhat
-    estimates = np.zeros(n)
-    estimates[arm] = xhat
-    out = RoundOutcome(chosen=frozenset([arm]), observed={arm: x}, estimates=estimates)
-    return out, HedgeState(cumulative=cumulative, iota=hedge.iota)

@@ -34,6 +34,7 @@ from .errors import InvalidConfigError, VPBanditError
 from .game import (
     DEFAULT_IOTA,
     DEFAULT_SCAN_DISCOUNT,
+    ETA_CLAMP,
     GameConfig,
     SinglePlayerSpec,
     run_comparison,
@@ -44,7 +45,6 @@ from .scaling import ScalingSpec
 
 SCHEMA_VERSION = 1
 KINDS = ("bounds", "single_player", "compare", "game", "ingest", "sweep")
-ETA_CLAMP = 1.0 - 1e-6
 
 
 def _fmt(x):
@@ -554,28 +554,40 @@ def build_parser():
     return parser
 
 
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.workers < 1:
+        return _usage_error(f"--workers must be >= 1, got {args.workers}")
     try:
         with open(args.config) as f:
             cfg = json.load(f)
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"config is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        return _usage_error(f"config must be a JSON object, got {type(cfg).__name__}")
     expected_kind = _SUBCOMMAND_KIND[args.command]
     if cfg.setdefault("kind", expected_kind) != expected_kind:
-        print(
-            f"error: config kind {cfg['kind']!r} does not match subcommand {args.command!r}",
-            file=sys.stderr,
+        return _usage_error(
+            f"config kind {cfg['kind']!r} does not match subcommand {args.command!r}"
         )
-        return 2
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if os.environ.get("BANDIT_SEED"):
-        cfg["seed"] = int(os.environ["BANDIT_SEED"])
+    env_seed = os.environ.get("BANDIT_SEED")
+    if env_seed:
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError:
+            return _usage_error(f"BANDIT_SEED must be an integer, got {env_seed!r}")
+    seed = cfg.get("seed", 0)  # a missing seed is reported by run_experiment
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        return _usage_error(f"seed must be a nonnegative integer, got {seed!r}")
     if args.replicas is not None:
         cfg["replicas"] = args.replicas
     try:

@@ -231,13 +231,3 @@ class PayoffProfile:
     def homogeneous(cls, n_arms, value=1.0):
         return cls(mu=np.full(n_arms, float(value)))
 
-
-def heterogeneous_payoff(profile, base_reward, arm):
-    """Payoff-weighted reward for one arm (canonical index)."""
-    return float(profile.mu[arm]) * float(base_reward)
-
-
-def defender_round_payoff(profile, chosen, base_rewards):
-    """Sum of payoff-weighted rewards over the scanned set."""
-    chosen = list(chosen)
-    return float(np.sum(profile.mu[chosen] * np.asarray(base_rewards)[chosen]))

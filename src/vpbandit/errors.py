@@ -21,10 +21,6 @@ class InvalidMarginalsError(VPBanditError):
     """Marginal vector does not sum to the play count (or entries out of [0, 1])."""
 
 
-class InvalidRewardError(VPBanditError):
-    """Observed reward outside [0, 1]."""
-
-
 class InvalidSpecError(VPBanditError):
     """Scaling spec with inconsistent bounds."""
 

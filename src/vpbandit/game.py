@@ -7,13 +7,14 @@ scanned.  Both players see only their own bandit feedback; their actions
 are drawn from separate pre-committed random streams, so neither move can
 depend on the other's current choice.
 
-The learner classes here mutate in place for speed; their arithmetic
-matches the functional round operations in ``bandit_core`` step for step
-(a parity test pins this down).
+The learners mutate their weights in place.  ``Exp3MVPLearner`` is the
+package's one implementation of the variable-play learner; ``bandit_core``
+supplies its capping and subset-sampling steps.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +22,18 @@ from .analysis import corollary11_eta
 from .bandit_core import cap_threshold, dep_round
 from .baselines import FrequentistState, epsilon_greedy_select, ucb1_select
 from .environments import BernoulliEnv, IntrusionTrace, PayoffProfile, bernoulli_rewards
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, InvalidParameterError, InvalidPlayCountError
 from .scaling import MovingAverage, ScalingSpec, sample_arm_count, sample_arm_counts
 
 DEFAULT_IOTA = math.e - 1.0  # makes the hedge exponent match exp(estimate)
 DEFAULT_SCAN_DISCOUNT = 0.01
+ETA_CLAMP = 1.0 - 1e-6  # tuned rates are clamped below 1, the learner's open bound
+
+
+def _tuned_eta(n_arms, a, b, horizon):
+    """Horizon-tuned exploration rate (Corollary 1.1), clamped to ETA_CLAMP."""
+    eta, _ = corollary11_eta(n_arms, a, b, horizon)
+    return min(eta, ETA_CLAMP)
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +41,8 @@ DEFAULT_SCAN_DISCOUNT = 0.01
 
 
 class Exp3MVPLearner:
-    """In-place variable-play learner; same math as ``exp3mvp_round``."""
+    """Variable-play learner: capped exponential weights, DepRound subsets,
+    and importance-weighted multiplicative updates of the uncapped arms."""
 
     def __init__(self, n_arms, eta):
         if not 0.0 < eta < 1.0:
@@ -42,10 +51,19 @@ class Exp3MVPLearner:
         self.eta = eta
         self.weights = np.ones(n_arms)
 
-    def play(self, m, rng):
-        """Draw the scan set for this round; returns (chosen, probs, capped)."""
+    def marginals(self, m):
+        """Selection marginals for playing ``m`` of the ``N`` arms.
+
+        Large weights are capped so every marginal stays at most 1; the
+        remaining probability mass is mixed with uniform exploration eta/N.
+        Returns ``(probs, capped)``: ``probs`` sums to ``m``, and ``capped``
+        holds the indices pinned at exactly 1 (``None`` when nothing is
+        capped).
+        """
         w = self.weights
         n = self.n_arms
+        if not 1 <= m < n:
+            raise InvalidPlayCountError(f"m must satisfy 1 <= m < {n}, got {m}")
         eta = self.eta
         c = (1.0 / m - eta / n) / (1.0 - eta)
         total = w.sum()
@@ -60,7 +78,13 @@ class Exp3MVPLearner:
         probs = wp * (m * (1.0 - eta) / total)
         probs += m * eta / n
         if capped is not None:
+            # algebraically exactly 1; pin it so downstream code can rely on it
             probs[capped] = 1.0
+        return probs, capped
+
+    def play(self, m, rng):
+        """Draw the scan set for this round; returns (chosen, probs, capped)."""
+        probs, capped = self.marginals(m)
         chosen = dep_round(m, probs, rng, validate=False)
         return chosen, probs, capped
 
@@ -130,33 +154,22 @@ class Exp3Attacker:
                 self._max = 1.0
 
 
-@dataclass
-class ScanEstimate:
-    """Discounted importance-weighted estimate of per-arm scan frequency."""
-
-    values: np.ndarray
-    discount: float = DEFAULT_SCAN_DISCOUNT
-
-    @classmethod
-    def initial(cls, n_arms, discount=DEFAULT_SCAN_DISCOUNT):
-        return cls(values=np.zeros(n_arms), discount=discount)
-
-
 class GreedyAttacker:
     """Attacks the location it believes is scanned least often.
 
-    The scan-frequency estimate only uses the attacker's own feedback: an
-    importance-weighted scan indicator with exponential discounting, with
-    uniform tie-breaking over the current argmin set.
+    The scan-frequency estimate ``values`` only uses the attacker's own
+    feedback: an importance-weighted scan indicator with exponential
+    discounting, with uniform tie-breaking over the current argmin set.
     """
 
     def __init__(self, n_arms, discount=DEFAULT_SCAN_DISCOUNT):
         self.n_arms = n_arms
-        self.estimate = ScanEstimate.initial(n_arms, discount)
+        self.values = np.zeros(n_arms)
+        self.discount = discount
         self._rho = 1.0
 
     def select(self, rng):
-        v = self.estimate.values
+        v = self.values
         ties = np.flatnonzero(v == v.min())
         self._rho = 1.0 / ties.size
         if ties.size == 1:
@@ -164,19 +177,10 @@ class GreedyAttacker:
         return int(ties[rng.integers(ties.size)])
 
     def update(self, arm, scanned):
-        lam = self.estimate.discount
-        v = self.estimate.values
+        lam = self.discount
+        v = self.values
         v *= 1.0 - lam
         v[arm] += lam * (float(scanned) / self._rho)
-
-
-def greedy_attacker_select(estimate, rng):
-    """Argmin of the scan estimate, ties broken uniformly at random."""
-    v = estimate.values
-    ties = np.flatnonzero(v == v.min())
-    if ties.size == 1:
-        return int(ties[0])
-    return int(ties[rng.integers(ties.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +211,7 @@ class SinglePlayerSpec:
 
     def resolve_eta(self):
         if self.eta == "corollary_1_1":
-            eta, _ = corollary11_eta(self.n_arms, self.scaling.a, self.scaling.b, self.horizon)
-            return min(eta, 1.0 - 1e-6)
+            return _tuned_eta(self.n_arms, self.scaling.a, self.scaling.b, self.horizon)
         return float(self.eta)
 
 
@@ -301,11 +304,8 @@ def run_comparison(trace, rng, epsilon=0.1, vp_scaling=None, fixed_m=3, eta=None
     m_spec = SinglePlayerSpec(env=trace, scaling=ScalingSpec.constant(fixed_m), eta=eta_spec)
     curves["exp3m"] = run_single_player(m_spec, rng.spawn(1)[0]).cumulative_reward / t_axis
 
-    if eta is None:
-        eta1, _ = corollary11_eta(n, 1, 1, horizon)
-    else:
-        eta1 = eta
-    exp3 = Exp3Attacker(n, eta=min(eta1, 1.0 - 1e-6))
+    eta1 = _tuned_eta(n, 1, 1, horizon) if eta is None else min(eta, ETA_CLAMP)
+    exp3 = Exp3Attacker(n, eta=eta1)
     r3 = rng.spawn(1)[0]
     rewards = np.empty(horizon)
     for t in range(horizon):
@@ -361,14 +361,12 @@ class GameConfig:
     def resolve_defender_eta(self):
         if self.defender_eta is not None:
             return float(self.defender_eta)
-        eta, _ = corollary11_eta(self.n_arms, self.scaling.a, self.scaling.b, self.horizon)
-        return min(eta, 1.0 - 1e-6)
+        return _tuned_eta(self.n_arms, self.scaling.a, self.scaling.b, self.horizon)
 
     def resolve_attacker_eta(self):
         if self.attacker_eta is not None:
             return float(self.attacker_eta)
-        eta, _ = corollary11_eta(self.n_arms, 1, 1, self.horizon)
-        return min(eta, 1.0 - 1e-6)
+        return _tuned_eta(self.n_arms, 1, 1, self.horizon)
 
 
 @dataclass
@@ -450,19 +448,38 @@ def run_game(config, rng=None):
     )
 
 
+# ---------------------------------------------------------------------------
+# replica fan-out
+
+
+def map_replicas(fn, parent, replicas, workers, *shared):
+    """``[fn(*shared, child) for child in parent.spawn(replicas)]``.
+
+    ``parent`` is a ``SeedSequence`` or ``Generator``; its children are
+    spawned up front and results come back in replica order, so they do not
+    depend on ``workers``.  With ``workers > 1`` the calls run in a process
+    pool, and ``fn`` and ``shared`` must be picklable.
+    """
+    if not isinstance(replicas, (int, np.integer)) or replicas < 1:
+        raise InvalidParameterError(f"replicas must be an integer >= 1, got {replicas!r}")
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers!r}")
+    call = functools.partial(fn, *shared)
+    children = parent.spawn(replicas)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(call, children))
+    return [call(child) for child in children]
+
+
 def _game_replica(config, seed_seq):
     return run_game(config, np.random.default_rng(seed_seq))
 
 
 def run_game_replicas(config, replicas, workers=1):
-    """Independent game replicas with disjoint seed streams.
-
-    Results are aggregated in replica order and do not depend on ``workers``.
-    """
-    children = np.random.SeedSequence(config.seed).spawn(replicas)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_game_replica, [config] * replicas, children))
-    return [_game_replica(config, child) for child in children]
+    """Independent game replicas with disjoint seed streams, in replica order."""
+    return map_replicas(
+        _game_replica, np.random.SeedSequence(config.seed), replicas, workers, config
+    )

@@ -57,11 +57,6 @@ class MovingAverage:
         return self
 
 
-def update_moving_average(ma, outcome):
-    """Push one round's estimate vector (0 for unplayed arms) into ``ma``."""
-    return ma.push(outcome.estimates)
-
-
 @dataclass
 class ScalingSpec:
     """Declarative description of a play-count rule with bounds [a, b]."""

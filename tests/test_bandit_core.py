@@ -1,5 +1,5 @@
-"""Unit tests for the exponential-weight core: capping, marginals,
-dependent rounding, and the round operations."""
+"""Unit tests for the exponential-weight core: capping, the learner's
+marginals, dependent rounding, and the learners' rounds."""
 
 import math
 
@@ -7,22 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpbandit.bandit_core import (
-    HedgeState,
-    WeightState,
-    cap_threshold,
-    dep_round,
-    dep_round_many,
-    exp3_round,
-    exp3mvp_round,
-    hedge_distribution,
-    marginals_from_weights,
-)
+from vpbandit.bandit_core import cap_threshold, dep_round, dep_round_many
 from vpbandit.errors import (
     InvalidMarginalsError,
     InvalidPlayCountError,
     InvalidTargetError,
 )
+from vpbandit.game import Exp3Attacker, Exp3MVPLearner
+
+
+def _learner(weights, eta):
+    learner = Exp3MVPLearner(len(weights), eta)
+    learner.weights = np.array(weights, dtype=float)
+    return learner
 
 
 def _cap_oracle(weights, c):
@@ -83,47 +80,52 @@ class TestCapThreshold:
 
 
 class TestMarginals:
+    # expected values follow probs = m (1 - eta) w' / sum(w') + m eta / N,
+    # where w' replaces the capped weights by kappa
+
     def test_uniform_weights_give_m_over_n(self):
-        state = WeightState(weights=np.ones(4), eta=0.5)
-        marg = marginals_from_weights(state, 2)
-        np.testing.assert_allclose(marg.probs, 0.5)
-        assert marg.capped == frozenset()
+        probs, capped = _learner(np.ones(4), 0.5).marginals(2)
+        np.testing.assert_allclose(probs, 0.5)
+        assert capped is None
 
     def test_capped_dominant_arm(self):
-        state = WeightState(weights=np.array([10.0, 1.0, 1.0, 1.0]), eta=0.0)
-        marg = marginals_from_weights(state, 2)
-        np.testing.assert_allclose(marg.probs, [1.0, 1 / 3, 1 / 3, 1 / 3])
-        assert marg.capped == frozenset({0})
-        assert marg.probs[0] == 1.0  # pinned exactly
+        # eta = 0.2, m = 2: c = (1/2 - 0.05) / 0.8 = 0.5625 and 10 >= 13 c, so
+        # arm 0 is capped at kappa = 3 c / (1 - c) = 27/7; w' sums to 48/7 and
+        # probs = (7/30) w' + 0.1 = [1, 1/3, 1/3, 1/3]
+        probs, capped = _learner([10.0, 1.0, 1.0, 1.0], 0.2).marginals(2)
+        np.testing.assert_allclose(probs, [1.0, 1 / 3, 1 / 3, 1 / 3])
+        assert capped.tolist() == [0]
+        assert probs[0] == 1.0  # pinned exactly
 
     def test_uncapped_when_below_threshold(self):
-        # for m = 1 the check 10 >= c * 13 fails (c = 1), so no capping
-        state = WeightState(weights=np.array([10.0, 1.0, 1.0, 1.0]), eta=0.0)
-        marg = marginals_from_weights(state, 1)
-        np.testing.assert_allclose(marg.probs, [10 / 13, 1 / 13, 1 / 13, 1 / 13])
-        assert marg.capped == frozenset()
+        # for m = 1 the check 10 >= c * 13 fails (c = 0.95 / 0.8 > 1), so
+        # probs = 0.8 w / 13 + 0.05 with no capping
+        probs, capped = _learner([10.0, 1.0, 1.0, 1.0], 0.2).marginals(1)
+        np.testing.assert_allclose(
+            probs, [8 / 13 + 0.05, 0.8 / 13 + 0.05, 0.8 / 13 + 0.05, 0.8 / 13 + 0.05]
+        )
+        assert capped is None
 
     def test_rejects_bad_play_count(self):
-        state = WeightState(weights=np.ones(4), eta=0.1)
+        learner = _learner(np.ones(4), 0.1)
         with pytest.raises(InvalidPlayCountError):
-            marginals_from_weights(state, 0)
+            learner.marginals(0)
         with pytest.raises(InvalidPlayCountError):
-            marginals_from_weights(state, 4)
+            learner.marginals(4)
 
     @settings(max_examples=200, deadline=None)
     @given(
         weights=st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=8),
-        eta=st.floats(0.0, 0.9),
+        eta=st.floats(0.0, 0.9, exclude_min=True),
         data=st.data(),
     )
     def test_marginal_sum_and_range(self, weights, eta, data):
         m = data.draw(st.integers(1, len(weights) - 1))
-        state = WeightState(weights=np.array(weights), eta=eta)
-        marg = marginals_from_weights(state, m)
-        assert abs(marg.probs.sum() - m) <= 1e-9
-        assert np.all(marg.probs >= 0.0) and np.all(marg.probs <= 1.0)
-        for i in marg.capped:
-            assert marg.probs[i] == 1.0
+        probs, capped = _learner(weights, eta).marginals(m)
+        assert abs(probs.sum() - m) <= 1e-9
+        assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
+        if capped is not None:
+            assert np.all(probs[capped] == 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -133,12 +135,12 @@ class TestMarginals:
     )
     def test_scale_invariance(self, weights, scale, data):
         m = data.draw(st.integers(1, len(weights) - 1))
-        a = marginals_from_weights(WeightState(weights=np.array(weights), eta=0.2), m)
-        b = marginals_from_weights(
-            WeightState(weights=scale * np.array(weights), eta=0.2), m
-        )
-        np.testing.assert_allclose(a.probs, b.probs, rtol=1e-9, atol=1e-12)
-        assert a.capped == b.capped
+        a_probs, a_capped = _learner(weights, 0.2).marginals(m)
+        b_probs, b_capped = _learner(scale * np.array(weights), 0.2).marginals(m)
+        np.testing.assert_allclose(a_probs, b_probs, rtol=1e-9, atol=1e-12)
+        assert (a_capped is None) == (b_capped is None)
+        if a_capped is not None:
+            assert a_capped.tolist() == b_capped.tolist()
 
 
 class TestDepRound:
@@ -216,76 +218,96 @@ class TestDepRound:
 
 class TestMultiPlayRound:
     def test_zero_rewards_leave_weights_unchanged(self):
-        state = WeightState(weights=np.ones(4), eta=0.5)
+        learner = _learner(np.ones(4), 0.5)
         rng = np.random.default_rng(0)
-        out, new = exp3mvp_round(state, 2, lambda ch: {int(i): 0.0 for i in ch}, rng)
-        np.testing.assert_array_equal(new.weights, state.weights)
-        marg = marginals_from_weights(new, 2)
-        np.testing.assert_allclose(marg.probs, 0.5)
+        chosen, probs, capped = learner.play(2, rng)
+        learner.update(chosen, np.zeros(chosen.size), probs, capped)
+        np.testing.assert_array_equal(learner.weights, np.ones(4))
+        np.testing.assert_allclose(learner.marginals(2)[0], 0.5)
 
-    def test_eta_zero_update_is_identity(self):
-        state = WeightState(weights=np.array([10.0, 1.0, 1.0, 1.0]), eta=0.0)
+    def test_capped_arm_weight_is_frozen_and_always_chosen(self):
+        # arm 0 is capped (see TestMarginals.test_capped_dominant_arm): it is
+        # scanned with certainty, and a full reward moves only the uncapped
+        # scanned arm, by exp(coef / p) with coef = m eta / N
+        w0 = np.array([10.0, 1.0, 1.0, 1.0])
+        coef = 2 * 0.2 / 4
         rng = np.random.default_rng(1)
-        out, new = exp3mvp_round(state, 2, lambda ch: {int(i): 1.0 for i in ch}, rng)
-        np.testing.assert_allclose(new.weights, state.weights / state.weights.max())
-        assert 0 in out.chosen  # capped arm is selected with certainty
+        for _ in range(20):
+            learner = _learner(w0, 0.2)
+            chosen, probs, capped = learner.play(2, rng)
+            assert 0 in chosen
+            assert capped.tolist() == [0]
+            learner.update(chosen, np.ones(chosen.size), probs, capped)
+            expected = w0.copy()
+            for j in chosen:
+                if j != 0:
+                    expected[j] *= math.exp(coef / probs[j])
+            # the rescale divides by the maximum, the capped arm's unmoved 10
+            np.testing.assert_allclose(learner.weights, expected / 10.0)
+            assert learner.weights[0] == 1.0
 
     def test_estimates_are_unbiased(self):
         # empirical mean of the importance-weighted estimates matches the
         # fixed reward vector
         y = np.array([0.8, 0.2, 0.5, 0.0])
-        state = WeightState(weights=np.array([3.0, 1.0, 2.0, 0.5]), eta=0.3)
-        marg = marginals_from_weights(state, 2)
+        learner = _learner([3.0, 1.0, 2.0, 0.5], 0.3)
+        marg, _ = learner.marginals(2)
         rng = np.random.default_rng(5)
         draws = 40_000
         acc = np.zeros(4)
         for _ in range(draws):
-            out, _ = exp3mvp_round(state, 2, lambda ch: {int(i): y[i] for i in ch}, rng)
-            acc += out.estimates
+            chosen, probs, _ = learner.play(2, rng)
+            acc[chosen] += y[chosen] / probs[chosen]
         mean = acc / draws
         for i in range(4):
-            p = marg.probs[i]
+            p = marg[i]
             var = (y[i] / p) ** 2 * p * (1 - p)
             assert abs(mean[i] - y[i]) <= 4 * math.sqrt(var / draws) + 1e-12
 
-    def test_rejects_out_of_range_reward(self):
-        state = WeightState(weights=np.ones(3), eta=0.2)
-        from vpbandit.errors import InvalidRewardError
-
-        with pytest.raises(InvalidRewardError):
-            exp3mvp_round(state, 1, lambda ch: {int(i): 1.5 for i in ch},
-                          np.random.default_rng(0))
-
 
 class TestHedge:
+    # Exp3Attacker keeps weights (1 + iota) ** cumulative_estimate; its
+    # weight-proportional part is the hedge distribution
+
     def test_zero_cumulative_is_uniform(self):
+        att = Exp3Attacker(5, eta=0.5, iota=1.0)
         np.testing.assert_allclose(
-            hedge_distribution(HedgeState.initial(5, iota=1.0)), 0.2
+            [att.selection_probability(a) for a in range(5)], 0.2
         )
 
     def test_simple_two_arm_case(self):
-        state = HedgeState(cumulative=np.array([1.0, 0.0]), iota=1.0)
-        np.testing.assert_allclose(hedge_distribution(state), [2 / 3, 1 / 3])
+        # at eta = 1 the estimate equals the reward, so one unit reward on
+        # arm 0 makes the cumulative estimates [1, 0]
+        att = Exp3Attacker(2, eta=1.0, iota=1.0)
+        att.update(0, 1.0)
+        np.testing.assert_allclose(att.weights / att.weights.sum(), [2 / 3, 1 / 3])
 
     def test_large_gap_saturates_stably(self):
-        state = HedgeState(cumulative=np.array([100.0, 0.0]), iota=1.0)
-        beta = hedge_distribution(state)
+        att = Exp3Attacker(2, eta=1.0, iota=1.0)
+        for _ in range(100):
+            att.update(0, 1.0)  # cumulative gap 100
+        beta = att.weights / att.weights.sum()
         assert np.argmax(beta) == 0
         assert beta[0] > 1 - 1e-6
-        # stays finite for gaps that would overflow a naive exponentiation
-        huge = HedgeState(cumulative=np.array([1e6, 0.0]), iota=1.0)
-        assert np.all(np.isfinite(hedge_distribution(huge)))
+        # a gap of 20000 (2**20000 overflows a float) stays finite through
+        # the 1e100 rescale
+        for _ in range(19_900):
+            att.update(0, 1.0)
+        assert np.all(np.isfinite(att.weights)) and att.weights.max() <= 1e100
+        probs = [att.selection_probability(a) for a in range(2)]
+        assert np.all(np.isfinite(probs)) and sum(probs) == pytest.approx(1.0)
 
 
 class TestSinglePlayRound:
     def test_eta_one_samples_uniformly(self):
-        state = HedgeState(cumulative=np.array([50.0, 0.0, 0.0]), iota=1.0)
+        att = Exp3Attacker(3, eta=1.0, iota=1.0)
+        for _ in range(50):
+            att.update(0, 1.0)  # cumulative estimates [50, 0, 0]
         rng = np.random.default_rng(0)
         counts = np.zeros(3)
         draws = 60_000
         for _ in range(draws):
-            out, _ = exp3_round(state, 1.0, lambda a: 0.0, rng)
-            counts[next(iter(out.chosen))] += 1
+            counts[att.select(rng)] += 1
         freq = counts / draws
         sigma = math.sqrt((1 / 3) * (2 / 3) / draws)
         assert np.all(np.abs(freq - 1 / 3) <= 4 * sigma)
@@ -293,13 +315,13 @@ class TestSinglePlayRound:
     def test_estimate_formula(self):
         # uniform two-arm state, eta = 0.5: mixture prob of each arm is 0.5,
         # so a reward of 1 yields the scaled estimate (0.5/2) * 1 / 0.5 = 0.5
-        state = HedgeState.initial(2, iota=1.0)
+        att = Exp3Attacker(2, eta=0.5, iota=1.0)
         rng = np.random.default_rng(3)
-        out, new = exp3_round(state, 0.5, lambda a: 1.0, rng)
-        arm = next(iter(out.chosen))
-        assert out.estimates[arm] == pytest.approx(0.5)
-        assert new.cumulative[arm] == pytest.approx(0.5)
-        assert new.cumulative[1 - arm] == 0.0
+        arm = att.select(rng)
+        assert att.selection_probability(arm) == pytest.approx(0.5)
+        att.update(arm, 1.0)
+        assert att.weights[arm] == pytest.approx(2.0**0.5)  # (1 + iota) ** 0.5
+        assert att.weights[1 - arm] == 1.0
 
     def test_tracks_a_fixed_best_arm(self):
         # adversary always rewards arm 0; with a horizon-tuned rate the
@@ -308,11 +330,12 @@ class TestSinglePlayRound:
 
         n, horizon = 5, 10_000
         eta, _ = corollary11_eta(n, 1, 1, horizon)
-        state = HedgeState.initial(n, iota=math.e - 1.0)
+        att = Exp3Attacker(n, eta, iota=math.e - 1.0)
         rng = np.random.default_rng(11)
         pulls = 0
         for _ in range(horizon):
-            out, state = exp3_round(state, eta, lambda a: 1.0 if a == 0 else 0.0, rng)
-            pulls += 0 in out.chosen
+            arm = att.select(rng)
+            att.update(arm, 1.0 if arm == 0 else 0.0)
+            pulls += arm == 0
         best = horizon  # brute-force comparator: arm 0 every round
         assert pulls / best > 0.9

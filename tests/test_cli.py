@@ -160,6 +160,36 @@ class TestGame:
         assert rc == 2
 
 
+class TestBadInput:
+    """Bad input ends with one ``error:`` line and a nonzero exit status."""
+
+    def _run(self, tmp_path, capsys, cfg, *extra):
+        rc = cli.main(
+            ["simulate-game", "--config", _write_config(tmp_path, cfg), "--out",
+             str(tmp_path / "out"), *extra]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        return rc
+
+    def test_zero_replicas(self, tmp_path, capsys):
+        assert self._run(tmp_path, capsys, {**TestGame.CFG, "replicas": 0}) == 1
+
+    def test_zero_workers(self, tmp_path, capsys):
+        assert self._run(tmp_path, capsys, TestGame.CFG, "--workers", "0") == 2
+        assert self._run(tmp_path, capsys, TestGame.CFG, "--workers", "-2") == 2
+
+    def test_non_integer_env_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BANDIT_SEED", "abc")
+        assert self._run(tmp_path, capsys, TestGame.CFG) == 2
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        assert self._run(tmp_path, capsys, [TestGame.CFG]) == 2
+
+    def test_non_integer_config_seed(self, tmp_path, capsys):
+        assert self._run(tmp_path, capsys, {**TestGame.CFG, "seed": "x"}) == 2
+
+
 class TestCompare:
     def test_columns_and_finals(self, tmp_path):
         cfg = {

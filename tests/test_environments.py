@@ -1,6 +1,7 @@
 """Tests for reward processes: Bernoulli arms, intrusion traces, payoffs."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from vpbandit.environments import (
     IntrusionTrace,
     PayoffProfile,
     bernoulli_rewards,
-    defender_round_payoff,
-    heterogeneous_payoff,
     ingest_can_log,
     synthesize_intrusion_trace,
 )
@@ -21,6 +20,7 @@ from vpbandit.errors import (
     RowParseError,
     SchemaError,
 )
+from vpbandit.game import play_round
 
 
 class TestBernoulli:
@@ -180,24 +180,35 @@ class TestIngest:
             ingest_can_log(f3)
 
 
+def _round_payoffs(prof, arm, chosen):
+    """(attacker, defender) payoffs of one round with both moves fixed."""
+    chosen = np.asarray(chosen)
+    attacker = SimpleNamespace(select=lambda rng: arm, update=lambda *a: None)
+    defender = SimpleNamespace(play=lambda m, rng: (chosen, None, None), update=lambda *a: None)
+    rng = np.random.default_rng(0)
+    _, _, r, s = play_round(attacker, defender, chosen.size, prof, rng, rng)
+    return r, s
+
+
 class TestPayoffs:
     def test_homogeneous_identity(self):
         prof = PayoffProfile.homogeneous(4)
-        assert heterogeneous_payoff(prof, 1.0, 2) == 1.0
+        assert _round_payoffs(prof, 2, [0, 1]) == (1.0, 0.0)
 
     def test_direct_product(self):
         prof = PayoffProfile(mu=np.full(3, 0.5))
-        assert heterogeneous_payoff(prof, 1.0, 0) == 0.5
+        assert _round_payoffs(prof, 0, [1]) == (0.5, 0.0)
 
     def test_canonical_ordering(self):
         prof = PayoffProfile(mu=np.array([0.2, 0.9, 0.4]))
         np.testing.assert_allclose(prof.mu, [0.9, 0.4, 0.2])
         assert prof.order.tolist() == [1, 2, 0]
 
-    def test_defender_round_payoff(self):
+    def test_defender_scores_the_caught_location(self):
+        # the defender scores the payoff of the one location it catches
         prof = PayoffProfile(mu=np.array([0.9, 0.4, 0.2]))
-        val = defender_round_payoff(prof, [0, 1], np.array([1.0, 1.0, 0.0]))
-        assert val == pytest.approx(1.3)
+        assert _round_payoffs(prof, 1, [0, 1]) == (0.0, pytest.approx(0.4))
+        assert _round_payoffs(prof, 2, [0, 1]) == (pytest.approx(0.2), 0.0)
 
     def test_rejects_nonpositive_payoffs(self):
         with pytest.raises(InvalidConfigError):

@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from vpbandit.analysis import corollary11_eta, equilibrium_values
-from vpbandit.bandit_core import WeightState, exp3mvp_round
 from vpbandit.environments import BernoulliEnv, PayoffProfile, synthesize_intrusion_trace
-from vpbandit.errors import InvalidConfigError
+from vpbandit.errors import InvalidConfigError, InvalidParameterError
 from vpbandit.game import (
     Exp3Attacker,
     Exp3MVPLearner,
     GameConfig,
     GreedyAttacker,
-    ScanEstimate,
     SinglePlayerSpec,
-    greedy_attacker_select,
     make_attacker,
+    map_replicas,
     play_round,
     run_game,
     run_game_replicas,
@@ -90,24 +88,6 @@ class TestCoupling:
 
 
 class TestExp3MVPLearner:
-    def test_matches_functional_round_exactly(self):
-        # the in-place learner and the functional operation consume the same
-        # randomness and must produce bit-identical weights and choices
-        rng1, rng2 = np.random.default_rng(42), np.random.default_rng(42)
-        state = WeightState(weights=np.ones(8), eta=0.2)
-        learner = Exp3MVPLearner(8, 0.2)
-        rewards_rng = np.random.default_rng(5)
-        for t in range(2000):
-            m = 1 + t % 3
-            y = (rewards_rng.random(8) < 0.4).astype(float)
-            out, state = exp3mvp_round(
-                state, m, lambda ch: {int(i): y[i] for i in ch}, rng1
-            )
-            chosen, probs, capped = learner.play(m, rng2)
-            learner.update(chosen, y[chosen], probs, capped)
-            assert out.chosen == set(int(i) for i in chosen)
-            np.testing.assert_array_equal(state.weights, learner.weights)
-
     def test_rejects_bad_eta(self):
         with pytest.raises(InvalidConfigError):
             Exp3MVPLearner(4, 0.0)
@@ -125,8 +105,9 @@ class TestGreedyAttacker:
         assert np.all(np.abs(freq - 0.25) <= 4 * sigma)
 
     def test_argmin_selection(self):
-        est = ScanEstimate(values=np.array([0.9, 0.1, 0.5]))
-        assert greedy_attacker_select(est, np.random.default_rng(0)) == 1
+        att = GreedyAttacker(3)
+        att.values[:] = [0.9, 0.1, 0.5]
+        assert att.select(np.random.default_rng(0)) == 1
 
     def test_beats_a_fixed_scanning_set(self):
         # defender always scans {0, 1} out of 10; the attacker's long-run
@@ -203,6 +184,15 @@ class TestGameRuns:
         for x, y in zip(a, c):
             np.testing.assert_array_equal(x.attacker_reward, y.attacker_reward)
             np.testing.assert_array_equal(x.scanned, y.scanned)
+
+    def test_replica_fan_out_rejects_bad_counts(self):
+        config = GameConfig(n_arms=5, horizon=10, scaling=ScalingSpec.uniform(1, 2))
+        with pytest.raises(InvalidParameterError):
+            run_game_replicas(config, 0)
+        with pytest.raises(InvalidParameterError):
+            run_game_replicas(config, -1)
+        with pytest.raises(InvalidParameterError):
+            map_replicas(run_game, np.random.default_rng(0), 2, 0, config)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
