@@ -1,7 +1,7 @@
 """Hindsight optima, regret accounting, and closed-form bound evaluators."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment

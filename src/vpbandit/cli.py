@@ -8,13 +8,18 @@ and writes into the output directory:
   ``key=value`` per line
 * plot-ready CSV curves depending on the experiment kind
 
-Unknown config keys are rejected.  The seed is mandatory (no wall-clock
-defaults); ``--seed`` and the ``BANDIT_SEED`` environment variable override
-the config value, in that order of increasing precedence.
+The key tables below are the whole config schema: one per experiment kind,
+scaling kind and environment type, each mapping a key to its default and
+type.  Unknown keys, keys that the section's kind does not use, missing keys
+and values of the wrong type are rejected (exit status 1) before any output
+is written.  The seed is mandatory (no wall-clock defaults); ``--seed`` and
+the ``BANDIT_SEED`` environment variable override the config value, in that
+order of increasing precedence.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -44,7 +49,6 @@ from .game import (
 from .scaling import ScalingSpec
 
 SCHEMA_VERSION = 1
-KINDS = ("bounds", "single_player", "compare", "game", "ingest", "sweep")
 
 
 def _fmt(x):
@@ -88,39 +92,186 @@ def _write_manifest(out_dir, resolved):
         f.write("\n")
 
 
-def _check_keys(section, allowed, required, where):
-    unknown = set(section) - set(allowed)
+# ---------------------------------------------------------------------------
+# config schema: key -> (default, check)
+#
+# A default is a value, REQUIRED, or OMIT (the key stays out of the resolved
+# section when absent).  A check takes (value, where) and returns the
+# resolved value or raises InvalidConfigError; given values pass through
+# unchanged, except nested sections, which are resolved in turn.
+
+REQUIRED = object()
+OMIT = object()
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v):
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _is_seed(v):
+    return _is_int(v) and v >= 0
+
+
+def _list_of(ok, size=None):
+    return lambda v: isinstance(v, list) and all(map(ok, v)) and size in (None, len(v))
+
+
+def _type(desc, ok):
+    def check(value, where):
+        if not ok(value):
+            raise InvalidConfigError(f"{where} must be {desc}, got {value!r}")
+        return value
+
+    return check
+
+
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise InvalidConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def resolve(section, table, where):
+    """Check ``section`` against ``table`` and fill its defaults."""
+    unknown = set(_object(section, where)) - set(table)
     if unknown:
         raise InvalidConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    missing = set(required) - set(section)
+    missing = [k for k, (default, _) in table.items() if default is REQUIRED and k not in section]
     if missing:
-        raise InvalidConfigError(f"missing key(s) in {where}: {sorted(missing)}")
-
-
-# ---------------------------------------------------------------------------
-# config sections
-
-
-def _scaling_from_config(section):
-    _check_keys(
-        section,
-        ("kind", "a", "b", "m", "mean", "std", "threshold"),
-        ("kind", "a", "b"),
-        "scaling",
-    )
-    return ScalingSpec(**section)
-
-
-def _scaling_resolved(spec):
-    out = {"kind": spec.kind, "a": spec.a, "b": spec.b}
-    if spec.kind == "constant":
-        out["m"] = spec.m
-    if spec.kind == "truncated_gaussian":
-        out["mean"] = spec.mean
-        out["std"] = spec.std
-    if spec.kind == "budget_threshold":
-        out["threshold"] = spec.threshold
+        raise InvalidConfigError(f"missing key(s) in {where}: {missing}")
+    out = {}
+    for key, (default, check) in table.items():
+        if key in section:
+            out[key] = check(section[key], f"{where}.{key}")
+        elif default is not OMIT:
+            out[key] = default
     return out
+
+
+def _nested(table):
+    return lambda section, where: resolve(section, table, where)
+
+
+def _tagged(tag, tables):
+    """A section whose ``tag`` key picks its table."""
+
+    def check(section, where):
+        name = _object(section, where).get(tag)
+        if not isinstance(name, str) or name not in tables:
+            raise InvalidConfigError(f"{where}.{tag} must be one of {list(tables)}, got {name!r}")
+        return resolve(section, tables[name], where)
+
+    return check
+
+
+INT = _type("an integer", _is_int)
+NUM = _type("a finite number", _is_num)
+NUMS = _type("a list of finite numbers", _list_of(_is_num))
+BOOL = _type("true or false", lambda v: isinstance(v, bool))
+STR = _type("a string", lambda v: isinstance(v, str))
+PATH = _type("a file path", lambda v: isinstance(v, str) and "\0" not in v)
+ETA = _type('a finite number or "corollary_1_1"', lambda v: v == "corollary_1_1" or _is_num(v))
+
+SEED = _type("a nonnegative integer", _is_seed)
+SCHEMA = _type(str(SCHEMA_VERSION), lambda v: _is_int(v) and v == SCHEMA_VERSION)
+COMMON = {"schema_version": (REQUIRED, SCHEMA), "kind": (REQUIRED, STR), "seed": (REQUIRED, SEED)}
+
+_RANGE = {"kind": (REQUIRED, STR), "a": (REQUIRED, INT), "b": (REQUIRED, INT)}
+# ScalingSpec fills m and threshold; the manifest reads them back from the spec
+SCALINGS = {
+    "constant": {**_RANGE, "m": (OMIT, INT)},
+    "uniform_discrete": _RANGE,
+    "truncated_gaussian": {**_RANGE, "mean": (REQUIRED, NUM), "std": (REQUIRED, NUM)},
+    "budget_threshold": {**_RANGE, "threshold": (OMIT, NUM)},
+}
+
+_COLUMNS = _nested({k: (v, STR) for k, v in CAR_HACKING_COLUMNS.items()})
+_CAN_LOG = {
+    "path": (REQUIRED, PATH),
+    "column_map": (CAR_HACKING_COLUMNS, _COLUMNS),
+    "round_window": (DEFAULT_ROUND_WINDOW, NUM),
+}
+_is_ints = _list_of(_is_int)
+# keys are the keyword arguments of the environment's constructor
+ENVIRONMENTS = {
+    "bernoulli": {"type": (REQUIRED, STR), "means": (REQUIRED, NUMS)},
+    "harmonic_bernoulli": {"type": (REQUIRED, STR), "n_arms": (REQUIRED, INT), "top": (0.75, NUM)},
+    "synthetic_trace": {
+        "type": (REQUIRED, STR),
+        "n_arms": (REQUIRED, INT),
+        "attacked": (REQUIRED, _type("a list of integers", _is_ints)),
+        "horizon": (REQUIRED, INT),
+        "burst_length_range": ((3.0, 5.0), _type("two finite numbers", _list_of(_is_num, 2))),
+        "round_window": (DEFAULT_ROUND_WINDOW, NUM),
+        "n_bursts": (
+            300, _type("an integer or a list of integers", lambda v: _is_int(v) or _is_ints(v))
+        ),
+    },
+    "trace_csv": {"type": (REQUIRED, STR), **_CAN_LOG},
+}
+
+_SCALING = _tagged("kind", SCALINGS)
+_ENVIRONMENT = _tagged("type", ENVIRONMENTS)
+_COMPARE_SCALING = {"kind": "truncated_gaussian", "a": 1, "b": 3, "mean": 2.0, "std": 0.8}
+_NMAB = {"n": (REQUIRED, INT), "a": (REQUIRED, INT), "b": (REQUIRED, INT)}
+
+CONFIGS = {
+    "bounds": {
+        **COMMON,
+        **_NMAB,
+        "nu": (OMIT, NUM),
+        "horizon": (OMIT, INT),
+        "eta": (OMIT, NUM),
+        "gmax": (OMIT, NUM),
+    },
+    "single_player": {
+        **COMMON,
+        "environment": (REQUIRED, _ENVIRONMENT),
+        "scaling": (REQUIRED, _SCALING),
+        "eta": ("corollary_1_1", ETA),
+        "horizon": (None, INT),  # None: the trace length
+        "replicas": (1, INT),
+        "record_weights": (False, BOOL),
+        "budget": (OMIT, INT),
+    },
+    "compare": {
+        **COMMON,
+        "environment": (REQUIRED, _ENVIRONMENT),
+        "scaling": (_COMPARE_SCALING, _SCALING),
+        "epsilon": (0.1, NUM),
+        "fixed_m": (3, INT),
+    },
+    "game": {
+        **COMMON,
+        "n": (REQUIRED, INT),
+        "horizon": (REQUIRED, INT),
+        "scaling": (REQUIRED, _SCALING),
+        "attacker": ("exp3", STR),
+        "defender_eta": (None, NUM),
+        "attacker_eta": (None, NUM),
+        "payoff": (OMIT, NUMS),
+        "scan_discount": (DEFAULT_SCAN_DISCOUNT, NUM),
+        "replicas": (1, INT),
+        "tail_fraction": (0.2, NUM),
+    },
+    "ingest": {**COMMON, **_CAN_LOG},
+    "sweep": {
+        **COMMON,
+        **_NMAB,
+        "mu_min": (0.05, NUM),
+        "mu_max": (1.0, NUM),
+        "steps": (100, INT),
+    },
+}
+resolve_config = _tagged("kind", CONFIGS)
+
+
+def _scaling_manifest(spec):
+    return {k: getattr(spec, k) for k in SCALINGS[spec.kind]}
 
 
 def _scaling_mean(spec):
@@ -135,75 +286,25 @@ def _scaling_mean(spec):
     return None
 
 
-def _environment_from_config(section, seed_seq):
-    env_type = section.get("type")
+def _environment(section, seed_seq):
+    """Build the environment of a resolved ``environment`` section."""
+    kwargs = {k: v for k, v in section.items() if k != "type"}
+    env_type = section["type"]
     if env_type == "bernoulli":
-        _check_keys(section, ("type", "means"), ("type", "means"), "environment")
-        return BernoulliEnv(means=section["means"]), dict(section)
+        return BernoulliEnv(**kwargs)
     if env_type == "harmonic_bernoulli":
-        _check_keys(section, ("type", "n_arms", "top"), ("type", "n_arms"), "environment")
-        top = section.get("top", 0.75)
-        env = BernoulliEnv.harmonic(section["n_arms"], top)
-        return env, {"type": env_type, "n_arms": section["n_arms"], "top": top}
+        return BernoulliEnv.harmonic(**kwargs)
     if env_type == "synthetic_trace":
-        allowed = (
-            "type",
-            "n_arms",
-            "attacked",
-            "horizon",
-            "burst_length_range",
-            "round_window",
-            "n_bursts",
-        )
-        _check_keys(section, allowed, ("type", "n_arms", "attacked", "horizon"), "environment")
-        resolved = {
-            "type": env_type,
-            "n_arms": section["n_arms"],
-            "attacked": list(section["attacked"]),
-            "horizon": section["horizon"],
-            "burst_length_range": list(section.get("burst_length_range", [3.0, 5.0])),
-            "round_window": section.get("round_window", DEFAULT_ROUND_WINDOW),
-            "n_bursts": section.get("n_bursts", 300),
-        }
-        env = synthesize_intrusion_trace(
-            n_arms=resolved["n_arms"],
-            attacked=resolved["attacked"],
-            horizon=resolved["horizon"],
-            burst_length_range=tuple(resolved["burst_length_range"]),
-            round_window=resolved["round_window"],
-            n_bursts=resolved["n_bursts"],
-            rng=np.random.default_rng(seed_seq),
-        )
-        return env, resolved
-    if env_type == "trace_csv":
-        _check_keys(
-            section,
-            ("type", "path", "column_map", "round_window"),
-            ("type", "path"),
-            "environment",
-        )
-        resolved = {
-            "type": env_type,
-            "path": section["path"],
-            "column_map": {**CAR_HACKING_COLUMNS, **section.get("column_map", {})},
-            "round_window": section.get("round_window", DEFAULT_ROUND_WINDOW),
-        }
-        env = ingest_can_log(
-            section["path"],
-            column_map=resolved["column_map"],
-            round_window=resolved["round_window"],
-        )
-        return env, resolved
-    raise InvalidConfigError(f"unknown environment type {env_type!r}")
+        return synthesize_intrusion_trace(**kwargs, rng=np.random.default_rng(seed_seq))
+    return ingest_can_log(**kwargs)
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds
+# experiment kinds; each takes its resolved config, the output directory and
+# the replica worker count
 
 
-def _run_bounds(cfg, out_dir):
-    allowed = ("schema_version", "kind", "seed", "n", "a", "b", "nu", "horizon", "eta", "gmax")
-    _check_keys(cfg, allowed, ("n", "a", "b"), "config")
+def _run_bounds(cfg, out_dir, workers):
     n, a, b = cfg["n"], cfg["a"], cfg["b"]
     items = []
     lo, hi = analysis.theorem2_bounds(n, a, b)
@@ -221,59 +322,22 @@ def _run_bounds(cfg, out_dir):
 
 
 def _run_single_player(cfg, out_dir, workers):
-    allowed = (
-        "schema_version",
-        "kind",
-        "seed",
-        "environment",
-        "scaling",
-        "eta",
-        "horizon",
-        "replicas",
-        "record_weights",
-        "budget",
-    )
-    _check_keys(cfg, allowed, ("environment", "scaling"), "config")
-    ss = np.random.SeedSequence(cfg["seed"])
-    env_ss, run_ss = ss.spawn(2)
-    env, env_resolved = _environment_from_config(cfg["environment"], env_ss)
-    scaling = _scaling_from_config(cfg["scaling"])
+    env_ss, run_ss = np.random.SeedSequence(cfg["seed"]).spawn(2)
+    env = _environment(cfg["environment"], env_ss)
+    scaling = ScalingSpec(**cfg["scaling"])
     spec = SinglePlayerSpec(
-        env=env,
-        scaling=scaling,
-        eta=cfg.get("eta", "corollary_1_1"),
-        horizon=cfg.get("horizon"),
-        budget=cfg.get("budget"),
+        env, scaling, eta=cfg["eta"], horizon=cfg["horizon"], budget=cfg.get("budget")
     )
-    replicas = cfg.get("replicas", 1)
-    record_weights = bool(cfg.get("record_weights", False))
     report = analysis.pseudo_regret(
-        spec,
-        replicas,
-        np.random.default_rng(run_ss),
-        record_weights=record_weights,
-        workers=workers,
+        spec, cfg["replicas"], np.random.default_rng(run_ss), workers=workers
     )
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "single_player",
-        "seed": cfg["seed"],
-        "environment": env_resolved,
-        "scaling": _scaling_resolved(scaling),
-        "eta": cfg.get("eta", "corollary_1_1"),
-        "eta_resolved": spec.resolve_eta(),
-        "eta_clamp": ETA_CLAMP,
-        "horizon": spec.horizon,
-        "replicas": replicas,
-        "record_weights": record_weights,
-    }
-    _write_manifest(out_dir, resolved)
+    derived = {"eta_resolved": spec.resolve_eta(), "eta_clamp": ETA_CLAMP, "horizon": spec.horizon}
+    _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling), **derived})
     emit_plot_data(report, os.path.join(out_dir, "curves.csv"))
-    if record_weights:
+    if cfg["record_weights"]:
         # one dedicated replica for the marginal trajectories (rows sum to M_t)
         run = run_single_player(spec, np.random.default_rng(run_ss.spawn(1)[0]), record_weights=True)
-        n = spec.n_arms
-        header = ["t", "m"] + [f"w_{i + 1}_norm" for i in range(n)]
+        header = ["t", "m"] + [f"w_{i + 1}_norm" for i in range(spec.n_arms)]
         rows = (
             [t + 1, run.play_counts[t]] + list(run.marginals[t]) for t in range(spec.horizon)
         )
@@ -287,52 +351,22 @@ def _run_single_player(cfg, out_dir, workers):
             ("final_gmax_mean", report.gmax_mean[-1]),
             ("final_reward_mean", report.reward_mean[-1]),
             ("eta", spec.resolve_eta()),
-            ("replicas", replicas),
+            ("replicas", cfg["replicas"]),
         ],
     )
 
 
-def _run_compare(cfg, out_dir):
-    allowed = (
-        "schema_version",
-        "kind",
-        "seed",
-        "environment",
-        "scaling",
-        "epsilon",
-        "fixed_m",
-    )
-    _check_keys(cfg, allowed, ("environment",), "config")
-    ss = np.random.SeedSequence(cfg["seed"])
-    env_ss, run_ss = ss.spawn(2)
-    env, env_resolved = _environment_from_config(cfg["environment"], env_ss)
+def _run_compare(cfg, out_dir, workers):
+    env_ss, run_ss = np.random.SeedSequence(cfg["seed"]).spawn(2)
+    env = _environment(cfg["environment"], env_ss)
     if not isinstance(env, IntrusionTrace):
         raise InvalidConfigError("compare needs a trace environment")
-    scaling = (
-        _scaling_from_config(cfg["scaling"])
-        if "scaling" in cfg
-        else ScalingSpec.truncated_gaussian(1, 3, mean=2.0, std=0.8)
-    )
-    epsilon = cfg.get("epsilon", 0.1)
-    fixed_m = cfg.get("fixed_m", 3)
+    scaling = ScalingSpec(**cfg["scaling"])
     curves = run_comparison(
-        env,
-        np.random.default_rng(run_ss),
-        epsilon=epsilon,
-        vp_scaling=scaling,
-        fixed_m=fixed_m,
+        env, np.random.default_rng(run_ss), epsilon=cfg["epsilon"], vp_scaling=scaling,
+        fixed_m=cfg["fixed_m"],
     )
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "compare",
-        "seed": cfg["seed"],
-        "environment": env_resolved,
-        "scaling": _scaling_resolved(scaling),
-        "epsilon": epsilon,
-        "fixed_m": fixed_m,
-        "iota": DEFAULT_IOTA,
-    }
-    _write_manifest(out_dir, resolved)
+    _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling), "iota": DEFAULT_IOTA})
     names = sorted(curves)
     rows = (
         [t + 1] + [curves[name][t] for name in names] for t in range(env.n_rounds)
@@ -345,59 +379,21 @@ def _run_compare(cfg, out_dir):
 
 
 def _run_game(cfg, out_dir, workers):
-    allowed = (
-        "schema_version",
-        "kind",
-        "seed",
-        "n",
-        "horizon",
-        "scaling",
-        "attacker",
-        "defender_eta",
-        "attacker_eta",
-        "payoff",
-        "scan_discount",
-        "replicas",
-        "tail_fraction",
-    )
-    _check_keys(cfg, allowed, ("n", "horizon", "scaling"), "config")
-    scaling = _scaling_from_config(cfg["scaling"])
-    payoff = None
-    if "payoff" in cfg:
-        payoff = PayoffProfile(mu=np.asarray(cfg["payoff"], dtype=float))
+    scaling = ScalingSpec(**cfg["scaling"])
+    payoff = PayoffProfile(mu=np.asarray(cfg["payoff"], dtype=float)) if "payoff" in cfg else None
     config = GameConfig(
-        n_arms=cfg["n"],
-        horizon=cfg["horizon"],
-        scaling=scaling,
-        attacker_kind=cfg.get("attacker", "exp3"),
-        defender_eta=cfg.get("defender_eta"),
-        attacker_eta=cfg.get("attacker_eta"),
-        payoff=payoff,
-        scan_discount=cfg.get("scan_discount", DEFAULT_SCAN_DISCOUNT),
-        seed=cfg["seed"],
+        n_arms=cfg["n"], horizon=cfg["horizon"], scaling=scaling, attacker_kind=cfg["attacker"],
+        defender_eta=cfg["defender_eta"], attacker_eta=cfg["attacker_eta"], payoff=payoff,
+        scan_discount=cfg["scan_discount"], seed=cfg["seed"],
     )
-    replicas = cfg.get("replicas", 1)
-    tail_fraction = cfg.get("tail_fraction", 0.2)
-    traces = run_game_replicas(config, replicas, workers=workers)
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "game",
-        "seed": cfg["seed"],
-        "n": config.n_arms,
-        "horizon": config.horizon,
-        "scaling": _scaling_resolved(scaling),
-        "attacker": config.attacker_kind,
+    traces = run_game_replicas(config, cfg["replicas"], workers=workers)
+    derived = {
         "defender_eta": config.resolve_defender_eta(),
-        "attacker_eta": config.resolve_attacker_eta()
-        if config.attacker_kind == "exp3"
-        else None,
-        "scan_discount": config.scan_discount,
+        "attacker_eta": config.resolve_attacker_eta() if config.attacker_kind == "exp3" else None,
         "payoff": list(map(float, config.payoff.mu)),
         "iota": DEFAULT_IOTA,
-        "replicas": replicas,
-        "tail_fraction": tail_fraction,
     }
-    _write_manifest(out_dir, resolved)
+    _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling), **derived})
     att_curves = []
     def_curves = []
     for idx, trace in enumerate(traces):
@@ -426,7 +422,7 @@ def _run_game(cfg, out_dir, workers):
     def_mean = np.mean(def_curves, axis=0)
     rows = zip(range(1, config.horizon + 1), att_mean, def_mean)
     write_csv(os.path.join(out_dir, "curves.csv"), ["t", "attacker_mean", "defender_mean"], rows)
-    tail = max(1, int(tail_fraction * config.horizon))
+    tail = max(1, int(cfg["tail_fraction"] * config.horizon))
     att_tail = float(np.mean([t.attacker_reward[-tail:].mean() for t in traces]))
     def_tail = float(np.mean([t.defender_reward[-tail:].mean() for t in traces]))
     items = [
@@ -441,21 +437,9 @@ def _run_game(cfg, out_dir, workers):
     _write_summary(os.path.join(out_dir, "summary.txt"), items)
 
 
-def _run_ingest(cfg, out_dir):
-    allowed = ("schema_version", "kind", "seed", "path", "column_map", "round_window")
-    _check_keys(cfg, allowed, ("path",), "config")
-    column_map = {**CAR_HACKING_COLUMNS, **cfg.get("column_map", {})}
-    window = cfg.get("round_window", DEFAULT_ROUND_WINDOW)
-    trace = ingest_can_log(cfg["path"], column_map=column_map, round_window=window)
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "ingest",
-        "seed": cfg["seed"],
-        "path": cfg["path"],
-        "column_map": column_map,
-        "round_window": window,
-    }
-    _write_manifest(out_dir, resolved)
+def _run_ingest(cfg, out_dir, workers):
+    trace = ingest_can_log(**{k: cfg[k] for k in _CAN_LOG})
+    _write_manifest(out_dir, cfg)
     trace.save(os.path.join(out_dir, "trace.csv"), os.path.join(out_dir, "trace.meta"))
     density = trace.attack_density()
     _write_summary(
@@ -469,28 +453,11 @@ def _run_ingest(cfg, out_dir):
     )
 
 
-def _run_sweep(cfg, out_dir):
-    allowed = ("schema_version", "kind", "seed", "n", "a", "b", "mu_min", "mu_max", "steps")
-    _check_keys(cfg, allowed, ("n", "a", "b"), "config")
-    n, a, b = cfg["n"], cfg["a"], cfg["b"]
-    mu_min = cfg.get("mu_min", 0.05)
-    mu_max = cfg.get("mu_max", 1.0)
-    steps = cfg.get("steps", 100)
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "sweep",
-        "seed": cfg["seed"],
-        "n": n,
-        "a": a,
-        "b": b,
-        "mu_min": mu_min,
-        "mu_max": mu_max,
-        "steps": steps,
-        "interval_form": "harmonic",
-    }
-    _write_manifest(out_dir, resolved)
+def _run_sweep(cfg, out_dir, workers):
+    n, a, b, steps = cfg["n"], cfg["a"], cfg["b"], cfg["steps"]
+    _write_manifest(out_dir, {**cfg, "interval_form": "harmonic"})
     rows = []
-    for mu in np.linspace(mu_min, mu_max, steps):
+    for mu in np.linspace(cfg["mu_min"], cfg["mu_max"], steps):
         interval = analysis.kstar_interval(PayoffProfile.homogeneous(n, mu), a, b)
         rows.append([mu, interval.lower, interval.upper])
     write_csv(os.path.join(out_dir, "sweep.csv"), ["mu", "lower", "upper"], rows)
@@ -501,30 +468,25 @@ def _run_sweep(cfg, out_dir):
 # entry point
 
 
+_RUNNERS = {
+    "bounds": _run_bounds,
+    "single_player": _run_single_player,
+    "compare": _run_compare,
+    "game": _run_game,
+    "ingest": _run_ingest,
+    "sweep": _run_sweep,
+}
+
+
 def run_experiment(cfg, out_dir, workers=1):
-    """Validate a config dict, dispatch, and write all outputs."""
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise InvalidConfigError(
-            f"schema_version must be {SCHEMA_VERSION}, got {cfg.get('schema_version')!r}"
-        )
-    kind = cfg.get("kind")
-    if kind not in KINDS:
-        raise InvalidConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    if "seed" not in cfg:
-        raise InvalidConfigError("seed is mandatory")
+    """Resolve a config dict, dispatch, and write all outputs.
+
+    The whole config is resolved before the output directory is made, so a
+    bad key or value fails before anything runs or is written.
+    """
+    cfg = resolve_config(cfg, "config")
     os.makedirs(out_dir, exist_ok=True)
-    if kind == "bounds":
-        _run_bounds(cfg, out_dir)
-    elif kind == "single_player":
-        _run_single_player(cfg, out_dir, workers)
-    elif kind == "compare":
-        _run_compare(cfg, out_dir)
-    elif kind == "game":
-        _run_game(cfg, out_dir, workers)
-    elif kind == "ingest":
-        _run_ingest(cfg, out_dir)
-    else:
-        _run_sweep(cfg, out_dir)
+    _RUNNERS[cfg["kind"]](cfg, out_dir, workers)
     return 0
 
 
@@ -585,17 +547,13 @@ def main(argv=None):
             cfg["seed"] = int(env_seed)
         except ValueError:
             return _usage_error(f"BANDIT_SEED must be an integer, got {env_seed!r}")
-    seed = cfg.get("seed", 0)  # a missing seed is reported by run_experiment
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        return _usage_error(f"seed must be a nonnegative integer, got {seed!r}")
+    if not _is_seed(cfg.get("seed", 0)):  # a missing seed is reported by run_experiment
+        return _usage_error(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     if args.replicas is not None:
         cfg["replicas"] = args.replicas
     try:
         return run_experiment(cfg, args.out, workers=args.workers)
-    except VPBanditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VPBanditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ game setting.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,6 +183,8 @@ def ingest_can_log(path, column_map=None, round_window=DEFAULT_ROUND_WINDOW):
                 ts = float(raw_ts)
             except (TypeError, ValueError):
                 raise RowParseError(line_no, f"unparseable timestamp {raw_ts!r}")
+            if not math.isfinite(ts):
+                raise RowParseError(line_no, f"non-finite timestamp {raw_ts!r}")
             ident = row[cmap["identity"]]
             injected = row[cmap["flag"]] == cmap["injected_value"]
             rows.append((ts, ident, injected))

@@ -7,6 +7,7 @@ only requires boundedness), combining a resource budget with the number of
 arms whose recent reward average looks active.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,11 @@ import numpy as np
 from .errors import InvalidSpecError
 
 KINDS = ("constant", "uniform_discrete", "truncated_gaussian", "budget_threshold")
+
+#: Smallest Gaussian mass on [a - 1/2, b + 1/2] accepted for the truncated
+#: Gaussian: below it, rejection sampling needs over 1000 normal draws per
+#: play count (and at mass 0 it never ends).
+MIN_GAUSSIAN_MASS = 1e-3
 
 
 @dataclass
@@ -82,6 +88,19 @@ class ScalingSpec:
         if self.kind == "truncated_gaussian":
             if self.mean is None or self.std is None or self.std <= 0:
                 raise InvalidSpecError("truncated_gaussian needs mean and std > 0")
+            # P(a - 1/2 <= X <= b + 1/2), as a difference of the two smaller
+            # tails so that tiny masses keep their digits
+            lo = (self.a - 0.5 - self.mean) / (self.std * math.sqrt(2.0))
+            hi = (self.b + 0.5 - self.mean) / (self.std * math.sqrt(2.0))
+            if lo + hi > 0:
+                mass = 0.5 * (math.erfc(lo) - math.erfc(hi))
+            else:
+                mass = 0.5 * (math.erfc(-hi) - math.erfc(-lo))
+            if not mass >= MIN_GAUSSIAN_MASS:  # also rejects NaN
+                raise InvalidSpecError(
+                    f"truncated_gaussian mean={self.mean} std={self.std} has mass {mass:.3g} "
+                    f"on [{self.a - 0.5}, {self.b + 0.5}], below {MIN_GAUSSIAN_MASS}"
+                )
 
     def validate_for(self, n_arms):
         if self.b >= n_arms:

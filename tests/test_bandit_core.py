@@ -200,7 +200,7 @@ class TestDepRound:
             )
         )
         p = np.array(raw)
-        p = p * (m / p.sum())
+        p = p / p.sum() * m  # m / p.sum() overflows when the sum is subnormal
         if p.max() > 1.0:  # renormalize the overflow onto the rest
             excess = p - np.minimum(p, 1.0)
             p = np.minimum(p, 1.0)

@@ -1,11 +1,19 @@
 """End-to-end tests of the config-driven experiment runner."""
 
+import contextlib
+import functools
+import io
 import json
 import math
+import operator
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vpbandit import cli
 
@@ -255,3 +263,204 @@ class TestSweepAndIngest:
         assert summary["arms"] == "2"
         assert summary["attacked_arms"] == "2"
         assert (out / "trace.csv").exists() and (out / "trace.meta").exists()
+
+
+# A config of every kind with every key of its table set, covering every
+# environment type and scaling kind; "@LOG@" stands for a CAN log path.
+_LOG_COLUMNS = {"timestamp": "Timestamp", "identity": "CAN_ID", "flag": "Flag"}
+FULL_CONFIGS = {
+    "bounds": ("bounds", {"n": 10, "a": 1, "b": 3, "nu": 2, "horizon": 1000, "eta": 0.1,
+                          "gmax": 50.0}),
+    "sweep": ("sweep", {"n": 10, "a": 1, "b": 3, "mu_min": 0.1, "mu_max": 0.9, "steps": 5}),
+    "single_player-bernoulli": ("simulate-single", {
+        "environment": {"type": "bernoulli", "means": [0.9, 0.5, 0.1, 0.2]},
+        "scaling": {"kind": "constant", "a": 1, "b": 2, "m": 2},
+        "eta": 0.1, "horizon": 30, "replicas": 1, "record_weights": True, "budget": 2,
+    }),
+    "single_player-harmonic": ("simulate-single", {
+        "environment": {"type": "harmonic_bernoulli", "n_arms": 5, "top": 0.8},
+        "scaling": {"kind": "budget_threshold", "a": 1, "b": 3, "threshold": 0.2},
+        "eta": "corollary_1_1", "horizon": 30,
+    }),
+    "single_player-synthetic": ("simulate-single", {
+        "environment": {"type": "synthetic_trace", "n_arms": 6, "attacked": [1, 4],
+                        "horizon": 40, "burst_length_range": [2.0, 4.0],
+                        "round_window": 0.5, "n_bursts": [4, 2]},
+        "scaling": {"kind": "truncated_gaussian", "a": 1, "b": 3, "mean": 2, "std": 0.8},
+    }),
+    "compare-trace_csv": ("compare", {
+        "environment": {"type": "trace_csv", "path": "@LOG@", "column_map": _LOG_COLUMNS,
+                        "round_window": 0.1},
+        "scaling": {"kind": "uniform_discrete", "a": 1, "b": 2},
+        "epsilon": 0.2, "fixed_m": 2,
+    }),
+    "game": ("simulate-game", {
+        "n": 5, "horizon": 40,
+        "scaling": {"kind": "truncated_gaussian", "a": 1, "b": 3, "mean": 2.0, "std": 0.8},
+        "attacker": "exp3", "defender_eta": 0.1, "attacker_eta": 0.1,
+        "payoff": [1.0, 0.5, 0.5, 0.25, 1], "scan_discount": 0.9, "replicas": 1,
+        "tail_fraction": 0.5,
+    }),
+    "ingest": ("ingest", {"path": "@LOG@", "column_map": _LOG_COLUMNS, "round_window": 0.1}),
+}
+
+
+def _full_config(case, log_path):
+    sub, body = FULL_CONFIGS[case]
+    cfg = {"schema_version": 1, "kind": case.split("-")[0], "seed": 3, **body}
+    return sub, json.loads(json.dumps(cfg).replace("@LOG@", str(log_path)))
+
+
+def _key_paths(section, prefix=()):
+    for key, value in section.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _replaced(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    functools.reduce(operator.getitem, path[:-1], cfg)[path[-1]] = value
+    return cfg
+
+
+def _write_can_log(path):
+    rows = [f"{0.05 * k:.2f},{'id' + 'ABC'[k % 3]},{'T' if k % 4 == 0 else 'R'}"
+            for k in range(40)]
+    path.write_text("Timestamp,CAN_ID,Flag\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def _run_main(sub, cfg, cfg_path, out):
+    """(exit status, stderr lines) of one CLI run."""
+    cfg_path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main([sub, "--config", str(cfg_path), "--out", str(out)])
+    return rc, err.getvalue().splitlines()
+
+
+def _assert_one_error(rc, err, status=1):
+    assert rc == status
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def _assert_fails_fast(rc, err, out, status=1):
+    _assert_one_error(rc, err, status)
+    assert not out.exists()
+
+
+_WRONG_TYPE_CASES = [
+    (case, path)
+    for case in FULL_CONFIGS
+    for path in _key_paths(_full_config(case, "log.csv")[1])
+]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("case", sorted(FULL_CONFIGS))
+    def test_full_config_runs(self, tmp_path, case):
+        sub, cfg = _full_config(case, _write_can_log(tmp_path / "log.csv"))
+        rc, err = _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out")
+        assert (rc, err) == (0, [])
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        for key, value in cfg.items():
+            # payoff is written in canonical order, sections with their defaults
+            if key != "payoff" and not isinstance(value, dict):
+                assert manifest[key] == value, key
+
+    def test_integer_passes_through_as_a_number(self, tmp_path):
+        sub, cfg = _full_config("single_player-synthetic", "unused")
+        assert _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out") == (0, [])
+        scaling = json.loads((tmp_path / "out" / "manifest.json").read_text())["scaling"]
+        assert scaling == cfg["scaling"] and isinstance(scaling["mean"], int)
+
+    @pytest.mark.parametrize(
+        "case, path", _WRONG_TYPE_CASES, ids=[f"{c}:{'.'.join(p)}" for c, p in _WRONG_TYPE_CASES]
+    )
+    def test_wrong_type_fails_before_any_output(self, tmp_path, case, path):
+        sub, cfg = _full_config(case, _write_can_log(tmp_path / "log.csv"))
+        old = functools.reduce(operator.getitem, path, cfg)
+        cfg = _replaced(cfg, path, [] if isinstance(old, str) else "x")
+        rc, err = _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out")
+        # seed and kind are checked as usage errors before the config is resolved
+        _assert_fails_fast(rc, err, tmp_path / "out", 2 if path in (("seed",), ("kind",)) else 1)
+
+    @pytest.mark.parametrize(
+        "sub, change",
+        [
+            ("simulate-game", {"n": "10"}),
+            ("simulate-game", {"tail_fraction": "a"}),
+            ("simulate-game", {"scaling": "x"}),
+            ("simulate-game", {"n": True}),
+            ("simulate-game", {"scaling": {"kind": "constant", "a": 1, "b": 2, "mean": 3}}),
+            ("simulate-single", {"record_weights": "no"}),
+            ("ingest", {"path": 5}),
+            ("ingest", {"column_map": {"flags": "Flag"}}),
+            ("simulate-game", {"defender_eta": None}),
+            ("simulate-game", {"horizon": 40.0}),
+            ("simulate-game", {"scaling": {"kind": "uniform_discrete", "a": 1, "b": 2,
+                                           "threshold": 0.5}}),
+        ],
+    )
+    def test_bad_values_fail_before_any_output(self, tmp_path, sub, change):
+        case = {"simulate-game": "game", "simulate-single": "single_player-bernoulli",
+                "ingest": "ingest"}[sub]
+        _, cfg = _full_config(case, _write_can_log(tmp_path / "log.csv"))
+        rc, err = _run_main(sub, {**cfg, **change}, tmp_path / "c.json", tmp_path / "out")
+        _assert_fails_fast(rc, err, tmp_path / "out")
+
+    @pytest.mark.parametrize("mean, std", [(50, 0.1), (10, 1)])
+    def test_gaussian_without_mass_fails_fast(self, tmp_path, mean, std):
+        # both specs used to hang the play-count rejection sampler
+        sub, cfg = _full_config("game", "unused")
+        cfg["scaling"].update(mean=mean, std=std)
+        _assert_one_error(*_run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out"))
+
+    @pytest.mark.parametrize(
+        "body", ["nan,idA,R\n0.1,idB,T\n", "0.0,idA,R\nnan,idB,T\n", "0.0,idA,R\ninf,idB,T\n"]
+    )
+    def test_non_finite_timestamp_fails_fast(self, tmp_path, body):
+        log = tmp_path / "log.csv"
+        log.write_text("Timestamp,CAN_ID,Flag\n" + body)
+        sub, cfg = _full_config("ingest", log)
+        _assert_one_error(*_run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out"))
+
+    def test_budget_is_recorded_in_the_manifest(self, tmp_path):
+        _, cfg = _full_config("single_player-harmonic", "unused")
+        for run, out in ((cfg, tmp_path / "without"), ({**cfg, "budget": 2}, tmp_path / "with")):
+            assert _run_main("simulate-single", run, tmp_path / "c.json", out) == (0, [])
+        assert "budget" not in json.loads((tmp_path / "without" / "manifest.json").read_text())
+        assert json.loads((tmp_path / "with" / "manifest.json").read_text())["budget"] == 2
+
+
+_LEAF = st.one_of(st.none(), st.booleans(), st.text(max_size=8))
+_WRONG = st.one_of(
+    st.text(max_size=12),
+    st.lists(_LEAF, max_size=3),
+    st.dictionaries(st.text(max_size=6), _LEAF, max_size=3),
+    st.none(),
+    st.booleans(),
+)
+
+
+@pytest.fixture(scope="module")
+def can_log(tmp_path_factory):
+    return _write_can_log(tmp_path_factory.mktemp("log") / "log.csv")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_fails_with_one_error_line(can_log, data):
+    case = data.draw(st.sampled_from(sorted(FULL_CONFIGS)))
+    sub, cfg = _full_config(case, can_log)
+    path = data.draw(st.sampled_from(list(_key_paths(cfg))))
+    value = data.draw(_WRONG)
+    assume(type(value) is not type(functools.reduce(operator.getitem, path, cfg)))
+    cfg = _replaced(cfg, path, value)  # a value of the wrong JSON type
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "out")
+        rc, err = _run_main(sub, cfg, pathlib.Path(work) / "c.json", out)
+        assert rc in (1, 2)
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not os.path.exists(out)

@@ -179,6 +179,22 @@ class TestIngest:
         with pytest.raises(EmptyInputError):
             ingest_can_log(f3)
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (["nan,idA,R", "0.1,idB,T"], 2),  # leading NaN used to crash the bucketing
+            (["0.0,idA,R", "nan,idB,T", "0.2,idA,R"], 3),  # NaN used to be dropped silently
+            (["0.0,idA,R", "inf,idB,R"], 3),
+            (["-inf,idA,T", "0.0,idB,R"], 2),
+        ],
+    )
+    def test_rejects_non_finite_timestamps(self, tmp_path, rows, line):
+        f = tmp_path / "log.csv"
+        _write_log(f, rows)
+        with pytest.raises(RowParseError, match="non-finite timestamp") as exc:
+            ingest_can_log(f)
+        assert exc.value.line_number == line
+
 
 def _round_payoffs(prof, arm, chosen):
     """(attacker, defender) payoffs of one round with both moves fixed."""

@@ -7,6 +7,7 @@ import pytest
 
 from vpbandit.errors import InvalidSpecError
 from vpbandit.scaling import (
+    MIN_GAUSSIAN_MASS,
     MovingAverage,
     ScalingSpec,
     sample_arm_count,
@@ -49,6 +50,27 @@ class TestScalingSpec:
             ScalingSpec(kind="truncated_gaussian", a=1, b=3, mean=2.0, std=0.0)
         with pytest.raises(InvalidSpecError):
             ScalingSpec(kind="nope", a=1, b=2)
+
+    @pytest.mark.parametrize(
+        "mean, std, mass",
+        [(50.0, 0.1, 0.0), (10.0, 1.0, 4.016e-11)],  # mass of N(10, 1) on [0.5, 3.5]
+    )
+    def test_rejects_gaussian_without_mass_on_the_range(self, mean, std, mass):
+        # rejection sampling would loop (for ever, at mass 0) on these specs
+        with pytest.raises(InvalidSpecError, match="mass") as exc:
+            ScalingSpec.truncated_gaussian(1, 3, mean=mean, std=std)
+        reported = float(str(exc.value).split("mass ")[1].split()[0])
+        assert reported == pytest.approx(mass, rel=1e-3, abs=1e-300)
+
+    def test_gaussian_mass_threshold(self):
+        # N(6.5, 1) puts 1.35e-3 on [0.5, 3.5], N(6.6, 1) 9.7e-4; the bound is
+        # 1e-3, and the interval's centre 2 mirrors both means
+        assert MIN_GAUSSIAN_MASS == 1e-3
+        for mean in (6.5, -2.5):
+            ScalingSpec.truncated_gaussian(1, 3, mean=mean, std=1.0)
+        for mean in (6.6, -2.6):
+            with pytest.raises(InvalidSpecError):
+                ScalingSpec.truncated_gaussian(1, 3, mean=mean, std=1.0)
 
     def test_validate_for_requires_b_below_n(self):
         spec = ScalingSpec.uniform(1, 3)
