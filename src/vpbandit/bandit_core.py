@@ -3,7 +3,8 @@
 The learner (``vpbandit.game.Exp3MVPLearner``) keeps one positive weight per
 arm.  It caps the largest weights with ``cap_threshold`` so that no
 selection marginal exceeds 1, and samples a subset of arms with exactly
-those marginals by dependent rounding (``dep_round``).
+those marginals by systematic sampling (``dep_round``; the name comes from dependent
+rounding, which meets the same contract).
 
 All randomness comes from an explicitly passed ``numpy.random.Generator``;
 there is no global RNG use anywhere in this module.
@@ -21,19 +22,6 @@ from .errors import (
 )
 
 MARGINAL_SUM_TOL = 1e-9
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional speedup
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        return deco if not (args and callable(args[0])) else args[0]
 
 
 # ---------------------------------------------------------------------------
@@ -71,118 +59,68 @@ def cap_threshold(weights, target):
 
 
 # ---------------------------------------------------------------------------
-# dependent rounding
-
-_SNAP = 1e-11
+# subset sampling
 
 
-@njit(cache=True)
-def _next_fractional(p, start):
-    i = start
-    while i < p.shape[0] and (p[i] <= 0.0 or p[i] >= 1.0):
-        i += 1
-    return i
+def _checked(m, probs):
+    p = np.asarray(probs, dtype=float)
+    n = p.size
+    if not 1 <= m < n:
+        raise InvalidPlayCountError(f"m must satisfy 1 <= m < {n}, got {m}")
+    if not abs(float(p.sum()) - m) <= MARGINAL_SUM_TOL:
+        raise InvalidMarginalsError(f"marginals sum to {p.sum()!r}, expected {m}")
+    if not np.all((p >= -MARGINAL_SUM_TOL) & (p <= 1.0 + MARGINAL_SUM_TOL)):
+        raise InvalidMarginalsError("marginals must lie in [0, 1]")
+    return p
 
 
-@njit(cache=True)
-def _depround_kernel(p, u):
-    """Pair-fixing loop; mutates p to a 0/1 vector with the same sum."""
-    n = p.shape[0]
-    for k in range(n):
-        if p[k] < _SNAP:
-            p[k] = 0.0
-        elif p[k] > 1.0 - _SNAP:
-            p[k] = 1.0
-    i = _next_fractional(p, 0)
-    j = _next_fractional(p, i + 1) if i < n else n
-    k = 0
-    while i < n and j < n and k < u.shape[0]:
-        rho = min(1.0 - p[i], p[j])
-        zeta = min(p[i], 1.0 - p[j])
-        if u[k] * (rho + zeta) < zeta:
-            p[i] += rho
-            p[j] -= rho
-        else:
-            p[i] -= zeta
-            p[j] += zeta
-        k += 1
-        if p[i] < _SNAP:
-            p[i] = 0.0
-        elif p[i] > 1.0 - _SNAP:
-            p[i] = 1.0
-        if p[j] < _SNAP:
-            p[j] = 0.0
-        elif p[j] > 1.0 - _SNAP:
-            p[j] = 1.0
-        i_frac = 0.0 < p[i] < 1.0
-        j_frac = 0.0 < p[j] < 1.0
-        if i_frac and j_frac:
-            continue  # numerically possible only in pathological cases
-        if i_frac:
-            j = _next_fractional(p, j + 1)
-        elif j_frac:
-            i = j
-            j = _next_fractional(p, j + 1)
-        else:
-            i = _next_fractional(p, j + 1)
-            j = _next_fractional(p, i + 1) if i < n else n
-    # at most one fractional entry can survive (floating-point drift); round it
-    for k in range(n):
-        if 0.0 < p[k] < 1.0:
-            p[k] = 1.0 if p[k] >= 0.5 else 0.0
+def _systematic(m, p, u):
+    """Arms hit by the points ``(u + k) * total / m``, k = 0..m-1.
+
+    Arm i owns the interval [c[i-1], c[i]) of the cumulative marginals c,
+    and the points are spread over the actual total c[-1], so float drift in
+    the marginal sum cannot move them.  The last arm with mass also owns the
+    total itself, where the top point lands when ``u + m - 1`` rounds up to
+    m.  ``u`` is a scalar or a column of uniforms (one draw per row); a draw
+    that is not m distinct arms raises, it is never repaired.
+    """
+    c = np.cumsum(p)
+    total = c[-1]
+    last = np.searchsorted(c, total)  # the last arm with a nonempty interval
+    idx = np.searchsorted(c[:last], (u + np.arange(m)) * (total / m), side="right")
+    if idx.shape[-1] != m or (idx[..., 1:] == idx[..., :-1]).any():
+        raise InvalidMarginalsError(f"systematic sampling did not draw {m} distinct arms")
+    return idx
 
 
 def dep_round(m, probs, rng, validate=True):
     """Sample exactly ``m`` distinct arm indices with the given marginals.
 
-    ``probs`` must lie in [0, 1] and sum to ``m``.  Each arm lands in the
-    output with probability exactly ``probs[i]``; arms at 1 are always
-    included and arms at 0 never.  Pairs are always the two lowest-indexed
-    fractional entries, so the draw is a deterministic function of the
-    supplied generator.
+    Systematic sampling (Madow 1949; Tille, Sampling Algorithms, 2006,
+    ch. 7): one uniform ``u`` places m points a spacing of total / m apart,
+    and each point picks the arm whose cumulative-marginal interval holds
+    it.  ``probs`` must lie in [0, 1] and sum to ``m``, so no interval is
+    longer than the spacing: the m arms are distinct, each lands in the
+    output with probability exactly ``probs[i]``, an arm at 1 spans a whole
+    spacing and is always included, and an arm at 0 has an empty interval
+    and never is.  The draw uses exactly one double of ``rng`` and returns
+    the indices in increasing order.
 
     ``validate=False`` skips the input checks for callers that constructed
-    the marginals themselves (the learner's inner loop).
+    the marginals themselves (the learner's inner loop); the output check
+    always runs.
     """
-    p = np.array(probs, dtype=float)
-    n = p.size
-    if validate:
-        if m >= n:
-            raise InvalidPlayCountError(f"m must be < {n}, got {m}")
-        if abs(float(p.sum()) - m) > MARGINAL_SUM_TOL:
-            raise InvalidMarginalsError(f"marginals sum to {p.sum()!r}, expected {m}")
-        if np.any(p < -MARGINAL_SUM_TOL) or np.any(p > 1.0 + MARGINAL_SUM_TOL):
-            raise InvalidMarginalsError("marginals must lie in [0, 1]")
-    _depround_kernel(p, rng.random(n - 1))
-    out = np.flatnonzero(p == 1.0)
-    if out.size != m:
-        raise InvalidMarginalsError(
-            f"dependent rounding produced {out.size} arms instead of {m}"
-        )
-    return out
+    p = _checked(m, probs) if validate else np.asarray(probs, dtype=float)
+    return _systematic(m, p, rng.random())
 
 
 def dep_round_many(m, probs, draws, rng):
-    """Repeated ``dep_round`` draws as a (draws, N) 0/1 matrix.
+    """``draws`` independent ``dep_round`` draws as a (draws, N) 0/1 matrix.
 
-    Runs the same pair-fixing kernel on a batch of uniform rows, consuming
-    randomness exactly as ``draws`` sequential calls would.
+    One vectorized call that consumes ``rng`` exactly as ``draws``
+    sequential calls would, so row k holds the k-th sequential draw.
     """
-    p = np.asarray(probs, dtype=float)
-    if abs(float(p.sum()) - m) > MARGINAL_SUM_TOL:
-        raise InvalidMarginalsError(f"marginals sum to {p.sum()!r}, expected {m}")
-    u = rng.random((draws, p.size - 1))
-    out = np.empty((draws, p.size))
-    _depround_batch(p, u, out)
-    counts = out.sum(axis=1)
-    if np.any(counts != m):
-        raise InvalidMarginalsError("dependent rounding produced a wrong-size set")
+    p = _checked(m, probs)
+    out = np.zeros((draws, p.size))
+    np.put_along_axis(out, _systematic(m, p, rng.random((draws, 1))), 1.0, axis=1)
     return out
-
-
-@njit(cache=True)
-def _depround_batch(p, u, out):
-    for r in range(u.shape[0]):
-        row = p.copy()
-        _depround_kernel(row, u[r])
-        out[r] = row

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -174,6 +175,7 @@ NUMS = _type("a list of finite numbers", _list_of(_is_num))
 BOOL = _type("true or false", lambda v: isinstance(v, bool))
 STR = _type("a string", lambda v: isinstance(v, str))
 PATH = _type("a file path", lambda v: isinstance(v, str) and "\0" not in v)
+FRACTION = _type("a number in (0, 1]", lambda v: _is_num(v) and 0 < v <= 1)
 ETA = _type('a finite number or "corollary_1_1"', lambda v: v == "corollary_1_1" or _is_num(v))
 
 SEED = _type("a nonnegative integer", _is_seed)
@@ -256,7 +258,7 @@ CONFIGS = {
         "payoff": (OMIT, NUMS),
         "scan_discount": (DEFAULT_SCAN_DISCOUNT, NUM),
         "replicas": (1, INT),
-        "tail_fraction": (0.2, NUM),
+        "tail_fraction": (0.2, FRACTION),
     },
     "ingest": {**COMMON, **_CAN_LOG},
     "sweep": {
@@ -481,13 +483,28 @@ _RUNNERS = {
 def run_experiment(cfg, out_dir, workers=1):
     """Resolve a config dict, dispatch, and write all outputs.
 
-    The whole config is resolved before the output directory is made, so a
-    bad key or value fails before anything runs or is written.
+    The whole config is resolved before the output directory is made, and
+    a run that fails after that, on a value the experiment rejects, removes
+    the directories it made, so a failed run leaves no output directory.
     """
     cfg = resolve_config(cfg, "config")
+    made = _first_missing(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    _RUNNERS[cfg["kind"]](cfg, out_dir, workers)
+    try:
+        _RUNNERS[cfg["kind"]](cfg, out_dir, workers)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     return 0
+
+
+def _first_missing(path):
+    """The outermost directory that ``os.makedirs(path)`` would create."""
+    path, missing = os.path.abspath(path), None
+    while not os.path.exists(path):
+        path, missing = os.path.dirname(path), path
+    return missing
 
 
 _SUBCOMMAND_KIND = {
@@ -506,11 +523,12 @@ def build_parser():
         description="Variable-play adversarial bandit experiments and bound calculators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_KIND:
+    for name, kind in _SUBCOMMAND_KIND.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--replicas", type=int, default=None, help="override replica count")
+        if "replicas" in CONFIGS[kind]:
+            p.add_argument("--replicas", type=int, default=None, help="override replica count")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--workers", type=int, default=1, help="parallel replica workers")
     return parser
@@ -549,7 +567,7 @@ def main(argv=None):
             return _usage_error(f"BANDIT_SEED must be an integer, got {env_seed!r}")
     if not _is_seed(cfg.get("seed", 0)):  # a missing seed is reported by run_experiment
         return _usage_error(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
-    if args.replicas is not None:
+    if getattr(args, "replicas", None) is not None:
         cfg["replicas"] = args.replicas
     try:
         return run_experiment(cfg, args.out, workers=args.workers)

@@ -41,8 +41,9 @@ def _tuned_eta(n_arms, a, b, horizon):
 
 
 class Exp3MVPLearner:
-    """Variable-play learner: capped exponential weights, DepRound subsets,
-    and importance-weighted multiplicative updates of the uncapped arms."""
+    """Variable-play learner: capped exponential weights, subsets drawn by
+    systematic sampling, and importance-weighted multiplicative updates of
+    the uncapped arms."""
 
     def __init__(self, n_arms, eta):
         if not 0.0 < eta < 1.0:

@@ -110,7 +110,7 @@ def test_variable_play_matches_fixed_play_on_a_trace():
 
 
 # ---------------------------------------------------------------------------
-# dependent rounding marginals
+# subset-sampling marginals
 
 
 def _marginals(weights, eta, m):

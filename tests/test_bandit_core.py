@@ -1,5 +1,5 @@
 """Unit tests for the exponential-weight core: capping, the learner's
-marginals, dependent rounding, and the learners' rounds."""
+marginals, subset sampling, and the learners' rounds."""
 
 import math
 
@@ -20,6 +20,16 @@ def _learner(weights, eta):
     learner = Exp3MVPLearner(len(weights), eta)
     learner.weights = np.array(weights, dtype=float)
     return learner
+
+
+class _FixedUniform:
+    """Stands in for a generator whose next uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 def _cap_oracle(weights, c):
@@ -214,6 +224,58 @@ class TestDepRound:
         chosen = dep_round(m, p, np.random.default_rng(seed))
         assert chosen.size == m
         assert np.all(p[chosen] > 0.0)
+
+    def test_exact_draw_from_the_rule(self):
+        # cumulative marginals [0.5, 1, 1.5, 2], spacing 2 / 2 = 1: the points
+        # 0.25 and 1.25 fall in [0, 0.5) and [1, 1.5), arms 0 and 2
+        chosen = dep_round(2, np.full(4, 0.5), _FixedUniform(0.25))
+        assert chosen.tolist() == [0, 2]
+        # the points are spread over the actual total, so the same marginals
+        # at a quarter of the scale draw the same arms
+        chosen = dep_round(2, np.full(4, 0.125), _FixedUniform(0.25), validate=False)
+        assert chosen.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("drift", [1e-10, -1e-10])
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (3, 7), (9, 10), (50, 100), (999, 1000)])
+    def test_extreme_uniforms_stay_in_range(self, m, n, drift, u):
+        # at u = 1 - 2**-53, u + m - 1 rounds up to m, so the top point lands
+        # on the total itself
+        base = (m + drift) / n
+        q = np.random.default_rng(m).uniform(-1.0, 1.0, size=n)
+        p = base + 0.5 * min(base, 1.0 - base) * (q - q.mean())
+        assert p.max() < 1.0 and abs(p.sum() - (m + drift)) < 1e-12
+        chosen = dep_round(m, p, _FixedUniform(u))
+        assert chosen.size == m and np.unique(chosen).size == m
+        assert chosen.min() >= 0 and chosen.max() < n
+
+    @pytest.mark.parametrize("weights", [[10.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 10.0]])
+    def test_learner_marginals_with_capped_and_zero_arms(self, weights):
+        probs, capped = _learner(weights, 0.2).marginals(2)
+        assert probs[capped].tolist() == [1.0]
+        # zero-mass arms first, in the middle and last
+        p = np.insert(probs, [0, 2, 4], 0.0)
+        sure = np.flatnonzero(p == 1.0)
+        never = np.flatnonzero(p == 0.0)
+        assert never.tolist() == [0, 3, 6]
+        rng = np.random.default_rng(8)
+        hits = np.zeros(p.size)
+        for _ in range(20_000):
+            hits[dep_round(2, p, rng)] += 1
+        assert hits[sure].tolist() == [20_000] and not hits[never].any()
+
+    def test_unchecked_marginal_above_one_raises(self):
+        # the interval [0, 1.5) of arm 0 holds both points 0 and 1: the
+        # duplicate is reported, not repaired
+        with pytest.raises(InvalidMarginalsError):
+            dep_round(2, np.array([1.5, 0.5, 0.0]), _FixedUniform(0.0), validate=False)
+
+    def test_one_draw_uses_one_double(self):
+        r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
+        dep_round(3, np.full(7, 3 / 7), r1)
+        r2.random()
+        assert r1.bit_generator.state == r2.bit_generator.state
+        assert r1.random() == r2.random()
 
 
 class TestMultiPlayRound:

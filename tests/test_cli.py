@@ -197,6 +197,63 @@ class TestBadInput:
     def test_non_integer_config_seed(self, tmp_path, capsys):
         assert self._run(tmp_path, capsys, {**TestGame.CFG, "seed": "x"}) == 2
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n": 3, "scaling": {"kind": "uniform_discrete", "a": 1, "b": 3}},
+            {"scaling": {"kind": "truncated_gaussian", "a": 1, "b": 3, "mean": 50, "std": 0.1}},
+            {"replicas": 0},
+            {"defender_eta": 5},
+            {"tail_fraction": -3},
+            {"tail_fraction": 0},
+            {"tail_fraction": 1.5},
+        ],
+        ids=["b-not-below-n", "gaussian-without-mass", "zero-replicas", "eta-above-one",
+             "tail-negative", "tail-zero", "tail-above-one"],
+    )
+    def test_rejected_value_leaves_no_output(self, tmp_path, capsys, change):
+        assert self._run(tmp_path, capsys, {**TestGame.CFG, **change}) == 1
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_failed_run_removes_the_parents_it_made(self, tmp_path, capsys):
+        cfgp = _write_config(tmp_path, {**TestGame.CFG, "defender_eta": 5})
+        out = tmp_path / "a" / "b" / "out"
+        assert cli.main(["simulate-game", "--config", cfgp, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: eta must be in (0, 1)")
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_tail_fraction_of_one_is_the_whole_horizon(self, tmp_path):
+        cfgp = _write_config(tmp_path, {**TestGame.CFG, "tail_fraction": 1})
+        assert cli.main(["simulate-game", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
+        assert "tail_rounds=400" in (tmp_path / "o" / "summary.txt").read_text().splitlines()
+
+    def test_existing_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert self._run(tmp_path, capsys, {**TestGame.CFG, "replicas": 0}) == 1
+        assert os.listdir(out) == ["notes.txt"]
+        cfgp = _write_config(tmp_path, TestGame.CFG)
+        assert cli.main(["simulate-game", "--config", cfgp, "--out", str(out)]) == 0
+        assert "notes.txt" in os.listdir(out) and "summary.txt" in os.listdir(out)
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
+
+    def test_replicas_flag_only_where_the_kind_has_replicas(self, tmp_path, capsys):
+        cfgp = _write_config(tmp_path, {"schema_version": 1, "kind": "bounds", "seed": 0,
+                                        "n": 10, "a": 1, "b": 3})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--config", cfgp, "--out", str(tmp_path / "o"), "--replicas", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --replicas 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        game = _write_config(tmp_path, TestGame.CFG, "game.json")
+        assert cli.main(
+            ["simulate-game", "--config", game, "--out", str(tmp_path / "g"), "--replicas", "1"]
+        ) == 0
+        assert sorted(n for n in os.listdir(tmp_path / "g") if n.startswith("trace_")) == [
+            "trace_000.csv"
+        ]
+
 
 class TestCompare:
     def test_columns_and_finals(self, tmp_path):
