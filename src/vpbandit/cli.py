@@ -23,6 +23,7 @@ import math
 import os
 import shutil
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .environments import (
     PayoffProfile,
     ingest_can_log,
     synthesize_intrusion_trace,
+    write_columns,
 )
 from .errors import InvalidConfigError, VPBanditError
 from .game import (
@@ -62,23 +64,31 @@ def _fmt(x):
     return str(x)
 
 
-def write_csv(path, header, rows):
-    """Comma-separated with a header row; floats at 17 significant digits."""
+def write_csv(path, header, columns):
+    """Comma-separated with a header row, written a column at a time.
+
+    ``columns`` holds one equal-length 1-D array (or list of str) per header
+    name.  A field reads as ``_fmt`` writes its value: bools as 1/0, integers
+    in decimal, floats at 17 significant digits (``nan``, ``inf``, ``-0``).
+    """
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        write_columns(f, columns)
+
+
+def _scan_sets(scanned):
+    """The ``J_t`` column: each round's scanned arms joined by ``;``."""
+    rows, arms = np.nonzero(scanned)
+    text = map(str, arms.tolist())
+    counts = np.bincount(rows, minlength=len(scanned)).tolist()
+    return [";".join(islice(text, k)) for k in counts]
 
 
 def emit_plot_data(report, path):
     """Write a regret report as t,regret_mean,regret_stderr,bound."""
-    rows = zip(
-        range(1, report.regret_mean.size + 1),
-        report.regret_mean,
-        report.regret_stderr,
-        report.bound,
-    )
-    write_csv(path, ["t", "regret_mean", "regret_stderr", "bound"], rows)
+    t = np.arange(1, report.regret_mean.size + 1)
+    columns = [t, report.regret_mean, report.regret_stderr, report.bound]
+    write_csv(path, ["t", "regret_mean", "regret_stderr", "bound"], columns)
 
 
 def _write_summary(path, items):
@@ -340,10 +350,8 @@ def _run_single_player(cfg, out_dir, workers):
         # one dedicated replica for the marginal trajectories (rows sum to M_t)
         run = run_single_player(spec, np.random.default_rng(run_ss.spawn(1)[0]), record_weights=True)
         header = ["t", "m"] + [f"w_{i + 1}_norm" for i in range(spec.n_arms)]
-        rows = (
-            [t + 1, run.play_counts[t]] + list(run.marginals[t]) for t in range(spec.horizon)
-        )
-        write_csv(os.path.join(out_dir, "weights.csv"), header, rows)
+        columns = [np.arange(1, spec.horizon + 1), run.play_counts, *run.marginals.T]
+        write_csv(os.path.join(out_dir, "weights.csv"), header, columns)
     _write_summary(
         os.path.join(out_dir, "summary.txt"),
         [
@@ -370,10 +378,8 @@ def _run_compare(cfg, out_dir, workers):
     )
     _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling), "iota": DEFAULT_IOTA})
     names = sorted(curves)
-    rows = (
-        [t + 1] + [curves[name][t] for name in names] for t in range(env.n_rounds)
-    )
-    write_csv(os.path.join(out_dir, "compare.csv"), ["t"] + names, rows)
+    columns = [np.arange(1, env.n_rounds + 1)] + [curves[name] for name in names]
+    write_csv(os.path.join(out_dir, "compare.csv"), ["t"] + names, columns)
     _write_summary(
         os.path.join(out_dir, "summary.txt"),
         [(f"final_{name}", curves[name][-1]) for name in names],
@@ -402,28 +408,25 @@ def _run_game(cfg, out_dir, workers):
         run_r, run_s = trace.running_averages()
         att_curves.append(run_r)
         def_curves.append(run_s)
-        rows = (
-            [
-                t + 1,
-                trace.attacker_arm[t],
-                trace.play_counts[t],
-                ";".join(str(j) for j in np.flatnonzero(trace.scanned[t])),
-                trace.attacker_reward[t],
-                trace.defender_reward[t],
-                run_r[t],
-                run_s[t],
-            ]
-            for t in range(trace.n_rounds)
-        )
+        columns = [
+            np.arange(1, trace.n_rounds + 1),
+            trace.attacker_arm,
+            trace.play_counts,
+            _scan_sets(trace.scanned),
+            trace.attacker_reward,
+            trace.defender_reward,
+            run_r,
+            run_s,
+        ]
         write_csv(
             os.path.join(out_dir, f"trace_{idx:03d}.csv"),
             ["t", "I_t", "M_t", "J_t", "r", "s", "running_r", "running_s"],
-            rows,
+            columns,
         )
     att_mean = np.mean(att_curves, axis=0)
     def_mean = np.mean(def_curves, axis=0)
-    rows = zip(range(1, config.horizon + 1), att_mean, def_mean)
-    write_csv(os.path.join(out_dir, "curves.csv"), ["t", "attacker_mean", "defender_mean"], rows)
+    columns = [np.arange(1, config.horizon + 1), att_mean, def_mean]
+    write_csv(os.path.join(out_dir, "curves.csv"), ["t", "attacker_mean", "defender_mean"], columns)
     tail = max(1, int(cfg["tail_fraction"] * config.horizon))
     att_tail = float(np.mean([t.attacker_reward[-tail:].mean() for t in traces]))
     def_tail = float(np.mean([t.defender_reward[-tail:].mean() for t in traces]))
@@ -458,11 +461,11 @@ def _run_ingest(cfg, out_dir, workers):
 def _run_sweep(cfg, out_dir, workers):
     n, a, b, steps = cfg["n"], cfg["a"], cfg["b"], cfg["steps"]
     _write_manifest(out_dir, {**cfg, "interval_form": "harmonic"})
-    rows = []
-    for mu in np.linspace(cfg["mu_min"], cfg["mu_max"], steps):
-        interval = analysis.kstar_interval(PayoffProfile.homogeneous(n, mu), a, b)
-        rows.append([mu, interval.lower, interval.upper])
-    write_csv(os.path.join(out_dir, "sweep.csv"), ["mu", "lower", "upper"], rows)
+    mus = np.linspace(cfg["mu_min"], cfg["mu_max"], steps)
+    intervals = [analysis.kstar_interval(PayoffProfile.homogeneous(n, mu), a, b) for mu in mus]
+    lower = np.array([iv.lower for iv in intervals])
+    upper = np.array([iv.upper for iv in intervals])
+    write_csv(os.path.join(out_dir, "sweep.csv"), ["mu", "lower", "upper"], [mus, lower, upper])
     _write_summary(os.path.join(out_dir, "summary.txt"), [("points", steps)])
 
 

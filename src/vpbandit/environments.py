@@ -9,6 +9,8 @@ game setting.
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -17,9 +19,11 @@ from .errors import (
     InvalidConfigError,
     RowParseError,
     SchemaError,
+    ShapeError,
 )
 
 DEFAULT_ROUND_WINDOW = 0.25  # seconds per round when bucketing CAN logs
+INGEST_CHUNK = 512  # CAN log rows per column pass; short-lived rows keep the GC cheap
 
 #: Column mapping for the common car-hacking CSV layout. All names can be
 #: remapped; ``injected_value`` is the flag value marking injected messages.
@@ -57,6 +61,32 @@ def bernoulli_rewards(env, t, rng):
     return (rng.random(env.n_arms) < env.means).astype(float)
 
 
+CSV_BLOCK = 256  # rows formatted per write by write_columns
+
+
+def _column_text(block):
+    """The CSV fields of one column block: bools as 1/0, floats at 17 digits."""
+    if not isinstance(block, np.ndarray):
+        return map(str, block)
+    if block.dtype.kind == "b":
+        block = block.view(np.uint8)
+    return map("{:.17g}".format if block.dtype.kind == "f" else str, block.tolist())
+
+
+def write_columns(f, columns, newline="\n"):
+    """Write equal-length columns to the open text file ``f`` as CSV rows.
+
+    A column is a 1-D array of bool, integer, float or str values, or a
+    list of str.  Rows are formatted and written ``CSV_BLOCK`` at a time.
+    """
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ShapeError(f"columns of different lengths {sorted(lengths)}")
+    for lo in range(0, lengths.pop() if lengths else 0, CSV_BLOCK):
+        fields = [_column_text(c[lo : lo + CSV_BLOCK]) for c in columns]
+        f.write(newline.join(map(",".join, zip(*fields))) + newline)
+
+
 @dataclass
 class IntrusionTrace:
     """Binary attack indicators per round and arm, with arm identities."""
@@ -87,12 +117,11 @@ class IntrusionTrace:
         return self.indicators.mean(axis=0)
 
     def save(self, matrix_path, sidecar_path):
-        """Write the indicator matrix as CSV plus a key=value sidecar."""
+        """Write the indicator matrix as CSV (CRLF line ends) plus a key=value sidecar."""
         with open(matrix_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["round"] + [f"arm_{i}" for i in range(self.n_arms)])
-            for t in range(self.n_rounds):
-                writer.writerow([t] + [int(v) for v in self.indicators[t]])
+            f.write(",".join(["round"] + [f"arm_{i}" for i in range(self.n_arms)]) + "\r\n")
+            columns = [np.arange(self.n_rounds), *self.indicators.astype(np.int64).T]
+            write_columns(f, columns, "\r\n")
         with open(sidecar_path, "w") as f:
             f.write(f"rounds={self.n_rounds}\n")
             f.write(f"arms={self.n_arms}\n")
@@ -165,46 +194,95 @@ def ingest_can_log(path, column_map=None, round_window=DEFAULT_ROUND_WINDOW):
     identity, and flag columns plus the flag value marking injected rows.
     One arm per distinct identity (sorted lexicographically); a round's
     indicator is 1 iff it contains at least one injected row for that
-    identity.
+    identity.  Blank lines are skipped.
+
+    The file is read in chunks of ``INGEST_CHUNK`` rows, a column at a time.
+    A row that is short of a mapped column or whose timestamp is not a
+    finite number raises ``RowParseError`` with the physical line on which
+    the first such row starts.
     """
+    if not round_window > 0:
+        raise InvalidConfigError(f"round_window must be positive, got {round_window!r}")
     cmap = dict(CAR_HACKING_COLUMNS)
     if column_map:
         cmap.update(column_map)
-    rows = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
+        reader = csv.reader(f)
+        try:
+            header = next(reader, [])
+        except csv.Error as exc:
+            raise RowParseError(1, f"malformed CSV: {exc}") from None
+        # a repeated name maps to its last column, as in csv.DictReader
+        where = {name: i for i, name in enumerate(header)}
         for key in ("timestamp", "identity", "flag"):
-            if cmap[key] not in header:
+            if cmap[key] not in where:
                 raise SchemaError(f"missing column {cmap[key]!r} (for {key})")
-        for line_no, row in enumerate(reader, start=2):
-            raw_ts = row[cmap["timestamp"]]
+        i_ts, i_id, i_flag = (where[cmap[k]] for k in ("timestamp", "identity", "flag"))
+        need = max(i_ts, i_id, i_flag) + 1
+        is_injected = cmap["injected_value"].__eq__
+        n_rows, lo, hi = 0, math.inf, -math.inf
+        labels, hit_ts, hit_ids = set(), [], []
+        while True:
             try:
-                ts = float(raw_ts)
-            except (TypeError, ValueError):
-                raise RowParseError(line_no, f"unparseable timestamp {raw_ts!r}")
-            if not math.isfinite(ts):
-                raise RowParseError(line_no, f"non-finite timestamp {raw_ts!r}")
-            ident = row[cmap["identity"]]
-            injected = row[cmap["flag"]] == cmap["injected_value"]
-            rows.append((ts, ident, injected))
-    if not rows:
+                chunk = list(islice(reader, INGEST_CHUNK))
+                rows = list(filter(None, chunk))  # a blank line reads as []
+                ts = np.array(list(map(float, map(itemgetter(i_ts), rows))))
+                good = not rows or (min(map(len, rows)) >= need and np.isfinite(ts).all())
+            except (ValueError, IndexError, csv.Error):
+                good = False
+            if not good:
+                _raise_first_bad_row(path, i_ts, need)
+            if not chunk:
+                break
+            if not rows:
+                continue
+            n_rows += len(rows)
+            lo, hi = min(lo, ts.min()), max(hi, ts.max())
+            ids = list(map(itemgetter(i_id), rows))
+            labels.update(ids)
+            hit = list(map(is_injected, map(itemgetter(i_flag), rows)))
+            hit_ts.append(ts[np.array(hit, dtype=bool)])
+            hit_ids += compress(ids, hit)
+    if not n_rows:
         raise EmptyInputError(f"{path} contains no data rows")
-    t0 = min(ts for ts, _, _ in rows)
-    labels = sorted({ident for _, ident, _ in rows})
+    t0 = float(lo)
+    labels = sorted(labels)
     col = {ident: i for i, ident in enumerate(labels)}
-    n_rounds = int((max(ts for ts, _, _ in rows) - t0) / round_window) + 1
+    n_rounds = int((float(hi) - t0) / round_window) + 1
     indicators = np.zeros((n_rounds, len(labels)), dtype=np.int8)
-    for ts, ident, injected in rows:
-        if injected:
-            indicators[int((ts - t0) / round_window), col[ident]] = 1
+    rounds = ((np.concatenate(hit_ts) - t0) / round_window).astype(np.intp)
+    indicators[rounds, list(map(col.__getitem__, hit_ids))] = 1
     meta = {
         "source": str(path),
         "round_window_s": round_window,
-        "n_rows": len(rows),
+        "n_rows": n_rows,
         "attack_density_mean": float(indicators.mean()),
     }
     return IntrusionTrace(indicators=indicators, arm_labels=labels, metadata=meta)
+
+
+def _raise_first_bad_row(path, i_ts, need):
+    """Re-read ``path`` row by row and raise ``RowParseError`` for its first bad row."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
+        line = reader.line_num + 1  # the physical line the next row starts on
+        try:
+            for row in reader:
+                if row:
+                    if len(row) < need:
+                        raise RowParseError(line, f"expected {need} fields, got {len(row)}")
+                    raw = row[i_ts]
+                    try:
+                        ts = float(raw)
+                    except ValueError:
+                        raise RowParseError(line, f"unparseable timestamp {raw!r}") from None
+                    if not math.isfinite(ts):
+                        raise RowParseError(line, f"non-finite timestamp {raw!r}")
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise RowParseError(line, f"malformed CSV: {exc}") from None
+    raise RowParseError(line, f"{path} changed while it was read")
 
 
 @dataclass

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vpbandit import cli
+from vpbandit import cli, environments
+from vpbandit.errors import ShapeError
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -320,6 +321,55 @@ class TestSweepAndIngest:
         assert summary["arms"] == "2"
         assert summary["attacked_arms"] == "2"
         assert (out / "trace.csv").exists() and (out / "trace.meta").exists()
+
+
+def _row_writer(path, header, rows):
+    """The per-row writer ``write_csv`` replaced: one ``_fmt`` call per value."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(cli._fmt(v) for v in row) + "\n")
+
+
+_SPECIAL_FLOATS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+                   0.1, 1e16, -2.5e-7]
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [0, 1, 2])
+    def test_same_bytes_as_the_row_writer(self, tmp_path, blocks, offset):
+        n = max(0, blocks * environments.CSV_BLOCK + offset)
+        rng = np.random.default_rng(n)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        floats[: len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS[:n]
+        columns = [
+            rng.random(n) < 0.5,
+            rng.integers(-(2**62), 2**62, size=n, dtype=np.int64),
+            rng.integers(0, 256, size=n, dtype=np.uint8),
+            floats,
+            [f"s{k};{k % 3}" for k in range(n)],
+            np.array([f"u{k}" for k in range(n)], dtype=str),
+        ]
+        header = ["b", "i", "u8", "f", "s", "u"]
+        cli.write_csv(tmp_path / "new.csv", header, columns)
+        _row_writer(tmp_path / "old.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert len((tmp_path / "new.csv").read_bytes().splitlines()) == n + 1
+
+    def test_rejects_columns_of_different_lengths(self, tmp_path):
+        with pytest.raises(ShapeError):
+            cli.write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+
+    def test_scan_sets_match_per_row_indices(self):
+        scanned = np.zeros((6, 5), dtype=np.int8)
+        scanned[0, [1, 3]] = 1
+        scanned[2, :] = 1  # row 1 is all zero, as are the last two
+        scanned[3, 4] = 1
+        expected = [";".join(str(j) for j in np.flatnonzero(row)) for row in scanned]
+        assert cli._scan_sets(scanned) == expected
+        assert expected[1] == "" and expected[2] == "0;1;2;3;4"
+        assert cli._scan_sets(np.zeros((0, 3), dtype=np.int8)) == []
 
 
 # A config of every kind with every key of its table set, covering every

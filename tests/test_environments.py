@@ -1,11 +1,14 @@
 """Tests for reward processes: Bernoulli arms, intrusion traces, payoffs."""
 
+import csv
+import io
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from vpbandit import environments
 from vpbandit.environments import (
     BernoulliEnv,
     IntrusionTrace,
@@ -194,6 +197,169 @@ class TestIngest:
         with pytest.raises(RowParseError, match="non-finite timestamp") as exc:
             ingest_can_log(f)
         assert exc.value.line_number == line
+
+    @pytest.mark.parametrize("last", ["0.1", "0.1,idB"])
+    def test_short_row_fails_with_its_line(self, tmp_path, last):
+        # a missing identity used to crash in sorted(); a missing flag read as not injected
+        f = tmp_path / "log.csv"
+        f.write_text(f"Timestamp,CAN_ID,Flag\n0.0,idA,T\n{last}\n")
+        with pytest.raises(RowParseError, match="expected 3 fields") as exc:
+            ingest_can_log(f)
+        assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # two blank lines before the bad row: the file line, not the row count
+            ("Timestamp,CAN_ID,Flag\n0.0,idA,T\n\n\noops,idB,R\n", 5),
+            # a quoted identity that spans two lines
+            ('Timestamp,CAN_ID,Flag\n0.0,"id\nA",T\n0.1,idB,R\noops,idB,R\n', 5),
+            # CRLF line ends with a blank line
+            ("Timestamp,CAN_ID,Flag\r\n0.0,idA,T\r\n\r\noops,idB,R\r\n", 4),
+            # the bad row itself spans lines: its first line is reported
+            ('Timestamp,CAN_ID,Flag\n0.0,idA,T\noops,"id\nB",R\n', 3),
+        ],
+    )
+    def test_error_reports_the_physical_line(self, tmp_path, text, line):
+        f = tmp_path / "log.csv"
+        f.write_bytes(text.encode())
+        with pytest.raises(RowParseError, match="unparseable timestamp 'oops'") as exc:
+            ingest_can_log(f)
+        assert exc.value.line_number == line
+
+    def test_blank_lines_and_crlf_are_skipped(self, tmp_path):
+        f = tmp_path / "log.csv"
+        f.write_bytes(b"Timestamp,CAN_ID,Flag\r\n\r\n0.0,idA,T\r\n\r\n0.3,idB,T\r\n\r\n")
+        tr = ingest_can_log(f)
+        assert tr.arm_labels == ["idA", "idB"]
+        assert tr.indicators.tolist() == [[1, 0], [0, 1]]
+        assert tr.metadata["n_rows"] == 2
+
+    def test_rejects_nonpositive_round_window(self, tmp_path):
+        f = tmp_path / "log.csv"
+        _write_log(f, ["0.0,idA,T", "0.3,idB,T"])
+        for window in (0.0, -0.25):
+            with pytest.raises(InvalidConfigError, match="round_window"):
+                ingest_can_log(f, round_window=window)
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_oversized_field_fails_with_its_line(self, tmp_path, line):
+        # csv.Error used to end the CLI with a traceback
+        big = "x" * (csv.field_size_limit() + 1)
+        lines = ["Timestamp,CAN_ID,Flag", "0.0,idA,T", "0.1,idB,R"]
+        lines[line - 1] += big
+        f = tmp_path / "log.csv"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RowParseError, match="malformed CSV") as exc:
+            ingest_can_log(f)
+        assert exc.value.line_number == line
+
+
+# A remapped layout: the flag first, an unused column, the timestamp last.
+_REMAP = {"timestamp": "time", "identity": "ident", "flag": "kind", "injected_value": "ATTACK"}
+
+
+def _remapped_log(path, n_rows, seed):
+    """A log of ``n_rows`` rows in the remapped layout, with quoted fields."""
+    rng = np.random.default_rng(seed)
+    ids = ["0x1A", "0x2B", "ext,7", 'say "hi"', "0x3C"]
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["kind", "note", "ident", "time"])
+        t = 100.0
+        for k in range(n_rows):
+            t += float(rng.uniform(0.0, 0.004))
+            flag = "ATTACK" if rng.random() < 0.05 else "NORMAL"
+            note = "two\nlines" if k % 997 == 0 else ""
+            writer.writerow([flag, note, ids[int(rng.integers(len(ids)))], repr(t)])
+
+
+def _ingest_oracle(path, round_window):
+    """(labels, indicators, n_rows) from a row-by-row reading of a remapped log."""
+    with open(path, newline="") as f:
+        rows = [
+            (float(r["time"]), r["ident"], r["kind"] == "ATTACK") for r in csv.DictReader(f)
+        ]
+    t0 = min(ts for ts, _, _ in rows)
+    labels = sorted({ident for _, ident, _ in rows})
+    n_rounds = int((max(ts for ts, _, _ in rows) - t0) / round_window) + 1
+    indicators = np.zeros((n_rounds, len(labels)), dtype=np.int8)
+    for ts, ident, injected in rows:
+        if injected:
+            indicators[int((ts - t0) / round_window), labels.index(ident)] = 1
+    return labels, indicators, len(rows)
+
+
+class TestIngestChunks:
+    def test_matches_row_by_row_oracle(self, tmp_path):
+        f = tmp_path / "log.csv"
+        _remapped_log(f, 2 * environments.INGEST_CHUNK + 5000, seed=7)
+        labels, indicators, n_rows = _ingest_oracle(f, 0.25)
+        tr = ingest_can_log(f, column_map=_REMAP)
+        assert tr.arm_labels == labels
+        assert tr.n_rounds == indicators.shape[0]
+        assert tr.metadata["n_rows"] == n_rows
+        assert tr.metadata["attack_density_mean"] == float(indicators.mean())
+        np.testing.assert_array_equal(tr.indicators, indicators)
+        assert tr.indicators.sum() > 100
+
+    @staticmethod
+    def _log_with(tmp_path, bad):
+        """A plain log with row ``index`` of ``bad`` replaced; data rows start on line 2."""
+        rows = [f"{0.001 * k:.3f},id{k % 7},{'T' if k % 11 == 0 else 'R'}"
+                for k in range(environments.INGEST_CHUNK + 50)]
+        for index, row in bad.items():
+            rows[index] = row
+        f = tmp_path / "log.csv"
+        _write_log(f, rows)
+        return f
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("zz,id1,R", "unparseable timestamp"),
+            ("nan,id1,R", "non-finite timestamp"),
+            ("1.0,id1", "expected 3 fields"),
+        ],
+    )
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_bad_row_at_a_chunk_boundary(self, tmp_path, row, message, offset):
+        index = environments.INGEST_CHUNK + offset
+        f = self._log_with(tmp_path, {index: row})
+        with pytest.raises(RowParseError, match=message) as exc:
+            ingest_can_log(f)
+        assert exc.value.line_number == index + 2
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("nan,id1,R", "zz,id1,R"),
+            ("inf,id1,R", "1.0"),
+            ("1.0,id1", "zz,id1,R"),
+            ("1.0,id1", "-inf,id1,R"),
+            ("zz,id1,R", "1.0"),
+        ],
+    )
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path, first, second):
+        base = environments.INGEST_CHUNK + 3
+        f = self._log_with(tmp_path, {base: first, base + 20: second})
+        with pytest.raises(RowParseError) as exc:
+            ingest_can_log(f)
+        assert exc.value.line_number == base + 2
+
+
+def test_save_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(8)
+    for indicators in (rng.integers(0, 2, (700, 5)).astype(np.int8), np.zeros((3, 2)),
+                       np.zeros((0, 4), dtype=np.int8), rng.random((10, 3)) < 0.5):
+        tr = IntrusionTrace(indicators=indicators, arm_labels=list("abcde"[: indicators.shape[1]]))
+        tr.save(tmp_path / "m.csv", tmp_path / "m.meta")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["round"] + [f"arm_{i}" for i in range(tr.n_arms)])
+        for t in range(tr.n_rounds):
+            writer.writerow([t] + [int(v) for v in tr.indicators[t]])
+        assert (tmp_path / "m.csv").read_bytes() == expected.getvalue().encode()
 
 
 def _round_payoffs(prof, arm, chosen):
