@@ -124,16 +124,13 @@ class BoundInterval:
     inversely proportional to their payoffs.  The theorem statement's
     denominator differs (sum of mu rather than of 1/mu); both coincide for
     homogeneous payoffs, and the harmonic form is the one the optimization
-    actually attains, which is what ``form`` records.
+    actually attains.
     """
 
     lower: float
     upper: float
     kstar_lower: int
     kstar_upper: int
-    harmonic_lower: float
-    harmonic_upper: float
-    form: str = "harmonic"
 
 
 def kstar_interval(profile, a, b):
@@ -159,14 +156,7 @@ def kstar_interval(profile, a, b):
 
     upper, k_up = best(a)
     lower, k_lo = best(b)
-    return BoundInterval(
-        lower=lower,
-        upper=upper,
-        kstar_lower=k_lo,
-        kstar_upper=k_up,
-        harmonic_lower=float(harmonic[k_lo - 1]),
-        harmonic_upper=float(harmonic[k_up - 1]),
-    )
+    return BoundInterval(lower=lower, upper=upper, kstar_lower=k_lo, kstar_upper=k_up)
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +178,21 @@ class RegretReport:
     bound: np.ndarray
     gmax_mean: np.ndarray
     reward_mean: np.ndarray
-    weights_mean: np.ndarray = None
     replicas: int = 0
 
 
-def _replica_curves(spec, record_weights, child):
+def _replica_curves(spec, child):
     from .game import run_single_player
 
-    run = run_single_player(spec, child, record_weights=record_weights)
+    run = run_single_player(spec, child)
     gm = g_max_curve(run.reward_matrix, run.play_counts)
     bound = np.array(
         [theorem1_bound(g, spec.n_arms, spec.scaling.a, spec.scaling.b, run.eta) for g in gm]
     )
-    return gm - run.cumulative_reward, bound, gm, run.cumulative_reward, run.normalized_weights
+    return gm - run.cumulative_reward, bound, gm, run.cumulative_reward
 
 
-def pseudo_regret(spec, replicas, rng, record_weights=False, workers=1):
+def pseudo_regret(spec, replicas, rng, workers=1):
     """Run independent replicas of a single-player experiment.
 
     ``spec`` is a ``vpbandit.game.SinglePlayerSpec``; the import lives in
@@ -212,23 +201,15 @@ def pseudo_regret(spec, replicas, rng, record_weights=False, workers=1):
     """
     from .game import map_replicas
 
-    results = map_replicas(_replica_curves, rng, replicas, workers, spec, record_weights)
-    regrets = [r[0] for r in results]
-    bounds = [r[1] for r in results]
-    gmaxes = [r[2] for r in results]
-    rewards = [r[3] for r in results]
-    weights = None
-    if record_weights:
-        weights = sum(r[4] for r in results)
-    regrets = np.asarray(regrets)
+    results = map_replicas(_replica_curves, rng, replicas, workers, spec)
+    regrets, bounds, gmaxes, rewards = map(np.asarray, zip(*results))
     return RegretReport(
         regret_mean=regrets.mean(axis=0),
         regret_stderr=regrets.std(axis=0, ddof=1) / math.sqrt(replicas)
         if replicas > 1
         else np.zeros(regrets.shape[1]),
-        bound=np.asarray(bounds).mean(axis=0),
-        gmax_mean=np.asarray(gmaxes).mean(axis=0),
-        reward_mean=np.asarray(rewards).mean(axis=0),
-        weights_mean=None if weights is None else weights / replicas,
+        bound=bounds.mean(axis=0),
+        gmax_mean=gmaxes.mean(axis=0),
+        reward_mean=rewards.mean(axis=0),
         replicas=replicas,
     )

@@ -127,6 +127,10 @@ def _is_seed(v):
     return _is_int(v) and v >= 0
 
 
+def _is_count(v):
+    return _is_int(v) and v >= 1
+
+
 def _list_of(ok, size=None):
     return lambda v: isinstance(v, list) and all(map(ok, v)) and size in (None, len(v))
 
@@ -180,6 +184,7 @@ def _tagged(tag, tables):
 
 
 INT = _type("an integer", _is_int)
+COUNT = _type("an integer >= 1", _is_count)
 NUM = _type("a finite number", _is_num)
 NUMS = _type("a list of finite numbers", _list_of(_is_num))
 BOOL = _type("true or false", lambda v: isinstance(v, bool))
@@ -216,11 +221,12 @@ ENVIRONMENTS = {
         "type": (REQUIRED, STR),
         "n_arms": (REQUIRED, INT),
         "attacked": (REQUIRED, _type("a list of integers", _is_ints)),
-        "horizon": (REQUIRED, INT),
+        "horizon": (REQUIRED, COUNT),
         "burst_length_range": ((3.0, 5.0), _type("two finite numbers", _list_of(_is_num, 2))),
         "round_window": (DEFAULT_ROUND_WINDOW, NUM),
         "n_bursts": (
-            300, _type("an integer or a list of integers", lambda v: _is_int(v) or _is_ints(v))
+            300,
+            _type("an integer >= 1 or a list of integers", lambda v: _is_count(v) or _is_ints(v)),
         ),
     },
     "trace_csv": {"type": (REQUIRED, STR), **_CAN_LOG},
@@ -276,7 +282,7 @@ CONFIGS = {
         **_NMAB,
         "mu_min": (0.05, NUM),
         "mu_max": (1.0, NUM),
-        "steps": (100, INT),
+        "steps": (100, COUNT),
     },
 }
 resolve_config = _tagged("kind", CONFIGS)
@@ -284,18 +290,6 @@ resolve_config = _tagged("kind", CONFIGS)
 
 def _scaling_manifest(spec):
     return {k: getattr(spec, k) for k in SCALINGS[spec.kind]}
-
-
-def _scaling_mean(spec):
-    """Stationary mean of the play count, when one is defined."""
-    if spec.kind == "constant":
-        return float(spec.m)
-    if spec.kind == "uniform_discrete":
-        return 0.5 * (spec.a + spec.b)
-    if spec.kind == "truncated_gaussian":
-        if abs((spec.mean - spec.a) - (spec.b - spec.mean)) < 1e-12:
-            return float(spec.mean)  # symmetric interval keeps the mean
-    return None
 
 
 def _environment(section, seed_seq):
@@ -435,7 +429,7 @@ def _run_game(cfg, out_dir, workers):
         ("defender_tail_mean", def_tail),
         ("tail_rounds", tail),
     ]
-    nu = _scaling_mean(scaling)
+    nu = scaling.stationary_mean()
     if nu is not None and 0 < nu < config.n_arms:
         d_eq, a_eq = analysis.equilibrium_values(config.n_arms, nu)
         items += [("equilibrium_defender", d_eq), ("equilibrium_attacker", a_eq)]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
+    InputEncodingError,
     InvalidConfigError,
     RowParseError,
     SchemaError,
@@ -148,6 +149,8 @@ def synthesize_intrusion_trace(
     much more often than another.  Only the attacked arms ever carry a
     nonzero indicator.
     """
+    if not round_window > 0:
+        raise InvalidConfigError(f"round_window must be positive, got {round_window!r}")
     attacked = sorted(int(k) for k in attacked)
     if not attacked:
         raise InvalidConfigError("attacked arm set must be nonempty")
@@ -196,22 +199,25 @@ def ingest_can_log(path, column_map=None, round_window=DEFAULT_ROUND_WINDOW):
     indicator is 1 iff it contains at least one injected row for that
     identity.  Blank lines are skipped.
 
-    The file is read in chunks of ``INGEST_CHUNK`` rows, a column at a time.
-    A row that is short of a mapped column or whose timestamp is not a
-    finite number raises ``RowParseError`` with the physical line on which
-    the first such row starts.
+    The file is read as UTF-8 in chunks of ``INGEST_CHUNK`` rows, a column at
+    a time.  A row that is short of a mapped column or whose timestamp is not
+    a finite number raises ``RowParseError`` with the physical line on which
+    the first such row starts; bytes that are not UTF-8 raise
+    ``InputEncodingError``.
     """
     if not round_window > 0:
         raise InvalidConfigError(f"round_window must be positive, got {round_window!r}")
     cmap = dict(CAR_HACKING_COLUMNS)
     if column_map:
         cmap.update(column_map)
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = next(reader, [])
         except csv.Error as exc:
             raise RowParseError(1, f"malformed CSV: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
         # a repeated name maps to its last column, as in csv.DictReader
         where = {name: i for i, name in enumerate(header)}
         for key in ("timestamp", "identity", "flag"):
@@ -261,9 +267,14 @@ def ingest_can_log(path, column_map=None, round_window=DEFAULT_ROUND_WINDOW):
     return IntrusionTrace(indicators=indicators, arm_labels=labels, metadata=meta)
 
 
+def _not_utf8(path, exc):
+    # the decoder works on blocks of the file, so the line is not known
+    return InputEncodingError(f"{path} is not UTF-8 text: {exc.reason}")
+
+
 def _raise_first_bad_row(path, i_ts, need):
     """Re-read ``path`` row by row and raise ``RowParseError`` for its first bad row."""
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         next(reader)
         line = reader.line_num + 1  # the physical line the next row starts on
@@ -282,6 +293,8 @@ def _raise_first_bad_row(path, i_ts, need):
                 line = reader.line_num + 1
         except csv.Error as exc:
             raise RowParseError(line, f"malformed CSV: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
     raise RowParseError(line, f"{path} changed while it was read")
 
 

@@ -37,6 +37,10 @@ class SchemaError(VPBanditError):
     """Input file is missing a required column."""
 
 
+class InputEncodingError(VPBanditError):
+    """Input file is not text in the expected encoding."""
+
+
 class RowParseError(VPBanditError):
     """A data row could not be parsed; carries the 1-based line number."""
 

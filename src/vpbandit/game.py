@@ -252,7 +252,7 @@ def run_single_player(spec, rng, record_weights=False):
     margs = np.empty((horizon, n)) if record_weights else None
     counts = None if needs_ma else sample_arm_counts(spec.scaling, horizon, scale_rng).tolist()
     for t in range(horizon):
-        m = counts[t] if counts is not None else sample_arm_count(spec.scaling, ma, budget, scale_rng)
+        m = counts[t] if counts is not None else sample_arm_count(spec.scaling, ma, budget)
         y = _round_rewards(spec.env, t, env_rng)
         chosen, probs, capped = learner.play(m, learner_rng)
         obs = y[chosen]

@@ -1,10 +1,13 @@
 """Rules that decide how many arms the defender plays each round.
 
 The play count is produced by a pluggable rule bounded by integers
-``a <= M_t <= b``; the built-in kinds cover everything the experiments use.
-The ``budget_threshold`` kind is our own illustrative rule (the contract
-only requires boundedness), combining a resource budget with the number of
-arms whose recent reward average looks active.
+``a <= M_t <= b``, and this module alone knows its law: ``sample_arm_counts``
+draws the whole sequence of a stateless kind in one batch,
+``sample_arm_count`` decides one round of ``budget_threshold``, and
+``ScalingSpec.stationary_mean`` gives nu = E[M_t] where it is known.  The
+``budget_threshold`` kind is our own illustrative rule (the contract only
+requires boundedness), combining a resource budget with the number of arms
+whose recent reward average looks active.
 """
 
 import math
@@ -106,6 +109,17 @@ class ScalingSpec:
         if self.b >= n_arms:
             raise InvalidSpecError(f"b={self.b} must be < number of arms {n_arms}")
 
+    def stationary_mean(self):
+        """Stationary mean of the play count, when one is defined."""
+        if self.kind == "constant":
+            return float(self.m)
+        if self.kind == "uniform_discrete":
+            return 0.5 * (self.a + self.b)
+        if self.kind == "truncated_gaussian":
+            if abs((self.mean - self.a) - (self.b - self.mean)) < 1e-12:
+                return float(self.mean)  # symmetric interval keeps the mean
+        return None
+
     @classmethod
     def constant(cls, m):
         return cls(kind="constant", a=m, b=m, m=m)
@@ -119,38 +133,23 @@ class ScalingSpec:
         return cls(kind="truncated_gaussian", a=a, b=b, mean=mean, std=std)
 
 
-def sample_arm_count(spec, ma, budget, rng):
-    """Draw this round's play count; always an integer in {a, ..., b}.
+def sample_arm_count(spec, ma, budget):
+    """This round's play count under the ``budget_threshold`` rule.
 
-    The truncated Gaussian rejects samples outside [a - 0.5, b + 0.5] and
-    rounds to the nearest integer, which keeps the integer mean equal to the
-    Gaussian mean when the interval is symmetric about it.
+    The budget caps the count; below the cap it aims at the number of arms
+    whose recent average in ``ma`` exceeds the threshold.
     """
-    a, b = spec.a, spec.b
-    if spec.kind == "constant":
-        return spec.m
-    if spec.kind == "uniform_discrete":
-        return int(a + rng.integers(0, b - a + 1))
-    if spec.kind == "truncated_gaussian":
-        lo, hi = a - 0.5, b + 0.5
-        while True:
-            x = rng.normal(spec.mean, spec.std)
-            if lo <= x <= hi:
-                break
-        return int(min(b, max(a, int(np.floor(x + 0.5)))))
-    # budget_threshold: cap by the environment budget, aim at the number of
-    # arms whose recent average exceeds the threshold
-    cap = min(b, max(a, int(budget)))
-    hot = int(np.count_nonzero(ma.averages > spec.threshold)) if ma is not None else a
-    return min(cap, max(a, hot))
+    cap = min(spec.b, max(spec.a, int(budget)))
+    hot = int(np.count_nonzero(ma.averages > spec.threshold))
+    return min(cap, max(spec.a, hot))
 
 
 def sample_arm_counts(spec, count, rng):
-    """Vectorized batch of play counts for the stateless kinds.
+    """The whole play-count sequence of a stateless kind, in one batch.
 
-    Same distribution per draw as ``sample_arm_count``; used by simulation
-    loops to pre-commit the whole play-count sequence.  ``budget_threshold``
-    is state-dependent and must be sampled round by round.
+    The truncated Gaussian rejects draws outside [a - 0.5, b + 0.5] and
+    rounds to the nearest integer, which keeps the integer mean equal to the
+    Gaussian mean when the interval is symmetric about it.
     """
     a, b = spec.a, spec.b
     if spec.kind == "constant":

@@ -508,11 +508,18 @@ class TestSchema:
             ("simulate-game", {"horizon": 40.0}),
             ("simulate-game", {"scaling": {"kind": "uniform_discrete", "a": 1, "b": 2,
                                            "threshold": 0.5}}),
+            ("sweep", {"steps": -1}),
+            ("sweep", {"steps": 0}),
+            ("simulate-single", {"environment": {"type": "synthetic_trace", "n_arms": 6,
+                                                 "attacked": [1, 4], "horizon": -4}}),
+            ("simulate-single", {"environment": {"type": "synthetic_trace", "n_arms": 6,
+                                                 "attacked": [1, 4], "horizon": 40,
+                                                 "n_bursts": -5}}),
         ],
     )
     def test_bad_values_fail_before_any_output(self, tmp_path, sub, change):
         case = {"simulate-game": "game", "simulate-single": "single_player-bernoulli",
-                "ingest": "ingest"}[sub]
+                "ingest": "ingest", "sweep": "sweep"}[sub]
         _, cfg = _full_config(case, _write_can_log(tmp_path / "log.csv"))
         rc, err = _run_main(sub, {**cfg, **change}, tmp_path / "c.json", tmp_path / "out")
         _assert_fails_fast(rc, err, tmp_path / "out")
@@ -532,6 +539,21 @@ class TestSchema:
         log.write_text("Timestamp,CAN_ID,Flag\n" + body)
         sub, cfg = _full_config("ingest", log)
         _assert_one_error(*_run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out"))
+
+    @pytest.mark.parametrize("case", ["ingest", "compare-trace_csv"])
+    @pytest.mark.parametrize("line", [1, 1001])
+    def test_log_that_is_not_utf8_fails_fast(self, tmp_path, case, line):
+        rows = [b"Timestamp,CAN_ID,Flag"]
+        rows += [b"%.2f,id%d,T" % (0.01 * k, k % 3) for k in range(1200)]
+        rows[line - 1] += b"\xff"
+        # the header sits in the first 8 KiB block the decoder reads, line 1001 past it
+        assert line == 1 or len(b"\n".join(rows[: line - 1])) > 8192
+        log = tmp_path / "log.csv"
+        log.write_bytes(b"\n".join(rows) + b"\n")
+        sub, cfg = _full_config(case, log)
+        rc, err = _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out")
+        _assert_fails_fast(rc, err, tmp_path / "out")
+        assert f"{log} is not UTF-8" in err[0]
 
     def test_budget_is_recorded_in_the_manifest(self, tmp_path):
         _, cfg = _full_config("single_player-harmonic", "unused")

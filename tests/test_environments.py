@@ -56,6 +56,14 @@ class TestSyntheticTrace:
         with pytest.raises(InvalidConfigError):
             synthesize_intrusion_trace(5, (), 100, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("window", [0.0, -0.25])
+    def test_rejects_nonpositive_round_window(self, window):
+        # no burst could land on a round of width <= 0
+        with pytest.raises(InvalidConfigError, match="round_window"):
+            synthesize_intrusion_trace(
+                5, (1,), 100, round_window=window, rng=np.random.default_rng(0)
+            )
+
     def test_saturated_trace_is_all_ones(self):
         tr = synthesize_intrusion_trace(
             3,

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,6 +73,21 @@ class TestScalingSpec:
             with pytest.raises(InvalidSpecError):
                 ScalingSpec.truncated_gaussian(1, 3, mean=mean, std=1.0)
 
+    @pytest.mark.parametrize(
+        "spec, nu",
+        [
+            (ScalingSpec.truncated_gaussian(1, 3, mean=2.0, std=0.8), 2.0),
+            (ScalingSpec.truncated_gaussian(2, 5, mean=3.5, std=2.0), 3.5),
+            (ScalingSpec.uniform(1, 4), 2.5),
+            (ScalingSpec(kind="constant", a=1, b=3, m=2), 2.0),
+            (ScalingSpec.truncated_gaussian(1, 4, mean=2.7, std=1.1), None),
+            (ScalingSpec(kind="budget_threshold", a=1, b=3), None),
+        ],
+    )
+    def test_stationary_mean(self, spec, nu):
+        # nu = E[M_t] is known for the symmetric rules only
+        assert spec.stationary_mean() == nu
+
     def test_validate_for_requires_b_below_n(self):
         spec = ScalingSpec.uniform(1, 3)
         spec.validate_for(10)
@@ -81,9 +97,8 @@ class TestScalingSpec:
 
 class TestSampling:
     def test_constant(self):
-        spec = ScalingSpec.constant(2)
-        rng = np.random.default_rng(0)
-        assert all(sample_arm_count(spec, None, 2, rng) == 2 for _ in range(10))
+        spec = ScalingSpec(kind="constant", a=1, b=3, m=2)
+        assert sample_arm_counts(spec, 10, np.random.default_rng(0)).tolist() == [2] * 10
 
     def test_uniform_frequencies(self):
         spec = ScalingSpec.uniform(1, 3)
@@ -103,31 +118,35 @@ class TestSampling:
         # symmetric truncation interval about the mean keeps the mean at 2
         assert abs(vals.mean() - 2.0) <= 0.02
 
-    def test_batch_distribution_matches_single_draws(self):
-        spec = ScalingSpec.truncated_gaussian(1, 3, mean=2.0, std=0.8)
-        single = np.array(
-            [
-                sample_arm_count(spec, None, 3, np.random.default_rng(s))
-                for s in range(20_000)
-            ]
-        )
-        batch = sample_arm_counts(spec, 20_000, np.random.default_rng(99))
-        for v in (1, 2, 3):
-            assert abs(np.mean(single == v) - np.mean(batch == v)) < 0.02
+    @pytest.mark.parametrize("a, b, mean, std", [(1, 3, 2.0, 0.8), (1, 4, 2.7, 1.1)])
+    def test_truncated_gaussian_law(self, a, b, mean, std):
+        # the rounded truncated Gaussian is categorical on {a..b}, with
+        # P(k) proportional to the normal mass of [k - 1/2, k + 1/2]
+        spec = ScalingSpec.truncated_gaussian(a, b, mean=mean, std=std)
+        draws = 200_000
+        vals = sample_arm_counts(spec, draws, np.random.default_rng(4))
+        assert set(np.unique(vals)) <= set(range(a, b + 1))
+        mass = [
+            mpmath.ncdf(k + 0.5, mean, std) - mpmath.ncdf(k - 0.5, mean, std)
+            for k in range(a, b + 1)
+        ]
+        for k, m in zip(range(a, b + 1), mass):
+            p = float(m / mpmath.fsum(mass))
+            sigma = math.sqrt(p * (1 - p) / draws)
+            assert abs(np.mean(vals == k) - p) <= 4 * sigma, k
 
     def test_budget_threshold_rule(self):
         spec = ScalingSpec(kind="budget_threshold", a=1, b=3, threshold=0.1)
-        rng = np.random.default_rng(3)
         ma = MovingAverage(5, window=4)
         # nothing hot yet: clamps to a
-        assert sample_arm_count(spec, ma, 3, rng) == 1
+        assert sample_arm_count(spec, ma, 3) == 1
         ma.push([0.5, 0.5, 0.0, 0.0, 0.0])
-        assert sample_arm_count(spec, ma, 3, rng) == 2
+        assert sample_arm_count(spec, ma, 3) == 2
         ma.push([0.5, 0.5, 0.5, 0.5, 0.5])
         # five hot arms, capped by b
-        assert sample_arm_count(spec, ma, 3, rng) == 3
+        assert sample_arm_count(spec, ma, 3) == 3
         # budget caps below b
-        assert sample_arm_count(spec, ma, 2, rng) == 2
+        assert sample_arm_count(spec, ma, 2) == 2
 
     def test_batch_rejects_stateful_kind(self):
         spec = ScalingSpec(kind="budget_threshold", a=1, b=3)
