@@ -1,10 +1,14 @@
-"""Hindsight optima, regret accounting, and closed-form bound evaluators."""
+"""Hindsight optima, regret accounting, and closed-form bound evaluators.
+
+SciPy is needed only for the hindsight optimum (``g_max``, ``g_max_curve``,
+hence ``pseudo_regret`` and the ``simulate-single`` command); it is imported
+on first use there, so importing this module loads numpy alone.
+"""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidParameterError, ShapeError
 
@@ -39,6 +43,8 @@ def g_max(reward_matrix, play_counts):
 
     Returns ``(value, ranking)`` where ``ranking[j-1]`` is the arm at rank j.
     """
+    from scipy.optimize import linear_sum_assignment
+
     gains = _rank_gain_matrix(reward_matrix, play_counts)
     rows, cols = linear_sum_assignment(gains, maximize=True)
     ranking = np.empty(gains.shape[0], dtype=int)
@@ -48,6 +54,8 @@ def g_max(reward_matrix, play_counts):
 
 def g_max_curve(reward_matrix, play_counts):
     """``g_max`` of the reward prefix ending at each round (length-T curve)."""
+    from scipy.optimize import linear_sum_assignment
+
     y = np.asarray(reward_matrix, dtype=float)
     m = np.asarray(play_counts, dtype=int)
     if y.ndim != 2 or m.size != y.shape[0]:
@@ -67,7 +75,10 @@ def g_max_curve(reward_matrix, play_counts):
 
 
 def theorem1_bound(gmax, n, a, b, eta):
-    """Regret ceiling of the variable-play learner for a realized optimum."""
+    """Regret ceiling of the variable-play learner for a realized optimum.
+
+    ``gmax`` may be an array of optima; the ceiling is then taken elementwise.
+    """
     _check_nab(n, a, b)
     if not 0.0 < eta <= 1.0:
         raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
@@ -186,9 +197,7 @@ def _replica_curves(spec, child):
 
     run = run_single_player(spec, child)
     gm = g_max_curve(run.reward_matrix, run.play_counts)
-    bound = np.array(
-        [theorem1_bound(g, spec.n_arms, spec.scaling.a, spec.scaling.b, run.eta) for g in gm]
-    )
+    bound = theorem1_bound(gm, spec.n_arms, spec.scaling.a, spec.scaling.b, run.eta)
     return gm - run.cumulative_reward, bound, gm, run.cumulative_reward
 
 

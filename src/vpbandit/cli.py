@@ -251,7 +251,7 @@ CONFIGS = {
         "environment": (REQUIRED, _ENVIRONMENT),
         "scaling": (REQUIRED, _SCALING),
         "eta": ("corollary_1_1", ETA),
-        "horizon": (None, INT),  # None: the trace length
+        "horizon": (None, COUNT),  # None: the trace length
         "replicas": (1, INT),
         "record_weights": (False, BOOL),
         "budget": (OMIT, INT),

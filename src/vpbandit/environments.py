@@ -199,18 +199,18 @@ def ingest_can_log(path, column_map=None, round_window=DEFAULT_ROUND_WINDOW):
     indicator is 1 iff it contains at least one injected row for that
     identity.  Blank lines are skipped.
 
-    The file is read as UTF-8 in chunks of ``INGEST_CHUNK`` rows, a column at
-    a time.  A row that is short of a mapped column or whose timestamp is not
-    a finite number raises ``RowParseError`` with the physical line on which
-    the first such row starts; bytes that are not UTF-8 raise
-    ``InputEncodingError``.
+    The file is read as UTF-8, after a byte-order mark if it starts with
+    one, in chunks of ``INGEST_CHUNK`` rows, a column at a time.  A row that
+    is short of a mapped column or whose timestamp is not a finite number
+    raises ``RowParseError`` with the physical line on which the first such
+    row starts; bytes that are not UTF-8 raise ``InputEncodingError``.
     """
     if not round_window > 0:
         raise InvalidConfigError(f"round_window must be positive, got {round_window!r}")
     cmap = dict(CAR_HACKING_COLUMNS)
     if column_map:
         cmap.update(column_map)
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = next(reader, [])
@@ -274,7 +274,7 @@ def _not_utf8(path, exc):
 
 def _raise_first_bad_row(path, i_ts, need):
     """Re-read ``path`` row by row and raise ``RowParseError`` for its first bad row."""
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         next(reader)
         line = reader.line_num + 1  # the physical line the next row starts on

@@ -204,6 +204,12 @@ class SinglePlayerSpec:
                 self.horizon = self.env.n_rounds
             else:
                 raise InvalidConfigError("horizon required for non-trace environments")
+        if self.horizon < 1:
+            raise InvalidConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if isinstance(self.env, IntrusionTrace) and self.horizon > self.env.n_rounds:
+            raise InvalidConfigError(
+                f"horizon {self.horizon} exceeds the trace's {self.env.n_rounds} rounds"
+            )
         self.scaling.validate_for(self.n_arms)
 
     @property

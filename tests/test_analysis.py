@@ -86,6 +86,16 @@ class TestClosedForms:
             435.88182897030717, rel=1e-13
         )
 
+    @pytest.mark.parametrize(
+        "n, a, b, eta", [(10, 1, 3, 0.0712), (26, 1, 3, 0.2), (1000, 2, 7, 1.0)]
+    )
+    def test_bound_over_an_array_is_the_scalar_bound_bit_for_bit(self, n, a, b, eta):
+        rng = np.random.default_rng(n)
+        gm = np.concatenate([np.arange(10_000.0), rng.uniform(0.0, 1e5, 10_000)])
+        looped = np.array([theorem1_bound(g, n, a, b, eta) for g in gm.tolist()])
+        whole = theorem1_bound(gm, n, a, b, eta)
+        np.testing.assert_array_equal(whole.view(np.int64), looped.view(np.int64))
+
     def test_tuned_eta_frozen_value(self):
         eta, ceiling = corollary11_eta(10, 1, 3, 100_000)
         assert eta == pytest.approx(0.0035666349775320217, rel=1e-13)

@@ -8,6 +8,8 @@ import math
 import operator
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -515,6 +517,8 @@ class TestSchema:
             ("simulate-single", {"environment": {"type": "synthetic_trace", "n_arms": 6,
                                                  "attacked": [1, 4], "horizon": 40,
                                                  "n_bursts": -5}}),
+            ("simulate-single", {"horizon": -5}),
+            ("simulate-single", {"horizon": 0}),
         ],
     )
     def test_bad_values_fail_before_any_output(self, tmp_path, sub, change):
@@ -555,6 +559,28 @@ class TestSchema:
         _assert_fails_fast(rc, err, tmp_path / "out")
         assert f"{log} is not UTF-8" in err[0]
 
+    @pytest.mark.parametrize("eta", [0.1, "corollary_1_1"])
+    def test_horizon_beyond_the_trace_fails_fast(self, tmp_path, eta):
+        # 40 rows 0.05 s apart in 0.5 s rounds: a 4-round trace
+        log = _write_can_log(tmp_path / "log.csv")
+        _, cfg = _full_config("single_player-bernoulli", log)
+        cfg.update(environment={"type": "trace_csv", "path": str(log), "round_window": 0.5},
+                   eta=eta, horizon=4)
+        assert _run_main("simulate-single", cfg, tmp_path / "c.json", tmp_path / "ok") == (0, [])
+        rc, err = _run_main("simulate-single", {**cfg, "horizon": 50}, tmp_path / "c.json",
+                            tmp_path / "out")
+        _assert_fails_fast(rc, err, tmp_path / "out")
+        assert "exceeds the trace's 4 rounds" in err[0]
+
+    @pytest.mark.parametrize("case", ["ingest", "compare-trace_csv"])
+    def test_log_with_a_byte_order_mark_gives_the_same_outputs(self, tmp_path, case):
+        log = _write_can_log(tmp_path / "log.csv")
+        sub, cfg = _full_config(case, log)
+        assert _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "plain") == (0, [])
+        log.write_bytes(b"\xef\xbb\xbf" + log.read_bytes())
+        assert _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "marked") == (0, [])
+        assert _read_all(tmp_path / "marked") == _read_all(tmp_path / "plain")
+
     def test_budget_is_recorded_in_the_manifest(self, tmp_path):
         _, cfg = _full_config("single_player-harmonic", "unused")
         for run, out in ((cfg, tmp_path / "without"), ({**cfg, "budget": 2}, tmp_path / "with")):
@@ -593,3 +619,41 @@ def test_fuzzed_config_fails_with_one_error_line(can_log, data):
         assert rc in (1, 2)
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not os.path.exists(out)
+
+
+# Run in a fresh interpreter: prints, after the import and after each run,
+# the exit status and the scipy modules then loaded.
+_SCIPY_PROBE = """
+import json, sys
+import vpbandit.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+print(json.dumps(["import", 0, scipy_modules()]))
+for sub, cfg, out in json.loads(sys.argv[1]):
+    print(json.dumps([sub, cli.main([sub, "--config", cfg, "--out", out]), scipy_modules()]))
+"""
+
+
+def test_only_simulate_single_loads_scipy(tmp_path):
+    log = _write_can_log(tmp_path / "log.csv")
+    runs = []
+    for case in ["bounds", "sweep", "game", "ingest", "compare-trace_csv",
+                 "single_player-bernoulli"]:
+        sub, cfg = _full_config(case, log)
+        (tmp_path / f"{case}.json").write_text(json.dumps(cfg))
+        runs.append([sub, str(tmp_path / f"{case}.json"), str(tmp_path / case)])
+    env = {k: v for k, v in os.environ.items() if k != "BANDIT_SEED"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [step[:2] for step in steps] == [["import", 0]] + [[sub, 0] for sub, _, _ in runs]
+    for sub, _, loaded in steps[:-1]:
+        assert loaded == [], sub
+    # the probe does see scipy once the hindsight optimum is computed
+    assert "scipy.optimize" in steps[-1][2]

@@ -19,6 +19,7 @@ from vpbandit.environments import (
 )
 from vpbandit.errors import (
     EmptyInputError,
+    InputEncodingError,
     InvalidConfigError,
     RowParseError,
     SchemaError,
@@ -261,6 +262,39 @@ class TestIngest:
         with pytest.raises(RowParseError, match="malformed CSV") as exc:
             ingest_can_log(f)
         assert exc.value.line_number == line
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet exports start UTF-8 with a BOM; the header used to read "\ufeffTimestamp"
+        f = tmp_path / "log.csv"
+        text = "Timestamp,CAN_ID,Flag\n0.0,idA,T\n0.3,idB,R\n0.6,idB,T\n"
+        f.write_bytes(text.encode())
+        plain = ingest_can_log(f)
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        marked = ingest_can_log(f)
+        assert marked.arm_labels == plain.arm_labels == ["idA", "idB"]
+        np.testing.assert_array_equal(marked.indicators, plain.indicators)
+        assert marked.metadata == plain.metadata
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("0.1", "expected 3 fields"), ("oops,idB,R", "unparseable timestamp"),
+         ("nan,idB,R", "non-finite timestamp")],
+    )
+    @pytest.mark.parametrize("line", [3, 700])
+    def test_bad_row_after_a_byte_order_mark_reports_its_line(self, tmp_path, bad, message, line):
+        rows = [f"{0.01 * k:.2f},idA,R" for k in range(800)]
+        rows[line - 2] = bad
+        f = tmp_path / "log.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + ("Timestamp,CAN_ID,Flag\n" + "\n".join(rows)).encode())
+        with pytest.raises(RowParseError, match=message) as exc:
+            ingest_can_log(f)
+        assert exc.value.line_number == line
+
+    def test_byte_order_mark_before_bytes_that_are_not_utf8(self, tmp_path):
+        f = tmp_path / "log.csv"
+        f.write_bytes(b"\xef\xbb\xbfTimestamp,CAN_ID,Flag\n0.0,id\xff,T\n")
+        with pytest.raises(InputEncodingError, match="is not UTF-8"):
+            ingest_can_log(f)
 
 
 # A remapped layout: the flag first, an unused column, the timestamp last.

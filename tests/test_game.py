@@ -235,6 +235,21 @@ class TestSinglePlayer:
         spec = SinglePlayerSpec(env=tr, scaling=ScalingSpec.uniform(1, 2))
         assert spec.horizon == 120
 
+    def test_rejects_horizon_out_of_range(self):
+        # each used to fail inside the simulation with a numpy error
+        for horizon in (0, -5):
+            with pytest.raises(InvalidConfigError, match="horizon must be >= 1"):
+                SinglePlayerSpec(
+                    env=BernoulliEnv.harmonic(4), scaling=ScalingSpec.uniform(1, 2),
+                    eta=0.1, horizon=horizon,
+                )
+        tr = synthesize_intrusion_trace(
+            6, attacked=(1,), horizon=4, n_bursts=1, rng=np.random.default_rng(0)
+        )
+        assert SinglePlayerSpec(env=tr, scaling=ScalingSpec.uniform(1, 2), horizon=4).horizon == 4
+        with pytest.raises(InvalidConfigError, match="exceeds the trace's 4 rounds"):
+            SinglePlayerSpec(env=tr, scaling=ScalingSpec.uniform(1, 2), horizon=5)
+
     def test_run_records_consistent_curves(self):
         spec = SinglePlayerSpec(
             env=BernoulliEnv.harmonic(6),
