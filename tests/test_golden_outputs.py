@@ -1,0 +1,96 @@
+"""Byte-identity guard: seeded CLI runs pinned by the sha256 of every output.
+
+A change that is meant to keep every output bit (a faster learner round, a
+new writer) must keep these digests.  A change that alters a seeded stream
+on purpose updates them and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from vpbandit import cli
+
+CONFIGS = {
+    "game-n10-exp3": (
+        "simulate-game",
+        {
+            "schema_version": 1, "kind": "game", "seed": 7, "n": 10, "horizon": 1500,
+            "replicas": 2, "attacker": "exp3",
+            "scaling": {"kind": "truncated_gaussian", "a": 1, "b": 3, "mean": 2.0, "std": 0.8},
+        },
+    ),
+    "game-n1000-greedy": (
+        "simulate-game",
+        {
+            "schema_version": 1, "kind": "game", "seed": 8, "n": 1000, "horizon": 300,
+            "replicas": 1, "attacker": "greedy",
+            "scaling": {"kind": "uniform_discrete", "a": 1, "b": 3},
+        },
+    ),
+    "single-harmonic": (
+        "simulate-single",
+        {
+            "schema_version": 1, "kind": "single_player", "seed": 9,
+            "environment": {"type": "harmonic_bernoulli", "n_arms": 10},
+            "scaling": {"kind": "truncated_gaussian", "a": 1, "b": 3, "mean": 2.0, "std": 0.8},
+            "horizon": 1500, "replicas": 2, "record_weights": True,
+        },
+    ),
+    "compare-budget": (
+        "compare",
+        {
+            "schema_version": 1, "kind": "compare", "seed": 10,
+            "environment": {"type": "synthetic_trace", "n_arms": 8, "attacked": [1, 4, 6],
+                            "horizon": 800, "n_bursts": 40},
+            "scaling": {"kind": "budget_threshold", "a": 1, "b": 3, "threshold": 0.1},
+        },
+    ),
+}
+
+DIGESTS = {
+    "game-n10-exp3": {
+        "curves.csv": "c51f0fc358f7f5b4b616ad5556e5ddefcbf7af263a0c616a9166f608e60726b3",
+        "manifest.json": "d6a12f076ce492d0e360d55cca41a09aa3517e0fe7254d1eaba6f92c523c4265",
+        "summary.txt": "3d0161c44715a59c30c2bb8908630863112b3d086f75b59abe4d7b72d16ecabe",
+        "trace_000.csv": "f44f80e9053fece54b3e7e755f871410814659d393f15201940aec96ceceb57c",
+        "trace_001.csv": "6b7dcefb10c3eaf6c5a38c0b6921cd251d8885b7aab4250f73ce00748ce2b970",
+    },
+    "game-n1000-greedy": {
+        "curves.csv": "45cd40b4d9568e55ad1671f58f66b9434f2978a567ba1dab9b4a76263288abe1",
+        "manifest.json": "ef8aa4a070717c90ca67507d71c646ea328730a22d15fee3eb5930caf64a1468",
+        "summary.txt": "f248919aab74aae812504a840af4b228138b50a78561c7e45925ea6f87274039",
+        "trace_000.csv": "84ac30767a73b49f6da8052a5220ae815d2b2089d73246005d3d054f4608f797",
+    },
+    "single-harmonic": {
+        "curves.csv": "17114eb9fc370ac47c698476d7058d395425818e3cd74e2276b14bb30e0ab821",
+        "manifest.json": "5b0f32620e5086fe35065bc71d90ba35f35aa5f76eb88fdcdc1f91117b992308",
+        "summary.txt": "a5ec6949a9e3882bb12c2cec4fdafa21b26111df143c56390054b78c968881e5",
+        "weights.csv": "91acbf05635abf05a32e67560050b2de758fbe8e0166cda1f80c2809cd9f9203",
+    },
+    "compare-budget": {
+        "compare.csv": "d07afccb92d3f60695745e9d599e9ad1cb4feaddd99a3aed58c2da067780964d",
+        "manifest.json": "a2ef1b3a1e128f2aaeb35e1ada937c75275f97595d4a2f6f5551e7f35a48eb19",
+        "summary.txt": "ff7310be02a2631d0e683d07c0dba4635f6038a0e2203135453f540cdd88f686",
+    },
+}
+
+
+def _digests(out_dir):
+    out = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as f:
+            out[name] = hashlib.sha256(f.read()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_match_pinned_digests(tmp_path, name):
+    command, cfg = CONFIGS[name]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 0
+    assert _digests(out) == DIGESTS[name]
