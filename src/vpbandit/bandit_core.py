@@ -40,18 +40,20 @@ def cap_threshold(weights, target):
     if not (0.0 < target < 1.0):
         raise InvalidTargetError(f"target must be in (0, 1), got {target}")
     w = np.asarray(weights, dtype=float)
-    order = np.argsort(-w, kind="stable")
+    order = (-w).argsort(kind="stable")
     ws = w[order]
     n = ws.size
-    # suffix[m] = sum of ws[m:]
-    suffix = np.concatenate([np.cumsum(ws[::-1])[::-1], [0.0]])
-    for m in range(1, n + 1):
+    # the scan stops before m * target >= 1, so it never reads past index top
+    top = n if 1.0 / target >= n else math.ceil(1.0 / target)
+    head = ws[: top + 1].tolist() + [-math.inf]
+    suffix = ws[::-1].cumsum()[::-1][: top + 1].tolist() + [0.0]  # suffix[m] = sum of ws[m:]
+    for m in range(1, top + 1):
         if m * target >= 1.0:
             break
         kappa = target * suffix[m] / (1.0 - m * target)
-        below = ws[m] if m < n else -math.inf
-        if ws[m - 1] >= kappa > below:
-            capped = np.sort(order[:m])
+        if head[m - 1] >= kappa > head[m]:
+            capped = order[:m]
+            capped.sort()  # order is local, so its head is sorted in place
             return kappa, capped
     raise NumericPathologyError(
         "no consistent cap size found; check the capping precondition and weights"
@@ -81,14 +83,19 @@ def _systematic(m, p, u):
     and the points are spread over the actual total c[-1], so float drift in
     the marginal sum cannot move them.  The last arm with mass also owns the
     total itself, where the top point lands when ``u + m - 1`` rounds up to
-    m.  ``u`` is a scalar or a column of uniforms (one draw per row); a draw
-    that is not m distinct arms raises, it is never repaired.
+    m.  A draw that is not m distinct arms raises; it is never repaired.
     """
-    c = np.cumsum(p)
-    total = c[-1]
-    last = np.searchsorted(c, total)  # the last arm with a nonempty interval
-    idx = np.searchsorted(c[:last], (u + np.arange(m)) * (total / m), side="right")
-    if idx.shape[-1] != m or (idx[..., 1:] == idx[..., :-1]).any():
+    c = p.cumsum()
+    total = float(c[-1])
+    step = total / m
+    points = [(u + k) * step for k in range(m)]
+    idx = c.searchsorted(points, side="right")
+    drawn = idx.tolist()
+    if drawn[-1] == c.size:  # the top point is on or past the total
+        last = c.searchsorted(total)  # the last arm with a nonempty interval
+        idx = c[:last].searchsorted(points, side="right")
+        drawn = idx.tolist()
+    if len(set(drawn)) != m:
         raise InvalidMarginalsError(f"systematic sampling did not draw {m} distinct arms")
     return idx
 
@@ -113,14 +120,3 @@ def dep_round(m, probs, rng, validate=True):
     p = _checked(m, probs) if validate else np.asarray(probs, dtype=float)
     return _systematic(m, p, rng.random())
 
-
-def dep_round_many(m, probs, draws, rng):
-    """``draws`` independent ``dep_round`` draws as a (draws, N) 0/1 matrix.
-
-    One vectorized call that consumes ``rng`` exactly as ``draws``
-    sequential calls would, so row k holds the k-th sequential draw.
-    """
-    p = _checked(m, probs)
-    out = np.zeros((draws, p.size))
-    np.put_along_axis(out, _systematic(m, p, rng.random((draws, 1))), 1.0, axis=1)
-    return out

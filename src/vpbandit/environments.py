@@ -57,9 +57,14 @@ class BernoulliEnv:
         return cls(means=top / np.arange(1, n_arms + 1))
 
 
-def bernoulli_rewards(env, t, rng):
-    """Reward vector for round ``t``: one independent draw per arm."""
-    return (rng.random(env.n_arms) < env.means).astype(float)
+def bernoulli_rewards(env, rounds, rng):
+    """Rewards of ``rounds`` rounds as a (rounds, N) 0/1 matrix.
+
+    One independent draw per arm and round, from one ``rng.random`` block;
+    row t holds the doubles that the t-th of ``rounds`` calls of
+    ``rng.random(N)`` would give.
+    """
+    return (rng.random((rounds, env.n_arms)) < env.means).astype(float)
 
 
 CSV_BLOCK = 256  # rows formatted per write by write_columns

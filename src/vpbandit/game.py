@@ -136,9 +136,9 @@ class Exp3Attacker:
         n = self.n_arms
         if rng.random() < self.eta:
             return int(rng.integers(n))
-        cs = np.cumsum(self.weights)
-        arm = int(np.searchsorted(cs, rng.random() * cs[-1]))
-        return min(arm, n - 1)
+        cs = self.weights.cumsum()
+        # the weights are positive, so u * cs[-1] <= cs[-1] finds an arm below n
+        return int(cs.searchsorted(rng.random() * cs[-1]))
 
     def selection_probability(self, arm):
         total = float(self.weights.sum())
@@ -196,7 +196,7 @@ class SinglePlayerSpec:
     scaling: ScalingSpec
     eta: object = "corollary_1_1"  # float or the tuning-rule name
     horizon: int = None
-    budget: int = None  # only read by budget_threshold scaling
+    budget: int = None  # budget_threshold scaling only; caps the play count
 
     def __post_init__(self):
         if self.horizon is None:
@@ -211,6 +211,15 @@ class SinglePlayerSpec:
                 f"horizon {self.horizon} exceeds the trace's {self.env.n_rounds} rounds"
             )
         self.scaling.validate_for(self.n_arms)
+        if self.budget is not None:
+            if self.scaling.kind != "budget_threshold":
+                raise InvalidConfigError(
+                    f"budget applies to budget_threshold scaling only, not {self.scaling.kind!r}"
+                )
+            if self.budget < self.scaling.a:
+                raise InvalidConfigError(
+                    f"budget must be >= a={self.scaling.a}, got {self.budget}"
+                )
 
     @property
     def n_arms(self):
@@ -235,12 +244,6 @@ class SinglePlayerRun:
     marginals: np.ndarray = None  # (T, N) selection marginals if recorded
 
 
-def _round_rewards(env, t, rng):
-    if isinstance(env, IntrusionTrace):
-        return env.indicators[t].astype(float)
-    return bernoulli_rewards(env, t, rng)
-
-
 def run_single_player(spec, rng, record_weights=False):
     """Simulate the variable-play learner over one reward realization."""
     n = spec.n_arms
@@ -251,7 +254,10 @@ def run_single_player(spec, rng, record_weights=False):
     needs_ma = spec.scaling.kind == "budget_threshold"
     ma = MovingAverage(n, window=10) if needs_ma else None
     budget = spec.budget if spec.budget is not None else spec.scaling.b
-    rewards = np.empty((horizon, n))
+    if isinstance(spec.env, IntrusionTrace):
+        rewards = spec.env.indicators[:horizon].astype(float)
+    else:
+        rewards = bernoulli_rewards(spec.env, horizon, env_rng)
     play_counts = np.empty(horizon, dtype=int)
     round_rewards = np.empty(horizon)
     weights = np.empty((horizon, n)) if record_weights else None
@@ -259,14 +265,13 @@ def run_single_player(spec, rng, record_weights=False):
     counts = None if needs_ma else sample_arm_counts(spec.scaling, horizon, scale_rng).tolist()
     for t in range(horizon):
         m = counts[t] if counts is not None else sample_arm_count(spec.scaling, ma, budget)
-        y = _round_rewards(spec.env, t, env_rng)
+        y = rewards[t]
         chosen, probs, capped = learner.play(m, learner_rng)
         obs = y[chosen]
         if record_weights:
             weights[t] = learner.normalized_weights()
             margs[t] = probs
         learner.update(chosen, obs, probs, capped)
-        rewards[t] = y
         play_counts[t] = m
         round_rewards[t] = obs.sum()
         if needs_ma:

@@ -137,9 +137,10 @@ def sample_arm_count(spec, ma, budget):
     """This round's play count under the ``budget_threshold`` rule.
 
     The budget caps the count; below the cap it aims at the number of arms
-    whose recent average in ``ma`` exceeds the threshold.
+    whose recent average in ``ma`` exceeds the threshold.  ``budget`` is at
+    least ``spec.a``; ``SinglePlayerSpec`` rejects a smaller one.
     """
-    cap = min(spec.b, max(spec.a, int(budget)))
+    cap = min(spec.b, int(budget))
     hot = int(np.count_nonzero(ma.averages > spec.threshold))
     return min(cap, max(spec.a, hot))
 

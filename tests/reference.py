@@ -1,0 +1,51 @@
+"""Reference implementations that the tests hold the library to.
+
+Each one is a plain or vectorized form of a library step, kept here so the
+library has one implementation and the tests an independent one to compare
+it with, draw for draw or bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+
+def dep_round_many(m, p, draws, rng):
+    """``draws`` systematic-sampling draws as a (draws, N) 0/1 matrix.
+
+    The vectorized rule: row k places the points ``(u_k + j) * total / m``,
+    j = 0..m-1, on the cumulative marginals, searched over the arms up to
+    the last one with mass.  It takes one double of ``rng`` per row, in row
+    order, so row k is the k-th of ``draws`` sequential ``dep_round`` calls.
+    """
+    p = np.asarray(p, dtype=float)
+    c = np.cumsum(p)
+    total = c[-1]
+    last = np.searchsorted(c, total)  # the last arm with a nonempty interval
+    u = rng.random((draws, 1))
+    idx = np.searchsorted(c[:last], (u + np.arange(m)) * (total / m), side="right")
+    assert not (idx[:, 1:] == idx[:, :-1]).any(), "a draw repeated an arm"
+    out = np.zeros((draws, p.size))
+    np.put_along_axis(out, idx, 1.0, axis=1)
+    return out
+
+
+def cap_threshold_scan(weights, target):
+    """The capping scan over every cap-set size, on numpy scalars.
+
+    Returns ``(kappa, capped)`` as ``bandit_core.cap_threshold`` does, or
+    ``None`` when no cap size is consistent.
+    """
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(-w, kind="stable")
+    ws = w[order]
+    n = ws.size
+    suffix = np.concatenate([np.cumsum(ws[::-1])[::-1], [0.0]])
+    for m in range(1, n + 1):
+        if m * target >= 1.0:
+            break
+        kappa = target * suffix[m] / (1.0 - m * target)
+        below = ws[m] if m < n else -math.inf
+        if ws[m - 1] >= kappa > below:
+            return kappa, np.sort(order[:m])
+    return None

@@ -12,6 +12,7 @@ import os
 import mpmath
 import numpy as np
 
+from reference import dep_round_many
 from vpbandit import cli
 from vpbandit.analysis import (
     corollary11_eta,
@@ -22,7 +23,6 @@ from vpbandit.analysis import (
     theorem1_bound,
     theorem2_bounds,
 )
-from vpbandit.bandit_core import dep_round_many
 from vpbandit.environments import BernoulliEnv, PayoffProfile, synthesize_intrusion_trace
 from vpbandit.game import (
     Exp3MVPLearner,

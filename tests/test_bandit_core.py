@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpbandit.bandit_core import cap_threshold, dep_round, dep_round_many
+from reference import cap_threshold_scan, dep_round_many
+from vpbandit.bandit_core import cap_threshold, dep_round
 from vpbandit.errors import (
     InvalidMarginalsError,
     InvalidPlayCountError,
     InvalidTargetError,
+    NumericPathologyError,
 )
 from vpbandit.game import Exp3Attacker, Exp3MVPLearner
 
@@ -23,13 +25,14 @@ def _learner(weights, eta):
 
 
 class _FixedUniform:
-    """Stands in for a generator whose next uniform is ``u``."""
+    """Stands in for a generator whose uniforms are ``us`` in turn, the last
+    one repeated."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, *us):
+        self.us = list(us)
 
     def random(self):
-        return self.u
+        return self.us.pop(0) if len(self.us) > 1 else self.us[0]
 
 
 def _cap_oracle(weights, c):
@@ -81,6 +84,25 @@ class TestCapThreshold:
             ok, ocapped = _cap_oracle(w, c)
             assert kappa == pytest.approx(ok, rel=1e-12)
             assert capped.tolist() == ocapped.tolist()
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_bit_for_bit_with_the_full_scan(self, n):
+        # the scan reads Python floats of the first sorted weights only; it
+        # must give the kappa bits and capped set of the scan over them all
+        rng = np.random.default_rng(n)
+        for k in range(2000):
+            w = np.exp(rng.uniform(-8.0, 8.0, size=n)) if k % 2 else rng.uniform(0.01, 10.0, n)
+            if k % 5 == 0:
+                w[rng.integers(n, size=3)] = w.max()  # ties at the top
+            target = float(rng.uniform(1.0 / n, 1.0) if k % 3 else rng.uniform(0.001, 0.999))
+            expected = cap_threshold_scan(w, target)
+            if expected is None:
+                with pytest.raises(NumericPathologyError):
+                    cap_threshold(w, target)
+                continue
+            kappa, capped = cap_threshold(w, target)
+            assert float(kappa).hex() == float(expected[0]).hex()
+            assert capped.tolist() == expected[1].tolist()
 
     def test_rejects_bad_target(self):
         with pytest.raises(InvalidTargetError):
@@ -183,12 +205,19 @@ class TestDepRound:
         assert np.all(np.abs(freq - 0.5) <= 3 * sigma)
 
     def test_batch_matches_sequential_draws(self):
-        p = np.array([0.9, 0.35, 0.5, 0.25])
-        r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
-        batch = dep_round_many(2, p, 500, r1)
-        for k in range(500):
-            idx = dep_round(2, p, r2)
-            assert np.flatnonzero(batch[k] == 1.0).tolist() == idx.tolist()
+        # the learner-marginal cases of the acceptance test's recipe: each
+        # dep_round draw equals the reference's row for the same double
+        rng = np.random.default_rng(11)
+        for case in range(50):
+            n = int(rng.integers(3, 11))
+            m = int(rng.integers(1, n))
+            learner = _learner(rng.uniform(0.05, 5.0, size=n), float(rng.uniform(0.0, 0.5)))
+            p, _ = learner.marginals(m)
+            r1, r2 = np.random.default_rng(case), np.random.default_rng(case)
+            batch = dep_round_many(m, p, 500, r1)
+            for k in range(500):
+                idx = dep_round(m, p, r2)
+                assert np.flatnonzero(batch[k] == 1.0).tolist() == idx.tolist()
 
     def test_rejects_inconsistent_marginals(self):
         rng = np.random.default_rng(4)
@@ -401,3 +430,16 @@ class TestSinglePlayRound:
             pulls += arm == 0
         best = horizon  # brute-force comparator: arm 0 every round
         assert pulls / best > 0.9
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("gap", [0.0, 40.0, 2000.0])
+    def test_extreme_uniforms_pick_an_arm_in_range(self, u, gap):
+        # the first uniform skips exploration; the second is u.  A gap of
+        # 2000 on arm 0 leaves the other weights below an ulp of the total
+        n = 7
+        att = Exp3Attacker(n, eta=0.5, iota=1.0)
+        for _ in range(int(gap)):
+            att.update(0, 1.0)
+        arm = att.select(_FixedUniform(0.75, u))
+        assert 0 <= arm < n
+        assert arm == (0 if u == 0.0 or gap == 2000.0 else n - 1)

@@ -374,8 +374,9 @@ class TestWriteCsv:
         assert cli._scan_sets(np.zeros((0, 3), dtype=np.int8)) == []
 
 
-# A config of every kind with every key of its table set, covering every
-# environment type and scaling kind; "@LOG@" stands for a CAN log path.
+# A config of every kind with every key of its table set (for single_player,
+# across its cases: budget goes with budget_threshold scaling only), covering
+# every environment type and scaling kind; "@LOG@" stands for a CAN log path.
 _LOG_COLUMNS = {"timestamp": "Timestamp", "identity": "CAN_ID", "flag": "Flag"}
 FULL_CONFIGS = {
     "bounds": ("bounds", {"n": 10, "a": 1, "b": 3, "nu": 2, "horizon": 1000, "eta": 0.1,
@@ -384,12 +385,12 @@ FULL_CONFIGS = {
     "single_player-bernoulli": ("simulate-single", {
         "environment": {"type": "bernoulli", "means": [0.9, 0.5, 0.1, 0.2]},
         "scaling": {"kind": "constant", "a": 1, "b": 2, "m": 2},
-        "eta": 0.1, "horizon": 30, "replicas": 1, "record_weights": True, "budget": 2,
+        "eta": 0.1, "horizon": 30, "replicas": 1, "record_weights": True,
     }),
     "single_player-harmonic": ("simulate-single", {
         "environment": {"type": "harmonic_bernoulli", "n_arms": 5, "top": 0.8},
         "scaling": {"kind": "budget_threshold", "a": 1, "b": 3, "threshold": 0.2},
-        "eta": "corollary_1_1", "horizon": 30,
+        "eta": "corollary_1_1", "horizon": 30, "budget": 2,
     }),
     "single_player-synthetic": ("simulate-single", {
         "environment": {"type": "synthetic_trace", "n_arms": 6, "attacked": [1, 4],
@@ -519,6 +520,10 @@ class TestSchema:
                                                  "n_bursts": -5}}),
             ("simulate-single", {"horizon": -5}),
             ("simulate-single", {"horizon": 0}),
+            ("simulate-single", {"environment": {"type": "harmonic_bernoulli", "n_arms": 5},
+                                 "scaling": {"kind": "budget_threshold", "a": 1, "b": 3},
+                                 "horizon": 20, "budget": -3}),
+            ("simulate-single", {"budget": 7}),
         ],
     )
     def test_bad_values_fail_before_any_output(self, tmp_path, sub, change):
@@ -583,7 +588,8 @@ class TestSchema:
 
     def test_budget_is_recorded_in_the_manifest(self, tmp_path):
         _, cfg = _full_config("single_player-harmonic", "unused")
-        for run, out in ((cfg, tmp_path / "without"), ({**cfg, "budget": 2}, tmp_path / "with")):
+        without = {k: v for k, v in cfg.items() if k != "budget"}
+        for run, out in ((without, tmp_path / "without"), (cfg, tmp_path / "with")):
             assert _run_main("simulate-single", run, tmp_path / "c.json", out) == (0, [])
         assert "budget" not in json.loads((tmp_path / "without" / "manifest.json").read_text())
         assert json.loads((tmp_path / "with" / "manifest.json").read_text())["budget"] == 2

@@ -30,22 +30,28 @@ from vpbandit.game import play_round
 class TestBernoulli:
     def test_degenerate_means(self):
         rng = np.random.default_rng(0)
-        ones = bernoulli_rewards(BernoulliEnv(means=np.ones(4)), 0, rng)
-        zeros = bernoulli_rewards(BernoulliEnv(means=np.zeros(4)), 0, rng)
-        assert ones.tolist() == [1.0] * 4
-        assert zeros.tolist() == [0.0] * 4
+        ones = bernoulli_rewards(BernoulliEnv(means=np.ones(4)), 3, rng)
+        zeros = bernoulli_rewards(BernoulliEnv(means=np.zeros(4)), 3, rng)
+        assert ones.tolist() == [[1.0] * 4] * 3
+        assert zeros.tolist() == [[0.0] * 4] * 3
 
     def test_harmonic_means_match_empirically(self):
         env = BernoulliEnv.harmonic(10)
         np.testing.assert_allclose(env.means, 0.75 / np.arange(1, 11))
         rng = np.random.default_rng(1)
         draws = 100_000
-        acc = np.zeros(10)
-        for t in range(draws):
-            acc += bernoulli_rewards(env, t, rng)
-        freq = acc / draws
+        freq = bernoulli_rewards(env, draws, rng).sum(axis=0) / draws
         sigma = np.sqrt(env.means * (1 - env.means) / draws)
         assert np.all(np.abs(freq - env.means) <= 3 * sigma)
+
+    def test_block_rows_are_the_per_round_draws(self):
+        # the (rounds, N) block holds the doubles of one random(N) call per round
+        env = BernoulliEnv.harmonic(6)
+        r1, r2 = np.random.default_rng(2), np.random.default_rng(2)
+        block = bernoulli_rewards(env, 50, r1)
+        rows = [(r2.random(6) < env.means).astype(float) for _ in range(50)]
+        assert block.tolist() == np.array(rows).tolist()
+        assert r1.bit_generator.state == r2.bit_generator.state
 
     def test_rejects_out_of_range_means(self):
         with pytest.raises(InvalidConfigError):
