@@ -4,10 +4,10 @@ The play count is produced by a pluggable rule bounded by integers
 ``a <= M_t <= b``, and this module alone knows its law: ``sample_arm_counts``
 draws the whole sequence of a stateless kind in one batch,
 ``sample_arm_count`` decides one round of ``budget_threshold``, and
-``ScalingSpec.stationary_mean`` gives nu = E[M_t] where it is known.  The
-``budget_threshold`` kind is our own illustrative rule (the contract only
-requires boundedness), combining a resource budget with the number of arms
-whose recent reward average looks active.
+``ScalingSpec.stationary_mean`` gives nu = E[M_t] for every stateless
+kind.  The ``budget_threshold`` kind is our own illustrative rule (the
+contract only requires boundedness), combining a resource budget with the
+number of arms whose recent reward average looks active.
 """
 
 import math
@@ -91,26 +91,35 @@ class ScalingSpec:
         if self.kind == "truncated_gaussian":
             if self.mean is None or self.std is None or self.std <= 0:
                 raise InvalidSpecError("truncated_gaussian needs mean and std > 0")
-            # P(a - 1/2 <= X <= b + 1/2), as a difference of the two smaller
-            # tails so that tiny masses keep their digits
-            lo = (self.a - 0.5 - self.mean) / (self.std * math.sqrt(2.0))
-            hi = (self.b + 0.5 - self.mean) / (self.std * math.sqrt(2.0))
-            if lo + hi > 0:
-                mass = 0.5 * (math.erfc(lo) - math.erfc(hi))
-            else:
-                mass = 0.5 * (math.erfc(-hi) - math.erfc(-lo))
+            mass = self._gaussian_mass(self.a - 0.5, self.b + 0.5)
             if not mass >= MIN_GAUSSIAN_MASS:  # also rejects NaN
                 raise InvalidSpecError(
                     f"truncated_gaussian mean={self.mean} std={self.std} has mass {mass:.3g} "
                     f"on [{self.a - 0.5}, {self.b + 0.5}], below {MIN_GAUSSIAN_MASS}"
                 )
 
+    def _gaussian_mass(self, lo, hi):
+        """P(lo <= X <= hi) for X ~ N(mean, std^2).
+
+        Taken as a difference of the two smaller tails, so that tiny masses
+        keep their digits.
+        """
+        lo = (lo - self.mean) / (self.std * math.sqrt(2.0))
+        hi = (hi - self.mean) / (self.std * math.sqrt(2.0))
+        if lo + hi > 0:
+            return 0.5 * (math.erfc(lo) - math.erfc(hi))
+        return 0.5 * (math.erfc(-hi) - math.erfc(-lo))
+
     def validate_for(self, n_arms):
         if self.b >= n_arms:
             raise InvalidSpecError(f"b={self.b} must be < number of arms {n_arms}")
 
     def stationary_mean(self):
-        """Stationary mean of the play count, when one is defined."""
+        """Stationary mean of the play count; ``None`` for ``budget_threshold``.
+
+        The truncated Gaussian rounds to k with probability proportional to
+        P(k - 1/2 <= X <= k + 1/2), so its mean is sum_k k P(k).
+        """
         if self.kind == "constant":
             return float(self.m)
         if self.kind == "uniform_discrete":
@@ -118,6 +127,9 @@ class ScalingSpec:
         if self.kind == "truncated_gaussian":
             if abs((self.mean - self.a) - (self.b - self.mean)) < 1e-12:
                 return float(self.mean)  # symmetric interval keeps the mean
+            ks = range(self.a, self.b + 1)
+            masses = [self._gaussian_mass(k - 0.5, k + 0.5) for k in ks]
+            return math.fsum(k * p for k, p in zip(ks, masses)) / math.fsum(masses)
         return None
 
     @classmethod

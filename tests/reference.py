@@ -49,3 +49,23 @@ def cap_threshold_scan(weights, target):
         if ws[m - 1] >= kappa > below:
             return kappa, np.sort(order[:m])
     return None
+
+
+def g_max_curve(reward_matrix, play_counts):
+    """The hindsight-optimum curve, one scipy assignment per round.
+
+    The rank-gain matrix grows by ``gains[:M_t] += y_t`` each round, and
+    ``scipy.optimize.linear_sum_assignment`` solves it whole, over all N
+    columns; the value is the 1-D sum of the chosen gains in rank order.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    y = np.asarray(reward_matrix, dtype=float)
+    m = np.asarray(play_counts, dtype=int)
+    gains = np.zeros((int(m.max()), y.shape[1]))
+    out = np.empty(y.shape[0])
+    for t in range(y.shape[0]):
+        gains[: m[t]] += y[t]
+        rows, cols = linear_sum_assignment(gains, maximize=True)
+        out[t] = gains[rows, cols].sum()
+    return out

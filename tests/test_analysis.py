@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from reference import g_max_curve as scipy_g_max_curve
 from vpbandit.analysis import (
+    _CHUNK_ELEMENTS,
     corollary11_eta,
     equilibrium_values,
     g_max,
@@ -17,7 +19,7 @@ from vpbandit.analysis import (
     theorem2_bounds,
 )
 from vpbandit.environments import BernoulliEnv, PayoffProfile
-from vpbandit.errors import InvalidParameterError
+from vpbandit.errors import InvalidParameterError, ShapeError
 from vpbandit.game import SinglePlayerSpec
 from vpbandit.scaling import ScalingSpec
 
@@ -72,6 +74,91 @@ class TestGMax:
         assert curve.shape == (40,)
         assert np.all(np.diff(curve) >= -1e-12)  # prefix optima grow
         assert curve[-1] == pytest.approx(g_max(y, m)[0])
+
+
+class TestHindsightInputs:
+    """``g_max`` and ``g_max_curve`` share one check and reject the same input."""
+
+    ONES = np.ones((4, 3))
+
+    @pytest.mark.parametrize("optimum", [g_max, g_max_curve])
+    @pytest.mark.parametrize(
+        "counts", [[4, 4, 4, 4], [1, -1, 2, 1], [0, 1, 1, 1], [1.0, 2.0, 1.0, 1.0], [1, 2.5, 1, 1]]
+    )
+    def test_play_counts_must_be_integers_in_one_to_n(self, optimum, counts):
+        with pytest.raises(InvalidParameterError, match="play counts"):
+            optimum(self.ONES, counts)
+
+    @pytest.mark.parametrize("optimum", [g_max, g_max_curve])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rewards_must_be_finite(self, optimum, bad):
+        y = self.ONES.copy()
+        y[2, 1] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            optimum(y, [1, 2, 1, 1])
+
+    @pytest.mark.parametrize("optimum", [g_max, g_max_curve])
+    @pytest.mark.parametrize(
+        "y, counts",
+        [
+            (np.ones((0, 3)), []),  # empty horizon
+            (np.ones(3), [1]),  # not a matrix
+            (np.ones((4, 3)), [1, 1, 1]),  # one count short
+            (np.ones((4, 3)), [[1, 1, 1, 1]]),  # counts not a vector
+        ],
+    )
+    def test_shapes(self, optimum, y, counts):
+        with pytest.raises(ShapeError):
+            optimum(y, counts)
+
+
+class TestAgainstScipy:
+    """The numpy optimum against one ``linear_sum_assignment`` per round."""
+
+    @staticmethod
+    def _case(rng, n, b, horizon, rewards):
+        m = rng.integers(1, b + 1, size=horizon)
+        m[rng.integers(horizon)] = b  # b is the largest count
+        if rewards == "binary":
+            y = (rng.random((horizon, n)) < 0.5).astype(float)
+        elif rewards == "sparse":  # mostly zero: many tied arms and tied optima
+            y = (rng.random((horizon, n)) < 0.05).astype(float)
+        elif rewards == "integer":
+            y = rng.integers(-2, 4, size=(horizon, n)).astype(float)
+        else:
+            y = rng.normal(0.3, 1.0, size=(horizon, n))
+        return y, m
+
+    def _check(self, y, m, exact):
+        curve = g_max_curve(y, m)
+        expected = scipy_g_max_curve(y, m)
+        if exact:
+            np.testing.assert_array_equal(curve.view(np.int64), expected.view(np.int64))
+        else:
+            np.testing.assert_allclose(curve, expected, rtol=1e-12, atol=0)
+        value, ranking = g_max(y, m)
+        assert value == curve[-1]
+        assert ranking.shape == (int(m.max()),)
+        assert len(set(ranking.tolist())) == ranking.size  # distinct arms
+        attained = sum(y[t, ranking[: m[t]]].sum() for t in range(y.shape[0]))
+        assert attained == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("rewards", ["binary", "sparse", "integer", "real"])
+    @pytest.mark.parametrize("b", range(1, 8))
+    def test_random_shapes_on_both_sides_of_the_cut(self, rewards, b):
+        rng = np.random.default_rng(100 * b + len(rewards))
+        for n in sorted({b, b + 1, b * b, b * b + 1, b * b + 9}):
+            for horizon in (1, 7, 40):
+                y, m = self._case(rng, n, b, horizon, rewards)
+                self._check(y, m, exact=rewards != "real")
+
+    @pytest.mark.parametrize("rewards", ["sparse", "integer", "real"])
+    @pytest.mark.parametrize("n, b", [(100, 1), (300, 2), (1200, 7), (30, 6), (49, 7)])
+    def test_across_chunk_boundaries(self, rewards, n, b):
+        rng = np.random.default_rng(n + b)
+        chunk = _CHUNK_ELEMENTS // (b * n)  # rounds per chunk
+        y, m = self._case(rng, n, b, 3 * chunk + 5, rewards)
+        self._check(y, m, exact=rewards != "real")
 
 
 class TestClosedForms:

@@ -147,6 +147,22 @@ class TestGame:
         # uniform{1,2} play counts have stationary mean 1.5
         assert float(summary["equilibrium_attacker"]) == pytest.approx(1 - 1.5 / 6)
 
+    def test_asymmetric_truncated_gaussian_has_equilibrium_in_summary(self, tmp_path):
+        scaling = {"kind": "truncated_gaussian", "a": 1, "b": 3, "mean": 1.5, "std": 0.8}
+        out = tmp_path / "out"
+        assert cli.main(
+            ["simulate-game", "--config", _write_config(tmp_path, dict(self.CFG, scaling=scaling)),
+             "--out", str(out)]
+        ) == 0
+        summary = dict(
+            line.split("=", 1)
+            for line in (out / "summary.txt").read_text().splitlines()
+        )
+        # E[M] of the law rounded from N(1.5, 0.8) on [1, 3], by mpmath at 50 digits
+        nu = 1.66794657181565334620
+        assert float(summary["equilibrium_defender"]) == pytest.approx(nu / 6, rel=1e-14)
+        assert float(summary["equilibrium_attacker"]) == pytest.approx(1 - nu / 6, rel=1e-14)
+
     def test_seed_overrides(self, tmp_path, monkeypatch):
         cfgp = _write_config(tmp_path, self.CFG)
         base, flag, env = tmp_path / "b", tmp_path / "f", tmp_path / "e"
@@ -642,11 +658,11 @@ for sub, cfg, out in json.loads(sys.argv[1]):
 """
 
 
-def test_only_simulate_single_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     log = _write_can_log(tmp_path / "log.csv")
     runs = []
     for case in ["bounds", "sweep", "game", "ingest", "compare-trace_csv",
-                 "single_player-bernoulli"]:
+                 "single_player-bernoulli", "single_player-harmonic"]:
         sub, cfg = _full_config(case, log)
         (tmp_path / f"{case}.json").write_text(json.dumps(cfg))
         runs.append([sub, str(tmp_path / f"{case}.json"), str(tmp_path / case)])
@@ -659,7 +675,5 @@ def test_only_simulate_single_loads_scipy(tmp_path):
     )
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [step[:2] for step in steps] == [["import", 0]] + [[sub, 0] for sub, _, _ in runs]
-    for sub, _, loaded in steps[:-1]:
+    for sub, _, loaded in steps:
         assert loaded == [], sub
-    # the probe does see scipy once the hindsight optimum is computed
-    assert "scipy.optimize" in steps[-1][2]

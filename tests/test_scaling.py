@@ -80,12 +80,23 @@ class TestScalingSpec:
             (ScalingSpec.truncated_gaussian(2, 5, mean=3.5, std=2.0), 3.5),
             (ScalingSpec.uniform(1, 4), 2.5),
             (ScalingSpec(kind="constant", a=1, b=3, m=2), 2.0),
-            (ScalingSpec.truncated_gaussian(1, 4, mean=2.7, std=1.1), None),
+            # sum_k k P(k) with P(k) from the normal CDF, by mpmath at 50 digits
+            (ScalingSpec.truncated_gaussian(1, 4, mean=2.7, std=1.1),
+             pytest.approx(2.63581303914712228781, rel=1e-15)),
+            (ScalingSpec.truncated_gaussian(1, 3, mean=1.5, std=0.8),
+             pytest.approx(1.66794657181565334620, rel=1e-15)),
+            (ScalingSpec.truncated_gaussian(1, 3, mean=6.5, std=1.0),  # far tail
+             pytest.approx(2.97632714261649180877, rel=1e-15)),
+            (ScalingSpec.truncated_gaussian(2, 9, mean=0.3, std=2.5),
+             pytest.approx(3.15121147601743952133, rel=1e-15)),
+            (ScalingSpec.truncated_gaussian(3, 7, mean=5.9, std=0.4),
+             pytest.approx(5.90788472862490850817, rel=1e-15)),
             (ScalingSpec(kind="budget_threshold", a=1, b=3), None),
         ],
     )
     def test_stationary_mean(self, spec, nu):
-        # nu = E[M_t] is known for the symmetric rules only
+        # nu = E[M_t] is known for every stateless rule; the symmetric ones
+        # keep their exact centre
         assert spec.stationary_mean() == nu
 
     def test_validate_for_requires_b_below_n(self):
