@@ -13,36 +13,36 @@ for every prefix of the horizon at once:
 * Exchange lemma.  Some optimal assignment gives every rank j an arm among
   the b largest entries of row j: were rank j on an arm outside them, one of
   those b arms would be unused, and moving rank j to it loses nothing.  So
-  when N > b*b only the union of the rows' top b arms is kept, at most b*b
-  candidate columns.
+  only the union of the rows' top b arms is kept, distinct arms first, in
+  min(N, b*b) candidate columns; a repeated arm's column is disabled.
 * Shortest augmenting paths (Jonker & Volgenant 1987; Crouse 2016, the
   method behind scipy's ``linear_sum_assignment``) place one rank at a time;
   the Dijkstra searches of all rounds in a chunk run in lockstep until each
-  reaches a free column.  A round's value is its chosen gains summed in rank
-  order.
+  reaches a free column, taking a free column first among equal distances.
+  A round's value is its chosen gains summed in rank order.
 
 On integer rewards the curve equals one ``linear_sum_assignment`` per round
 bit for bit, and on real rewards to 1e-12 relative (``tests/test_analysis.py``
 holds it to that loop).  Microseconds per round of ``g_max_curve`` against
 that loop (harmonic Bernoulli rewards, play counts uniform on [1, b]; best of
-15 runs on a 2-core Xeon, Python 3.11, numpy 2.4, scipy 1.17):
+15 interleaved runs on a 2-core Xeon, Python 3.11, numpy 2.4, scipy 1.17):
 
     ======  ======  ======  =======
     N       b       numpy   scipy
     ======  ======  ======  =======
-    10      3       4.1     6.1
-    100     3       7.4     9.4
-    1000    3       44      35
-    10      7       16.5    8.6
-    50      20      325     37
+    10      3       4.9     7.5
+    100     3       11.7    15.1
+    1000    3       71      51
+    10      7       25      12
+    50      20      403     33
     ======  ======  ======  =======
 
-It is slower than scipy by about 1.3x at (1000, 3), 1.9x at (10, 7) and 9x
+It is slower than scipy by about 1.4x at (1000, 3), 2x at (10, 7) and 12x
 at (50, 20).  The lockstep search pays numpy's per-call cost at every step
 of the slowest round in a chunk, so it loses to scipy's compiled loop as b
-grows, and at large N the (rounds, b, N) prefix gains cost more than
-scipy's solve.  Every ``simulate-single`` configuration in the tests and
-the benchmark has b <= 3.
+grows; the top-b cut takes b argmax passes over the (rounds, b, N) prefix
+gains, and at large N those prefixes cost more than scipy's solve.  Every
+``simulate-single`` configuration in the tests and the benchmark has b <= 3.
 """
 
 import math
@@ -107,28 +107,24 @@ def _assign(gains):
 
     ``gains`` is (R, b, N).  Returns each round's optimal value, summed in
     rank order, and its (R, b) arms by rank.  The columns are cut to the
-    top b arms of every rank row (at most b*b of them, duplicates disabled),
+    top b arms of every rank row (min(N, b*b) columns, repeats disabled),
     then a shortest-augmenting-path solver adds one rank per step, with the
     Dijkstra search of every round run in lockstep until each finds a free
     column.
     """
     rounds, b, n = gains.shape
-    if n > b * b:
-        work = gains.copy()
-        top = np.empty((rounds, b, b), dtype=np.intp)
-        for k in range(b):
-            best = work.argmax(axis=2)
-            top[:, :, k] = best
-            np.put_along_axis(work, best[:, :, None], -np.inf, axis=2)
-        arms = np.sort(top.reshape(rounds, b * b), axis=1)
-        repeat = np.zeros(arms.shape, dtype=bool)
-        repeat[:, 1:] = arms[:, 1:] == arms[:, :-1]
-        gains = np.take_along_axis(gains, arms[:, None, :], axis=2)
-        cost = np.where(repeat[:, None, :], np.inf, -gains)
-    else:
-        arms = np.broadcast_to(np.arange(n), (rounds, n))
-        cost = -gains
-    k = cost.shape[2]
+    k = min(n, b * b)
+    work = gains.copy()
+    top = np.empty((rounds, b, b), dtype=np.intp)
+    for r in range(b):
+        best = work.argmax(axis=2)
+        top[:, :, r] = best
+        np.put_along_axis(work, best[:, :, None], -np.inf, axis=2)
+    arms = np.sort(top.reshape(rounds, b * b), axis=1)
+    arms[:, 1:][arms[:, 1:] == arms[:, :-1]] = n  # a repeated arm becomes n
+    arms = np.sort(arms, axis=1)[:, :k]  # distinct arms first: none is cut
+    gains = np.take_along_axis(gains, np.minimum(arms, n - 1)[:, None, :], axis=2)
+    cost = np.where((arms == n)[:, None, :], np.inf, -gains)
     u = np.zeros((rounds, b))
     v = np.zeros((rounds, k))
     col4row = np.full((rounds, b), -1)
@@ -156,7 +152,7 @@ def _assign(gains):
             d[shut] = np.inf
             lowest = d.min(axis=1)
             tie = d == lowest[:, None]
-            j = np.argmax(tie + (tie & (row4col[live] < 0)), axis=1)  # free columns first
+            j = np.argmax(tie * (1 + (row4col[live] < 0)), axis=1)  # free columns first
             low[live] = lowest
             seen_col[live, j] = True
             nxt = row4col[live, j]
