@@ -312,7 +312,9 @@ class RegretReport:
     ``regret_mean[t]`` averages G_max(t) - G^J(t) over replicas, each
     computed on that replica's own realized rewards, so every per-replica
     curve is nonnegative.  ``bound[t]`` averages the theorem ceiling
-    evaluated at each replica's realized G_max(t).
+    evaluated at each replica's realized G_max(t).  ``play_counts`` and
+    ``marginals`` are replica 0's M_t and, when recorded, its (T, N)
+    selection marginals.
     """
 
     regret_mean: np.ndarray
@@ -321,28 +323,34 @@ class RegretReport:
     gmax_mean: np.ndarray
     reward_mean: np.ndarray
     replicas: int = 0
+    play_counts: np.ndarray = None
+    marginals: np.ndarray = None
 
 
-def _replica_curves(spec, child):
+def _replica_curves(spec, record_weights, index, child):
     from .game import run_single_player
 
-    run = run_single_player(spec, child)
+    run = run_single_player(spec, child, record_weights=record_weights and index == 0)
+    run.normalized_weights = None  # only the marginals outlive the run
     gm = g_max_curve(run.reward_matrix, run.play_counts)
     bound = theorem1_bound(gm, spec.n_arms, spec.scaling.a, spec.scaling.b, run.eta)
-    return gm - run.cumulative_reward, bound, gm, run.cumulative_reward
+    curves = (gm - run.cumulative_reward, bound, gm, run.cumulative_reward)
+    return curves, (run.play_counts, run.marginals) if index == 0 else None
 
 
-def pseudo_regret(spec, replicas, rng, workers=1):
+def pseudo_regret(spec, replicas, rng, workers=1, record_weights=False):
     """Run independent replicas of a single-player experiment.
 
     ``spec`` is a ``vpbandit.game.SinglePlayerSpec``; the import lives in
     that module to keep this one free of simulation code.  Replica seeds are
-    spawned up front, so results do not depend on ``workers``.
+    spawned up front, so results do not depend on ``workers``.  With
+    ``record_weights``, replica 0 also records its selection marginals.
     """
     from .game import map_replicas
 
-    results = map_replicas(_replica_curves, rng, replicas, workers, spec)
-    regrets, bounds, gmaxes, rewards = map(np.asarray, zip(*results))
+    results = map_replicas(_replica_curves, rng, replicas, workers, spec, record_weights)
+    regrets, bounds, gmaxes, rewards = map(np.asarray, zip(*(c for c, _ in results)))
+    play_counts, marginals = results[0][1]
     return RegretReport(
         regret_mean=regrets.mean(axis=0),
         regret_stderr=regrets.std(axis=0, ddof=1) / math.sqrt(replicas)
@@ -352,4 +360,6 @@ def pseudo_regret(spec, replicas, rng, workers=1):
         gmax_mean=gmaxes.mean(axis=0),
         reward_mean=rewards.mean(axis=0),
         replicas=replicas,
+        play_counts=play_counts,
+        marginals=marginals,
     )

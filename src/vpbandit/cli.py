@@ -47,7 +47,7 @@ from .game import (
     SinglePlayerSpec,
     run_comparison,
     run_game_replicas,
-    run_single_player,
+    run_single_player,  # noqa: F401 -- perfbench/tracing.py wraps this name
 )
 from .scaling import ScalingSpec
 
@@ -334,17 +334,18 @@ def _run_single_player(cfg, out_dir, workers):
     spec = SinglePlayerSpec(
         env, scaling, eta=cfg["eta"], horizon=cfg["horizon"], budget=cfg.get("budget")
     )
+    # positional: the benchmark's entry span counts spec.horizon * replicas
     report = analysis.pseudo_regret(
-        spec, cfg["replicas"], np.random.default_rng(run_ss), workers=workers
+        spec, cfg["replicas"], np.random.default_rng(run_ss),
+        workers=workers, record_weights=cfg["record_weights"],
     )
     derived = {"eta_resolved": spec.resolve_eta(), "eta_clamp": ETA_CLAMP, "horizon": spec.horizon}
     _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling), **derived})
     emit_plot_data(report, os.path.join(out_dir, "curves.csv"))
     if cfg["record_weights"]:
-        # one dedicated replica for the marginal trajectories (rows sum to M_t)
-        run = run_single_player(spec, np.random.default_rng(run_ss.spawn(1)[0]), record_weights=True)
+        # replica 0's marginal trajectories (rows sum to M_t)
         header = ["t", "m"] + [f"w_{i + 1}_norm" for i in range(spec.n_arms)]
-        columns = [np.arange(1, spec.horizon + 1), run.play_counts, *run.marginals.T]
+        columns = [np.arange(1, spec.horizon + 1), report.play_counts, *report.marginals.T]
         write_csv(os.path.join(out_dir, "weights.csv"), header, columns)
     _write_summary(
         os.path.join(out_dir, "summary.txt"),

@@ -52,6 +52,16 @@ class Exp3MVPLearner:
         self.eta = eta
         self.weights = np.ones(n_arms)
 
+    @property
+    def weights(self):
+        return self._weights
+
+    @weights.setter
+    def weights(self, w):
+        # the running maximum that ``marginals`` and ``update`` read
+        self._weights = w
+        self._max = float(w.max())
+
     def marginals(self, m):
         """Selection marginals for playing ``m`` of the ``N`` arms.
 
@@ -61,14 +71,14 @@ class Exp3MVPLearner:
         holds the indices pinned at exactly 1 (``None`` when nothing is
         capped).
         """
-        w = self.weights
+        w = self._weights
         n = self.n_arms
         if not 1 <= m < n:
             raise InvalidPlayCountError(f"m must satisfy 1 <= m < {n}, got {m}")
         eta = self.eta
         c = (1.0 / m - eta / n) / (1.0 - eta)
         total = w.sum()
-        if w.max() >= c * total:
+        if self._max >= c * total:
             kappa, capped = cap_threshold(w, c)
             wp = w.copy()
             wp[capped] = kappa
@@ -92,12 +102,15 @@ class Exp3MVPLearner:
     def update(self, chosen, rewards, probs, capped):
         """Importance-weighted multiplicative update, then rescale max to 1.
 
-        The rescale is skipped when no weight moved: the previous rescale
-        left the maximum at exactly 1.0, so dividing again is a no-op.
+        Rewards are nonnegative, so a moved weight only grows and the new
+        maximum is the larger of the running maximum and the moved weights;
+        dividing by it leaves the maximum at exactly 1.0.  The rescale is
+        skipped when no weight moved.
         """
-        w = self.weights
+        w = self._weights
         coef = len(chosen) * self.eta / self.n_arms
         capped_set = None
+        top = self._max
         moved = False
         for j, y in zip(chosen, rewards):
             if y:
@@ -106,10 +119,14 @@ class Exp3MVPLearner:
                         capped_set = set(capped.tolist())
                     if j in capped_set:
                         continue
-                w[j] *= math.exp(coef * (y / probs[j]))
+                v = w[j] * math.exp(coef * (y / probs[j]))
+                w[j] = v
+                if v > top:
+                    top = v
                 moved = True
         if moved:
-            w /= w.max()
+            w /= top
+            self._max = 1.0
 
     def normalized_weights(self):
         return self.weights / self.weights.sum()
@@ -268,12 +285,13 @@ def run_single_player(spec, rng, record_weights=False):
         y = rewards[t]
         chosen, probs, capped = learner.play(m, learner_rng)
         obs = y[chosen]
+        obs_list = obs.tolist()
         if record_weights:
             weights[t] = learner.normalized_weights()
             margs[t] = probs
-        learner.update(chosen, obs, probs, capped)
+        learner.update(chosen.tolist(), obs_list, probs, capped)
         play_counts[t] = m
-        round_rewards[t] = obs.sum()
+        round_rewards[t] = sum(obs_list)  # exact: the rewards are 0/1
         if needs_ma:
             est = np.zeros(n)
             est[chosen] = obs / probs[chosen]
@@ -465,8 +483,9 @@ def run_game(config, rng=None):
 
 
 def map_replicas(fn, parent, replicas, workers, *shared):
-    """``[fn(*shared, child) for child in parent.spawn(replicas)]``.
+    """``[fn(*shared, k, child) for k, child in enumerate(parent.spawn(replicas))]``.
 
+    Each call gets its replica index ``k``, counted from 0, before its child.
     ``parent`` is a ``SeedSequence`` or ``Generator``; its children are
     spawned up front and results come back in replica order, so they do not
     depend on ``workers``.  With ``workers > 1`` the calls run in a process
@@ -482,11 +501,11 @@ def map_replicas(fn, parent, replicas, workers, *shared):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(call, children))
-    return [call(child) for child in children]
+            return list(pool.map(call, range(replicas), children))
+    return [call(k, child) for k, child in enumerate(children)]
 
 
-def _game_replica(config, seed_seq):
+def _game_replica(config, index, seed_seq):
     return run_game(config, np.random.default_rng(seed_seq))
 
 

@@ -18,7 +18,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vpbandit import cli, environments
+from vpbandit.environments import BernoulliEnv
 from vpbandit.errors import ShapeError
+from vpbandit.game import SinglePlayerSpec, run_single_player
+from vpbandit.scaling import ScalingSpec
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -98,6 +101,32 @@ class TestSinglePlayer:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["eta_resolved"] == 0.1
         assert manifest["schema_version"] == 1
+
+    def test_weight_rows_are_replica_zero(self, tmp_path):
+        # replica 0 of the regret curves, rebuilt from the documented seed
+        # split: environment and replica streams, then one child per replica
+        out = tmp_path / "out"
+        cfgp = _write_config(tmp_path, self.CFG)
+        assert cli.main(["simulate-single", "--config", cfgp, "--out", str(out)]) == 0
+        spec = SinglePlayerSpec(
+            BernoulliEnv.harmonic(6), ScalingSpec.uniform(1, 3), eta=0.1, horizon=300
+        )
+        _, run_ss = np.random.SeedSequence(self.CFG["seed"]).spawn(2)
+        child = np.random.default_rng(run_ss).spawn(self.CFG["replicas"])[0]
+        run = run_single_player(spec, child, record_weights=True)
+        rows = np.loadtxt(out / "weights.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, 1], run.play_counts)
+        np.testing.assert_array_equal(rows[:, 2:], run.marginals)
+
+    def test_weight_rows_do_not_depend_on_workers(self, tmp_path):
+        cfgp = _write_config(tmp_path, self.CFG)
+        texts = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            argv = ["simulate-single", "--config", cfgp, "--out", str(out), "--workers", workers]
+            assert cli.main(argv) == 0
+            texts.append((out / "weights.csv").read_bytes())
+        assert texts[0] == texts[1]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = dict(self.CFG)

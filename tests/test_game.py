@@ -269,3 +269,35 @@ class TestSinglePlayer:
         )
         # normalized weight rows sum to 1
         np.testing.assert_allclose(run.normalized_weights.sum(axis=1), 1.0)
+
+    def test_running_maximum_is_the_weights_maximum(self, monkeypatch):
+        # the benchmark's regret instance at its tuned eta, where capping
+        # fires: the learner's running maximum equals weights.max() after
+        # every update, including rounds whose top arm did not move
+        update = Exp3MVPLearner.update
+        seen = {"rounds": 0, "capped": 0}
+
+        def checked(self, chosen, rewards, probs, capped):
+            update(self, chosen, rewards, probs, capped)
+            assert self._max == self.weights.max()
+            seen["rounds"] += 1
+            seen["capped"] += capped is not None
+
+        monkeypatch.setattr(Exp3MVPLearner, "update", checked)
+        spec = SinglePlayerSpec(
+            env=BernoulliEnv.harmonic(10),
+            scaling=ScalingSpec.truncated_gaussian(1, 3, mean=2.0, std=0.8),
+            horizon=8000,
+        )
+        run_single_player(spec, np.random.default_rng(12))
+        assert seen["rounds"] == 8000 and seen["capped"] > 1000
+
+    def test_running_maximum_follows_assigned_weights(self):
+        learner = Exp3MVPLearner(4, 0.2)
+        learner.weights = np.array([0.5, 3.0, 0.25, 1.0])
+        assert learner._max == 3.0
+        # arm 1 holds the maximum and is not moved
+        probs, capped = learner.marginals(2)
+        learner.update([0, 2], [1.0, 1.0], probs, capped)
+        assert learner._max == learner.weights.max() == 1.0
+        assert learner.weights[1] == 1.0

@@ -68,7 +68,7 @@ DIGESTS = {
         "curves.csv": "17114eb9fc370ac47c698476d7058d395425818e3cd74e2276b14bb30e0ab821",
         "manifest.json": "5b0f32620e5086fe35065bc71d90ba35f35aa5f76eb88fdcdc1f91117b992308",
         "summary.txt": "a5ec6949a9e3882bb12c2cec4fdafa21b26111df143c56390054b78c968881e5",
-        "weights.csv": "91acbf05635abf05a32e67560050b2de758fbe8e0166cda1f80c2809cd9f9203",
+        "weights.csv": "d468b036cd7d9553972ea2e4c0a0625ccdf1e581df2dcbb655f0bbf9a447cc71",
     },
     "compare-budget": {
         "compare.csv": "d07afccb92d3f60695745e9d599e9ad1cb4feaddd99a3aed58c2da067780964d",
