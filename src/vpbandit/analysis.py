@@ -210,7 +210,7 @@ def theorem1_bound(gmax, n, a, b, eta):
 
     ``gmax`` may be an array of optima; the ceiling is then taken elementwise.
     """
-    _check_nab(n, a, b)
+    check_nab(n, a, b)
     if not 0.0 < eta <= 1.0:
         raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
     return (1.0 + E_MINUS_2 * b / a) * eta * gmax + (n / eta) * math.log(n / b)
@@ -222,7 +222,7 @@ def corollary11_eta(n, a, b, horizon):
     Returns ``(eta, ceiling)`` with
     eta = min(1, sqrt(N a ln(N/b) / ((a + (e-2) b) b T))).
     """
-    _check_nab(n, a, b)
+    check_nab(n, a, b)
     if horizon < 1:
         raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
     eta = min(
@@ -244,11 +244,12 @@ def equilibrium_values(n, nu):
 
 def theorem2_bounds(n, a, b):
     """Greedy-attacker average-reward interval ((N-b)/N, (N-a)/N)."""
-    _check_nab(n, a, b)
+    check_nab(n, a, b)
     return (n - b) / n, (n - a) / n
 
 
-def _check_nab(n, a, b):
+def check_nab(n, a, b):
+    """Reject play-count bounds outside 1 <= a <= b < N."""
     if not 1 <= a <= b < n:
         raise InvalidParameterError(f"need 1 <= a <= b < N, got a={a} b={b} N={n}")
 
@@ -285,7 +286,7 @@ def kstar_interval(profile, a, b):
     """
     mu = np.asarray(profile.mu, dtype=float)
     n = mu.size
-    _check_nab(n, a, b)
+    check_nab(n, a, b)
     if np.any(np.diff(mu) > 0):
         raise InvalidParameterError("payoffs must be sorted non-increasing")
     harmonic = np.cumsum(1.0 / mu)  # harmonic[k-1] = sum_{j<=k} 1/mu_j

@@ -76,12 +76,10 @@ def write_csv(path, header, columns):
         write_columns(f, columns)
 
 
-def _scan_sets(scanned):
-    """The ``J_t`` column: each round's scanned arms joined by ``;``."""
-    rows, arms = np.nonzero(scanned)
-    text = map(str, arms.tolist())
-    counts = np.bincount(rows, minlength=len(scanned)).tolist()
-    return [";".join(islice(text, k)) for k in counts]
+def _scan_sets(scanned, counts):
+    """The ``J_t`` column: each round's ``counts[t]`` scanned arms joined by ``;``."""
+    text = map(str, scanned.tolist())
+    return [";".join(islice(text, k)) for k in counts.tolist()]
 
 
 def emit_plot_data(report, path):
@@ -272,7 +270,7 @@ CONFIGS = {
         "defender_eta": (None, NUM),
         "attacker_eta": (None, NUM),
         "payoff": (OMIT, NUMS),
-        "scan_discount": (DEFAULT_SCAN_DISCOUNT, NUM),
+        "scan_discount": (DEFAULT_SCAN_DISCOUNT, FRACTION),
         "replicas": (1, INT),
         "tail_fraction": (0.2, FRACTION),
     },
@@ -407,7 +405,7 @@ def _run_game(cfg, out_dir, workers):
             np.arange(1, trace.n_rounds + 1),
             trace.attacker_arm,
             trace.play_counts,
-            _scan_sets(trace.scanned),
+            _scan_sets(trace.scanned, trace.play_counts),
             trace.attacker_reward,
             trace.defender_reward,
             run_r,
@@ -455,6 +453,7 @@ def _run_ingest(cfg, out_dir, workers):
 
 def _run_sweep(cfg, out_dir, workers):
     n, a, b, steps = cfg["n"], cfg["a"], cfg["b"], cfg["steps"]
+    analysis.check_nab(n, a, b)  # before n sizes any payoff profile
     _write_manifest(out_dir, {**cfg, "interval_form": "harmonic"})
     mus = np.linspace(cfg["mu_min"], cfg["mu_max"], steps)
     intervals = [analysis.kstar_interval(PayoffProfile.homogeneous(n, mu), a, b) for mu in mus]

@@ -382,6 +382,8 @@ class GameConfig:
             raise InvalidConfigError(f"unknown attacker kind {self.attacker_kind!r}")
         if self.horizon < 1:
             raise InvalidConfigError("horizon must be >= 1")
+        if not 0.0 < self.scan_discount <= 1.0:
+            raise InvalidConfigError(f"scan_discount must be in (0, 1], got {self.scan_discount}")
         self.scaling.validate_for(self.n_arms)
         if self.payoff is None:
             self.payoff = PayoffProfile.homogeneous(self.n_arms)
@@ -401,11 +403,12 @@ class GameConfig:
 
 @dataclass
 class GameTrace:
-    """Per-round record of one game run."""
+    """Per-round record of one game run.  ``scanned`` concatenates the rounds'
+    scan sets, each in increasing order and ``play_counts[t]`` arms long."""
 
     attacker_arm: np.ndarray
     play_counts: np.ndarray
-    scanned: np.ndarray  # (T, N) 0/1
+    scanned: np.ndarray  # sum(play_counts) arm indices
     attacker_reward: np.ndarray
     defender_reward: np.ndarray
 
@@ -453,20 +456,19 @@ def run_game(config, rng=None):
     attacker = make_attacker(config)
     defender = Exp3MVPLearner(config.n_arms, config.resolve_defender_eta())
     horizon = config.horizon
+    play_counts = sample_arm_counts(config.scaling, horizon, scale_rng)
     attacker_arm = np.empty(horizon, dtype=int)
-    play_counts = np.empty(horizon, dtype=int)
-    scanned = np.zeros((horizon, config.n_arms), dtype=np.int8)
+    scanned = np.empty(int(play_counts.sum()), dtype=int)
     r_arr = np.empty(horizon)
     s_arr = np.empty(horizon)
-    counts = sample_arm_counts(config.scaling, horizon, scale_rng).tolist()
-    for t in range(horizon):
-        m = counts[t]
+    lo = 0
+    for t, m in enumerate(play_counts.tolist()):
         i, chosen, r, s = play_round(
             attacker, defender, m, config.payoff, att_rng, def_rng
         )
         attacker_arm[t] = i
-        play_counts[t] = m
-        scanned[t, chosen] = 1
+        scanned[lo : lo + m] = chosen
+        lo += m
         r_arr[t] = r
         s_arr[t] = s
     return GameTrace(

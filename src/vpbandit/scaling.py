@@ -160,9 +160,10 @@ def sample_arm_count(spec, ma, budget):
 def sample_arm_counts(spec, count, rng):
     """The whole play-count sequence of a stateless kind, in one batch.
 
-    The truncated Gaussian rejects draws outside [a - 0.5, b + 0.5] and
-    rounds to the nearest integer, which keeps the integer mean equal to the
-    Gaussian mean when the interval is symmetric about it.
+    The truncated Gaussian rejects draws outside [a - 0.5, b + 0.5) and
+    rounds half up to the nearest integer, which lands in [a, b] and keeps
+    the integer mean equal to the Gaussian mean when the interval is
+    symmetric about it.
     """
     a, b = spec.a, spec.b
     if spec.kind == "constant":
@@ -175,11 +176,9 @@ def sample_arm_counts(spec, count, rng):
         filled = 0
         while filled < count:
             x = rng.normal(spec.mean, spec.std, size=max(count - filled, 64))
-            x = x[(x >= lo) & (x <= hi)]
+            x = x[(x >= lo) & (x < hi)]
             take = min(x.size, count - filled)
-            out[filled : filled + take] = np.clip(
-                np.floor(x[:take] + 0.5).astype(int), a, b
-            )
+            out[filled : filled + take] = np.floor(x[:take] + 0.5)
             filled += take
         return out
     raise InvalidSpecError(f"kind {spec.kind!r} cannot be batch-sampled")

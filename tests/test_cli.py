@@ -219,10 +219,10 @@ class TestGame:
 class TestBadInput:
     """Bad input ends with one ``error:`` line and a nonzero exit status."""
 
-    def _run(self, tmp_path, capsys, cfg, *extra):
+    def _run(self, tmp_path, capsys, cfg, *extra, sub="simulate-game"):
         rc = cli.main(
-            ["simulate-game", "--config", _write_config(tmp_path, cfg), "--out",
-             str(tmp_path / "out"), *extra]
+            [sub, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+             *extra]
         )
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -255,12 +255,23 @@ class TestBadInput:
             {"tail_fraction": -3},
             {"tail_fraction": 0},
             {"tail_fraction": 1.5},
+            {"attacker": "greedy", "scan_discount": 2.0},
+            {"attacker": "greedy", "scan_discount": -1.0},
+            {"attacker": "greedy", "scan_discount": 0.0},
+            {"attacker": "greedy", "scan_discount": 1e300},
         ],
         ids=["b-not-below-n", "gaussian-without-mass", "zero-replicas", "eta-above-one",
-             "tail-negative", "tail-zero", "tail-above-one"],
+             "tail-negative", "tail-zero", "tail-above-one", "discount-above-one",
+             "discount-negative", "discount-zero", "discount-huge"],
     )
     def test_rejected_value_leaves_no_output(self, tmp_path, capsys, change):
         assert self._run(tmp_path, capsys, {**TestGame.CFG, **change}) == 1
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("n", [-1, 0, 3])
+    def test_sweep_checks_n_a_b_first(self, tmp_path, capsys, n):
+        cfg = {"schema_version": 1, "kind": "sweep", "seed": 0, "n": n, "a": 1, "b": 3}
+        assert self._run(tmp_path, capsys, cfg, sub="sweep") == 1
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_failed_run_removes_the_parents_it_made(self, tmp_path, capsys):
@@ -409,14 +420,13 @@ class TestWriteCsv:
             cli.write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3), np.arange(4)])
 
     def test_scan_sets_match_per_row_indices(self):
-        scanned = np.zeros((6, 5), dtype=np.int8)
-        scanned[0, [1, 3]] = 1
-        scanned[2, :] = 1  # row 1 is all zero, as are the last two
-        scanned[3, 4] = 1
-        expected = [";".join(str(j) for j in np.flatnonzero(row)) for row in scanned]
-        assert cli._scan_sets(scanned) == expected
+        rows = [[1, 3], [], [0, 1, 2, 3, 4], [4], [], []]  # empty rounds in and at the end
+        scanned = np.array([j for row in rows for j in row])
+        counts = np.array([len(row) for row in rows])
+        expected = [";".join(map(str, row)) for row in rows]
+        assert cli._scan_sets(scanned, counts) == expected
         assert expected[1] == "" and expected[2] == "0;1;2;3;4"
-        assert cli._scan_sets(np.zeros((0, 3), dtype=np.int8)) == []
+        assert cli._scan_sets(np.zeros(0, dtype=int), np.zeros(0, dtype=int)) == []
 
 
 # A config of every kind with every key of its table set (for single_player,
@@ -670,6 +680,37 @@ def test_fuzzed_config_fails_with_one_error_line(can_log, data):
         assert rc in (1, 2)
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not os.path.exists(out)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# Values of a number key's type, mostly out of its range.  None is a round
+# window below 1e-3: indicator matrices grow as 1 / round_window.
+_NUMBER = st.one_of(st.integers(-1, 7), st.sampled_from([-1.0, 0.0, 1e-3, 1.0, 2.5, 1e300]))
+
+
+@settings(max_examples=150, deadline=1000)  # ms per example
+@given(data=st.data())
+def test_fuzzed_out_of_range_number_never_raises(can_log, data):
+    case = data.draw(st.sampled_from(sorted(FULL_CONFIGS)))
+    sub, cfg = _full_config(case, can_log)
+    numeric = {}
+    for path in _key_paths(cfg):
+        old = functools.reduce(operator.getitem, path, cfg)
+        if _is_number(old) or isinstance(old, list) and all(map(_is_number, old)):
+            numeric[path] = old
+    path = data.draw(st.sampled_from(sorted(numeric)))
+    lists = isinstance(numeric[path], list)
+    cfg = _replaced(cfg, path, data.draw(st.lists(_NUMBER, max_size=5) if lists else _NUMBER))
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "out")
+        rc, err = _run_main(sub, cfg, pathlib.Path(work) / "c.json", out)
+        if rc != 0:
+            assert rc in (1, 2)
+            assert len(err) == 1 and err[0].startswith("error: "), err
+            assert not os.path.exists(out)
 
 
 # Run in a fresh interpreter: prints, after the import and after each run,

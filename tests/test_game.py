@@ -165,12 +165,35 @@ class TestGameRuns:
             seed=10,
         )
         trace = run_game(config)
+        scan_sets = np.split(trace.scanned, np.cumsum(trace.play_counts)[:-1])
         att_rng = np.random.default_rng(config.seed).spawn(3)[0]
         attacker = make_attacker(config)
         for t in range(config.horizon):
             arm = attacker.select(att_rng)
             assert arm == trace.attacker_arm[t]
-            attacker.update(arm, bool(trace.scanned[t, arm]))
+            attacker.update(arm, arm in scan_sets[t])
+
+    @pytest.mark.parametrize("attacker_kind", ["exp3", "greedy"])
+    def test_scan_sets_are_consecutive_sorted_segments(self, attacker_kind):
+        config = GameConfig(
+            n_arms=7,
+            horizon=600,
+            scaling=ScalingSpec.truncated_gaussian(1, 4, mean=2.5, std=1.2),
+            attacker_kind=attacker_kind,
+            seed=12,
+        )
+        trace = run_game(config)
+        assert trace.scanned.shape == (trace.play_counts.sum(),)
+        scan_sets = np.split(trace.scanned, np.cumsum(trace.play_counts)[:-1])
+        assert len(scan_sets) == config.horizon
+        for m, i, r, seg in zip(
+            trace.play_counts, trace.attacker_arm, trace.attacker_reward, scan_sets
+        ):
+            assert seg.size == m and 1 <= m <= 4
+            assert np.all(np.diff(seg) > 0)  # sorted and distinct
+            assert 0 <= seg[0] and seg[-1] < config.n_arms
+            # homogeneous payoffs: the attacker scores 0 exactly when scanned
+            assert (r == 0.0) == (i in seg)
 
     def test_replicas_deterministic_and_worker_independent(self):
         config = GameConfig(
@@ -183,6 +206,7 @@ class TestGameRuns:
             np.testing.assert_array_equal(x.attacker_reward, y.attacker_reward)
         for x, y in zip(a, c):
             np.testing.assert_array_equal(x.attacker_reward, y.attacker_reward)
+            np.testing.assert_array_equal(x.play_counts, y.play_counts)
             np.testing.assert_array_equal(x.scanned, y.scanned)
 
     def test_replica_fan_out_rejects_bad_counts(self):
@@ -209,6 +233,12 @@ class TestGameRuns:
                 scaling=ScalingSpec.uniform(1, 2),
                 payoff=PayoffProfile.homogeneous(4),
             )
+
+    @pytest.mark.parametrize("discount", [0.0, -1.0, 2.0, 1e300, math.nan])
+    def test_scan_discount_outside_unit_interval(self, discount):
+        with pytest.raises(InvalidConfigError, match="scan_discount"):
+            GameConfig(n_arms=5, horizon=10, scaling=ScalingSpec.uniform(1, 2),
+                       attacker_kind="greedy", scan_discount=discount)
 
 
 class TestSinglePlayer:

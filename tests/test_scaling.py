@@ -146,6 +146,18 @@ class TestSampling:
             sigma = math.sqrt(p * (1 - p) / draws)
             assert abs(np.mean(vals == k) - p) <= 4 * sigma, k
 
+    def test_truncated_gaussian_edges_round_into_the_bounds(self):
+        # draws in [a - 1/2, b + 1/2) round half up into [a, b]; b + 1/2 itself
+        # is rejected, so the third count comes from the second batch
+        a, b = 1, 3
+
+        class Stub:
+            def normal(self, mean, std, size):
+                return np.array([a - 0.5, b + 0.5, math.nextafter(b + 0.5, 0.0)])
+
+        spec = ScalingSpec.truncated_gaussian(a, b, mean=2.0, std=0.8)
+        assert sample_arm_counts(spec, 3, Stub()).tolist() == [a, b, a]
+
     def test_budget_threshold_rule(self):
         spec = ScalingSpec(kind="budget_threshold", a=1, b=3, threshold=0.1)
         ma = MovingAverage(5, window=4)
