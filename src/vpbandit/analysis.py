@@ -209,10 +209,13 @@ def theorem1_bound(gmax, n, a, b, eta):
     """Regret ceiling of the variable-play learner for a realized optimum.
 
     ``gmax`` may be an array of optima; the ceiling is then taken elementwise.
+    An optimum is a sum of rewards in [0, 1], so a negative one is rejected.
     """
     check_nab(n, a, b)
     if not 0.0 < eta <= 1.0:
         raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
+    if np.any(np.less(gmax, 0)):
+        raise InvalidParameterError(f"gmax must be >= 0, got {np.min(gmax)}")
     return (1.0 + E_MINUS_2 * b / a) * eta * gmax + (n / eta) * math.log(n / b)
 
 

@@ -24,7 +24,7 @@ from .errors import (
 )
 
 DEFAULT_ROUND_WINDOW = 0.25  # seconds per round when bucketing CAN logs
-INGEST_CHUNK = 512  # CAN log rows per column pass; short-lived rows keep the GC cheap
+INGEST_BLOCK = 1 << 18  # bytes of CAN log per parse pass; a longer line grows its block
 
 #: Column mapping for the common car-hacking CSV layout. All names can be
 #: remapped; ``injected_value`` is the flag value marking injected messages.
@@ -205,37 +205,58 @@ def ingest_can_log(path, column_map=None, round_window=DEFAULT_ROUND_WINDOW):
     identity.  Blank lines are skipped.
 
     The file is read as UTF-8, after a byte-order mark if it starts with
-    one, in chunks of ``INGEST_CHUNK`` rows, a column at a time.  A row that
-    is short of a mapped column or whose timestamp is not a finite number
-    raises ``RowParseError`` with the physical line on which the first such
-    row starts; bytes that are not UTF-8 raise ``InputEncodingError``.
+    one.  The header row is read by ``csv.reader``; the data rows are split
+    in blocks of about ``INGEST_BLOCK`` bytes by a few numpy passes per
+    block, so memory does not grow with the file.  A log whose data rows
+    hold a quote character is read again from the start by ``csv.reader``,
+    a few hundred rows at a time; both readings give the same trace.  A row
+    that is short of a mapped column, that holds a field over
+    ``csv.field_size_limit()`` characters or whose timestamp is not a finite
+    number raises ``RowParseError`` with the physical line on which the
+    first such row starts; bytes that are not UTF-8 raise
+    ``InputEncodingError``.
     """
     if not round_window > 0:
         raise InvalidConfigError(f"round_window must be positive, got {round_window!r}")
     cmap = dict(CAR_HACKING_COLUMNS)
     if column_map:
         cmap.update(column_map)
+    scan = _scan_bytes(path, cmap) or _scan_rows(path, cmap)
+    return _bucket(path, round_window, *scan)
+
+
+def _columns(reader, path, cmap):
+    """Read the header row from ``reader``: the timestamp, identity and flag column indices."""
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise RowParseError(1, f"malformed CSV: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    # a repeated name maps to its last column, as in csv.DictReader
+    where = {name: i for i, name in enumerate(header)}
+    for key in ("timestamp", "identity", "flag"):
+        if cmap[key] not in where:
+            raise SchemaError(f"missing column {cmap[key]!r} (for {key})")
+    return [where[cmap[k]] for k in ("timestamp", "identity", "flag")]
+
+
+# A scan of a log is (n_rows, first timestamp, last timestamp, identities,
+# timestamps of injected rows as a list of arrays, their identities).
+
+
+def _scan_rows(path, cmap):
+    """Scan ``path`` with ``csv.reader``, 512 rows and one column at a time."""
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader, [])
-        except csv.Error as exc:
-            raise RowParseError(1, f"malformed CSV: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-        # a repeated name maps to its last column, as in csv.DictReader
-        where = {name: i for i, name in enumerate(header)}
-        for key in ("timestamp", "identity", "flag"):
-            if cmap[key] not in where:
-                raise SchemaError(f"missing column {cmap[key]!r} (for {key})")
-        i_ts, i_id, i_flag = (where[cmap[k]] for k in ("timestamp", "identity", "flag"))
+        i_ts, i_id, i_flag = _columns(reader, path, cmap)
         need = max(i_ts, i_id, i_flag) + 1
         is_injected = cmap["injected_value"].__eq__
         n_rows, lo, hi = 0, math.inf, -math.inf
         labels, hit_ts, hit_ids = set(), [], []
         while True:
             try:
-                chunk = list(islice(reader, INGEST_CHUNK))
+                chunk = list(islice(reader, 512))
                 rows = list(filter(None, chunk))  # a blank line reads as []
                 ts = np.array(list(map(float, map(itemgetter(i_ts), rows))))
                 good = not rows or (min(map(len, rows)) >= need and np.isfinite(ts).all())
@@ -254,6 +275,206 @@ def ingest_can_log(path, column_map=None, round_window=DEFAULT_ROUND_WINDOW):
             hit = list(map(is_injected, map(itemgetter(i_flag), rows)))
             hit_ts.append(ts[np.array(hit, dtype=bool)])
             hit_ids += compress(ids, hit)
+    return n_rows, lo, hi, labels, hit_ts, hit_ids
+
+
+def _scan_bytes(path, cmap):
+    """Scan ``path`` by numpy passes over blocks of bytes; None if a data row holds a quote."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        reader = csv.reader(f)
+        columns = _columns(reader, path, cmap)
+        header_lines = reader.line_num
+    need = max(columns) + 1
+    # a lone surrogate from a JSON config matches no field, as on the csv.reader path
+    flag = np.frombuffer(cmap["injected_value"].encode("utf-8", "surrogatepass"), np.uint8)
+    n_rows, lo, hi = 0, math.inf, -math.inf
+    ids, hit_ts, hit_ids = {}, [], []
+    with open(path, "rb") as f:
+        for block in _blocks(f, header_lines):
+            if b'"' in block:
+                return None
+            rows = _parse_block(block, columns, need, flag, ids)
+            if rows is None:
+                _raise_first_bad_row(path, columns[0], need)
+            ts, injected_ts, injected_ids = rows
+            if ts.size:
+                n_rows += ts.size
+                lo, hi = min(lo, ts.min()), max(hi, ts.max())
+                hit_ts.append(injected_ts)
+                hit_ids += injected_ids.tolist()
+    labels = [ident.decode() for ident in ids]
+    return n_rows, lo, hi, labels, hit_ts, [labels[g] for g in hit_ids]
+
+
+def _blocks(f, skip):
+    """Blocks of whole lines of the binary file ``f``, after its byte-order mark and ``skip`` lines.
+
+    A block is cut after the last line end of about ``INGEST_BLOCK`` bytes,
+    never between the two bytes of ``\\r\\n``; a longer line grows its block.
+    The file's last line may lack its line end.
+    """
+    carry = f.read(3)
+    if carry == b"\xef\xbb\xbf":
+        carry = b""
+    while True:
+        data = f.read(INGEST_BLOCK)
+        if data:  # cut after the last line end, but not after a final \r: a \n may follow
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+            if not cut:
+                carry += data
+                continue
+            block, carry = carry + memoryview(data)[:cut], data[cut:]
+        else:
+            block, carry = carry, None
+        del data  # hold one copy of the block
+        pos = 0
+        while skip and pos < len(block):  # the header's physical lines
+            lf = block.find(b"\n", pos)
+            cr = block.find(b"\r", pos, len(block) if lf < 0 else lf)
+            end = cr if 0 <= cr and cr + 1 != lf else lf if lf >= 0 else len(block) - 1
+            pos, skip = end + 1, skip - 1
+        if pos < len(block):
+            yield block[pos:] if pos else block
+        if carry is None:
+            return
+
+
+def _distinct(x):
+    """The sorted distinct values of ``x``."""
+    x = np.sort(x)
+    new = np.ones(x.size, bool)
+    new[1:] = x[1:] != x[:-1]
+    return x[new]
+
+
+def _gather(a, lo, width):
+    """The (len(lo), width) byte matrix of ``a[s:s + width]`` for each start s in ``lo``."""
+    return np.lib.stride_tricks.sliding_window_view(a, width)[lo]
+
+
+def _parse_block(block, columns, need, flag, ids):
+    """The timestamps of the data rows in ``block``, and those and the ids of its injected rows.
+
+    ``block`` holds whole lines with no quote character, so a comma always
+    ends a field and ``\\r`` or ``\\n`` a row; the empty line inside
+    ``\\r\\n`` is skipped with the blank ones.  ``ids`` maps identity bytes to
+    ids and gains the new ones.  None if the block is not UTF-8 or holds a
+    bad row.
+    """
+    if not block.isascii():
+        try:
+            block.decode()
+        except UnicodeDecodeError:
+            return None
+    a = np.frombuffer(block, np.uint8)
+    # bounds: -1, then every comma and line end, then a.size if the file's
+    # last line has no line end; field k of the row ending at bounds[e],
+    # after the line end at bounds[s], spans bounds[s + k] + 1 to bounds[s + k + 1]
+    sep = np.empty(a.size + 2, bool)
+    np.equal(a, 44, out=sep[1:-1])
+    sep[1:-1] |= a == 10
+    sep[1:-1] |= a == 13
+    sep[0], sep[-1] = True, block[-1] not in b"\r\n"
+    bounds = np.flatnonzero(sep)
+    bounds -= 1
+    del sep
+    e = np.append(np.flatnonzero(a[bounds[1:-1]] != 44) + 1, bounds.size - 1)
+    s = np.concatenate(([0], e[:-1]))
+    full = bounds[e] - bounds[s] > 1  # blank lines are skipped
+    s, e = s[full], e[full]
+    if (e - s < need).any():
+        return None
+    limit = csv.field_size_limit()
+    for r in np.flatnonzero(bounds[e] - bounds[s] > limit).tolist():  # csv counts characters
+        line = block[bounds[s[r]] + 1 : bounds[e[r]]]
+        if any(len(f.decode()) > limit for f in line.split(b",")):
+            return None
+
+    def field(k):
+        return bounds[s + k] + 1, bounds[s + k + 1]
+
+    i_ts, i_id, i_flag = columns
+    ts = _decimals(block, a, *field(i_ts))
+    if ts is None or not np.isfinite(ts).all():
+        return None
+    lo, hi = field(i_flag)
+    hit = hi - lo == flag.size
+    rows = np.flatnonzero(hit)
+    for j, byte in enumerate(flag.tolist()):
+        hit[rows] &= a[lo[rows] + j] == byte
+    return ts, ts[hit], _identities(block, a, *field(i_id), ids, hit)
+
+
+def _decimals(block, a, lo, hi):
+    """``float`` of each field ``block[lo:hi]``; None if one is not a number.
+
+    A field of 1 to 19 digits and at most one point, whose digits read as
+    an integer mantissa of at most 2**53, is mantissa / 10**k for k
+    fraction digits: both are exact doubles, so the one rounding of the
+    division is float()'s correctly rounded result (Clinger's fast path).
+    Such fields are grouped by width and point position, and each group's
+    mantissas are summed a digit column at a time; every other field goes
+    through ``float``.
+    """
+    width = hi - lo
+    dots = np.append(np.flatnonzero(a == 46), a.size)
+    point = np.minimum(dots[dots.searchsorted(lo)] - lo, width)  # width: no point
+    digits = width - (point < width)
+    key = np.where((digits >= 1) & (digits <= 19), width * 32 + point, 0)
+    out = np.empty(width.size)
+    slow = key == 0
+    for k in _distinct(key[~slow]).tolist():
+        rows = np.flatnonzero(key == k)
+        w, p = divmod(k, 32)
+        d = _gather(a, lo[rows], w) - 48  # a byte that is not a digit wraps to 10 or more
+        mantissa = np.zeros(rows.size, np.uint64)
+        for j in range(w):
+            if j != p:
+                mantissa *= 10
+                mantissa += d[:, j]
+        if p < w:
+            d[:, p] = 0  # the point
+        valid = d < 10
+        good = mantissa <= 2**53
+        if not valid.all():
+            good &= valid.all(axis=1)
+        out[rows] = mantissa / float(10 ** (w - 1 - p if p < w else 0))
+        slow[rows] = ~good
+    for r in np.flatnonzero(slow).tolist():
+        try:
+            out[r] = float(block[lo[r] : hi[r]].decode())
+        except ValueError:
+            return None
+    return out
+
+
+def _identities(block, a, lo, hi, ids, hit):
+    """The id in ``ids`` of each field ``block[lo:hi]`` of a ``hit`` row.
+
+    ``ids`` maps identity bytes to ids and gains those of every row.  Fields
+    are told apart within each width: up to 8 bytes as one uint64 key,
+    wider ones as raw ``V`` scalars.  Both keep NUL bytes, which the ``S``
+    dtype would drop from the end.
+    """
+    width = hi - lo
+    out = np.empty(width.size, np.intp)
+    for w in _distinct(width).tolist():
+        rows = np.flatnonzero(width == w)
+        if w <= 8:
+            keys = np.zeros((rows.size, 8), np.uint8)
+            keys[:, :w] = _gather(a, lo[rows], w) if w else 0
+            keys = keys.view(np.uint64).ravel()
+        else:
+            keys = np.ascontiguousarray(_gather(a, lo[rows], w)).view(f"V{w}").ravel()
+        distinct = _distinct(keys)
+        new = np.array([ids.setdefault(k.tobytes()[:w], len(ids)) for k in distinct])
+        mine = hit[rows]
+        out[rows[mine]] = new[distinct.searchsorted(keys[mine])]
+    return out[hit]
+
+
+def _bucket(path, round_window, n_rows, lo, hi, labels, hit_ts, hit_ids):
+    """The trace of a scanned log: one arm per identity, one round per ``round_window`` s."""
     if not n_rows:
         raise EmptyInputError(f"{path} contains no data rows")
     t0 = float(lo)

@@ -216,6 +216,11 @@ class TestClosedForms:
             theorem1_bound(10.0, 5, 0, 3, 0.1)
         with pytest.raises(InvalidParameterError):
             theorem1_bound(10.0, 5, 1, 5, 0.1)
+        # a negative optimum used to give a negative ceiling
+        for gmax in (-1e6, -1e-9, np.array([3.0, -1.0, 2.0])):
+            with pytest.raises(InvalidParameterError, match="gmax"):
+                theorem1_bound(gmax, 10, 1, 3, 0.1)
+        assert theorem1_bound(np.zeros(2), 10, 1, 3, 0.1).shape == (2,)
         with pytest.raises(InvalidParameterError):
             corollary11_eta(5, 1, 2, 0)
         with pytest.raises(InvalidParameterError):

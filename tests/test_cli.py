@@ -579,11 +579,12 @@ class TestSchema:
                                  "scaling": {"kind": "budget_threshold", "a": 1, "b": 3},
                                  "horizon": 20, "budget": -3}),
             ("simulate-single", {"budget": 7}),
+            ("bounds", {"gmax": -1e6}),
         ],
     )
     def test_bad_values_fail_before_any_output(self, tmp_path, sub, change):
         case = {"simulate-game": "game", "simulate-single": "single_player-bernoulli",
-                "ingest": "ingest", "sweep": "sweep"}[sub]
+                "ingest": "ingest", "sweep": "sweep", "bounds": "bounds"}[sub]
         _, cfg = _full_config(case, _write_can_log(tmp_path / "log.csv"))
         rc, err = _run_main(sub, {**cfg, **change}, tmp_path / "c.json", tmp_path / "out")
         _assert_fails_fast(rc, err, tmp_path / "out")

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -296,6 +297,13 @@ class TestIngest:
             ingest_can_log(f)
         assert exc.value.line_number == line
 
+    def test_flag_value_that_no_field_can_hold(self, tmp_path):
+        # a lone surrogate can come from a JSON config; no UTF-8 field equals it
+        f = tmp_path / "log.csv"
+        _write_log(f, ["0.0,idA,T", "0.3,idB,R"])
+        tr = ingest_can_log(f, column_map={"injected_value": "\ud800"})
+        assert tr.arm_labels == ["idA", "idB"] and tr.indicators.sum() == 0
+
     def test_byte_order_mark_before_bytes_that_are_not_utf8(self, tmp_path):
         f = tmp_path / "log.csv"
         f.write_bytes(b"\xef\xbb\xbfTimestamp,CAN_ID,Flag\n0.0,id\xff,T\n")
@@ -307,8 +315,8 @@ class TestIngest:
 _REMAP = {"timestamp": "time", "identity": "ident", "flag": "kind", "injected_value": "ATTACK"}
 
 
-def _remapped_log(path, n_rows, seed):
-    """A log of ``n_rows`` rows in the remapped layout, with quoted fields."""
+def _remapped_log(path, n_rows, seed, plain=0):
+    """A log of ``n_rows`` rows in the remapped layout, with quoted fields after the first ``plain``."""
     rng = np.random.default_rng(seed)
     ids = ["0x1A", "0x2B", "ext,7", 'say "hi"', "0x3C"]
     with open(path, "w", newline="") as f:
@@ -318,8 +326,10 @@ def _remapped_log(path, n_rows, seed):
         for k in range(n_rows):
             t += float(rng.uniform(0.0, 0.004))
             flag = "ATTACK" if rng.random() < 0.05 else "NORMAL"
-            note = "two\nlines" if k % 997 == 0 else ""
-            writer.writerow([flag, note, ids[int(rng.integers(len(ids)))], repr(t)])
+            note = "two\nlines" if k % 997 == 0 and k >= plain else ""
+            pool = ids if k >= plain else ids[:2] + ids[4:]
+            ident = pool[int(rng.integers(len(pool)))]
+            writer.writerow([flag, note, ident, repr(t)])
 
 
 def _ingest_oracle(path, round_window):
@@ -338,10 +348,17 @@ def _ingest_oracle(path, round_window):
     return labels, indicators, len(rows)
 
 
+def _block_rows(path):
+    """The data rows in each block of ``path`` as the byte parser cuts it (``\\n`` line ends)."""
+    with open(path, "rb") as f:
+        return [block.count(b"\n") for block in environments._blocks(f, 1)]
+
+
 class TestIngestChunks:
     def test_matches_row_by_row_oracle(self, tmp_path):
         f = tmp_path / "log.csv"
-        _remapped_log(f, 2 * environments.INGEST_CHUNK + 5000, seed=7)
+        _remapped_log(f, 2 * environments.INGEST_BLOCK // 30 + 5000, seed=7)
+        assert f.stat().st_size > 2 * environments.INGEST_BLOCK
         labels, indicators, n_rows = _ingest_oracle(f, 0.25)
         tr = ingest_can_log(f, column_map=_REMAP)
         assert tr.arm_labels == labels
@@ -351,13 +368,28 @@ class TestIngestChunks:
         np.testing.assert_array_equal(tr.indicators, indicators)
         assert tr.indicators.sum() > 100
 
+    def test_first_quote_after_the_first_block_restarts_the_ingest(self, tmp_path):
+        f = tmp_path / "log.csv"
+        plain = environments.INGEST_BLOCK // 20
+        _remapped_log(f, plain + 3000, seed=8, plain=plain)
+        assert b'"' not in f.read_bytes()[: environments.INGEST_BLOCK + 3]
+        labels, indicators, n_rows = _ingest_oracle(f, 0.25)
+        tr = ingest_can_log(f, column_map=_REMAP)
+        assert tr.arm_labels == labels and "ext,7" in labels
+        assert tr.metadata["n_rows"] == n_rows
+        np.testing.assert_array_equal(tr.indicators, indicators)
+
     @staticmethod
     def _log_with(tmp_path, bad):
-        """A plain log with row ``index`` of ``bad`` replaced; data rows start on line 2."""
+        """A plain log with row ``index`` of ``bad`` replaced; data rows start on line 2.
+
+        A bad row with an ``id1`` field is padded there to the length of the
+        row it replaces, so the blocks are cut where they are without it.
+        """
         rows = [f"{0.001 * k:.3f},id{k % 7},{'T' if k % 11 == 0 else 'R'}"
-                for k in range(environments.INGEST_CHUNK + 50)]
+                for k in range(environments.INGEST_BLOCK // 8)]
         for index, row in bad.items():
-            rows[index] = row
+            rows[index] = row.replace("id1", "id1" + "x" * (len(rows[index]) - len(row)))
         f = tmp_path / "log.csv"
         _write_log(f, rows)
         return f
@@ -372,8 +404,11 @@ class TestIngestChunks:
     )
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_bad_row_at_a_chunk_boundary(self, tmp_path, row, message, offset):
-        index = environments.INGEST_CHUNK + offset
+        # offset -1: the last row of the first block; 0: the first row of the next
+        boundary = _block_rows(self._log_with(tmp_path, {}))[0]
+        index = boundary + offset
         f = self._log_with(tmp_path, {index: row})
+        assert _block_rows(f)[0] == boundary
         with pytest.raises(RowParseError, match=message) as exc:
             ingest_can_log(f)
         assert exc.value.line_number == index + 2
@@ -389,11 +424,248 @@ class TestIngestChunks:
         ],
     )
     def test_first_bad_row_in_file_order_is_reported(self, tmp_path, first, second):
-        base = environments.INGEST_CHUNK + 3
+        base = _block_rows(self._log_with(tmp_path, {}))[0] + 3
         f = self._log_with(tmp_path, {base: first, base + 20: second})
         with pytest.raises(RowParseError) as exc:
             ingest_can_log(f)
         assert exc.value.line_number == base + 2
+
+    @pytest.mark.parametrize("bad", [None, "zz,id1,R"])
+    def test_crlf_split_by_every_cut(self, tmp_path, monkeypatch, bad):
+        # block sizes from 5 to 40 bytes put some cut between every \r and its \n
+        rows = [f"{0.01 * k:.2f},id{k % 3},{'T' if k % 4 == 0 else 'R'}" for k in range(60)]
+        if bad:
+            rows[37] = bad
+        f = tmp_path / "log.csv"
+        f.write_bytes(("\r\n".join(["Timestamp,CAN_ID,Flag"] + rows) + "\r\n").encode())
+        cmap = dict(environments.CAR_HACKING_COLUMNS)
+        expected = _outcome(f, environments._scan_rows, cmap)
+        for size in range(5, 41):
+            monkeypatch.setattr(environments, "INGEST_BLOCK", size)
+            with open(f, "rb") as fh:
+                blocks = list(environments._blocks(fh, 1))
+            assert all(not b.startswith(b"\n") for b in blocks[1:])
+            assert _outcome(f, environments._scan_bytes, cmap) == expected
+        if bad:
+            assert expected == (39, "line 39: unparseable timestamp 'zz'")
+
+    @pytest.mark.parametrize("bad_after", [False, True])
+    def test_line_longer_than_a_block(self, tmp_path, bad_after):
+        limit = csv.field_size_limit()
+        wide = "x" * limit  # as long as a field may be
+        rows = [f"{0.1 * k:.1f},id{k % 2},{'T' if k % 3 == 0 else 'R'},,," for k in range(40)]
+        rows[5] = f"0.5,idW,T,{wide},{wide},{wide}"
+        if bad_after:
+            rows[30] = "0.1,id1"
+        f = tmp_path / "log.csv"
+        _write_log(f, rows, header="Timestamp,CAN_ID,Flag,a,b,c")
+        assert len(rows[5]) > environments.INGEST_BLOCK
+        cmap = dict(environments.CAR_HACKING_COLUMNS)
+        outcome = _outcome(f, environments._scan_bytes, cmap)
+        assert outcome == _outcome(f, environments._scan_rows, cmap)
+        if bad_after:
+            assert outcome == (32, "line 32: expected 3 fields, got 2")
+        else:
+            assert "idW" in outcome[0]
+
+    @pytest.mark.parametrize(
+        "header, names",
+        [
+            ("Timestamp,CAN_ID,Flag\r", {}),
+            ('"Time\rstamp",CAN_ID,Flag\n', {"timestamp": "Time\rstamp"}),
+            ('"Time\r\nstamp",CAN_ID,"Fl\nag"\r\n', {"timestamp": "Time\r\nstamp", "flag": "Fl\nag"}),
+        ],
+    )
+    @pytest.mark.parametrize("end", ["\r", "\n"])
+    def test_header_lines_are_skipped_at_every_cut(self, tmp_path, monkeypatch, header, names, end):
+        # the data rows start after the header's physical lines, however they end
+        rows = [f"{0.01 * k:.2f},id{k % 3},{'T' if k % 4 == 0 else 'R'}" for k in range(30)]
+        f = tmp_path / "log.csv"
+        f.write_bytes((header + end.join(rows) + end).encode())
+        cmap = {**environments.CAR_HACKING_COLUMNS, **names}
+        expected = _outcome(f, environments._scan_rows, cmap)
+        assert expected[3]["n_rows"] == 30
+        for size in range(5, 41):
+            monkeypatch.setattr(environments, "INGEST_BLOCK", size)
+            assert _outcome(f, environments._scan_bytes, cmap) == expected
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        # a whole-file read holds several bytes per byte of the log at once
+        def peak(n_blocks):
+            rows, size, k = [], 0, 0
+            while size < n_blocks * environments.INGEST_BLOCK:
+                rows.append(f"{0.001 * k:.3f},{k % 26:04x},{'T' if k % 5000 == 0 else 'R'}")
+                size += len(rows[-1]) + 1
+                k += 1
+            f = tmp_path / f"log{n_blocks}.csv"
+            _write_log(f, rows)
+            del rows
+            ingest_can_log(f)  # warm up
+            tracemalloc.start()
+            try:
+                ingest_can_log(f)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2), peak(8)
+        assert large < small + environments.INGEST_BLOCK // 4, (small, large)
+
+
+def _outcome(path, scan, cmap, round_window=0.25):
+    """(labels, indicator bytes, shape, metadata) of one ingest path, or (line, message) of its error."""
+    try:
+        result = scan(path, cmap)
+        assert result is not None  # a log without quotes stays on the byte path
+        tr = environments._bucket(path, round_window, *result)
+    except RowParseError as exc:
+        return exc.line_number, str(exc)
+    assert tr.indicators.dtype == np.int8
+    return tr.arm_labels, tr.indicators.tobytes(), tr.indicators.shape, tr.metadata
+
+
+# Timestamp forms float() reads: exponents, underscores, signs, spaces,
+# leading zeros, non-ASCII digits, and mantissas on both sides of 2**53.
+_STAMP_FORMS = [
+    "{t:.6f}", "{t!r}", "{t:e}", "{t:.3E}", "{t:_.4f}", "+{t:.2f}", " {t:.5f}", "{t:.1f} ",
+    "\t{t:.3f}", "000{t:.4f}", "{t:.0f}.", "{t:.0f}", "{t:.17f}", "{t:.20f}",
+]
+_STAMP_SPECIALS = [
+    "900.7199254740992", "900.7199254740993", "900.7199254740991", "900.71992547409920",
+    "0900.7199254740993", "900.71992547409930", "٩٠٠.٥", "9_0_0.25", "901.0000000000000000001",
+]
+# identities: non-ASCII, wider than 8 bytes, NUL bytes (also at the end), empty
+_IDENTITIES = ["0x1A", "7FF", "", "ünï", "日本語", "0x18FEF100ext", "a" * 9, "id", "id\x00",
+               "\x00id", "id\x00\x00", "wider than eight\x00"]
+
+
+def _fuzzed_log(path, seed, n_rows, bad=None):
+    """A quote-free log with mixed line ends, blank lines and extra columns; returns the column map.
+
+    ``bad`` replaces the timestamp of one row (or, for ``"short"``, cuts the row short).
+    """
+    rng = np.random.default_rng(seed)
+    names = {"timestamp": "t", "identity": "ident", "flag": "kind"}
+    header = ["bus", "t", "note", "kind", "ident", "extra"]
+    order = rng.permutation(len(header))
+    header = [header[i] for i in order]
+    ends = ["\n", "\r\n", "\r"]
+    where = int(rng.integers(n_rows))
+    lines = [",".join(header)]
+    t = 900.0
+    for k in range(n_rows):
+        t += float(rng.uniform(0.0, 0.05))
+        form = int(rng.integers(len(_STAMP_FORMS) + 3))
+        stamp = (_STAMP_FORMS[form].format(t=t) if form < len(_STAMP_FORMS)
+                 else _STAMP_SPECIALS[int(rng.integers(len(_STAMP_SPECIALS)))])
+        fields = {
+            "bus": str(int(rng.integers(3))), "t": stamp, "note": ["", "n", "日"][k % 3],
+            "kind": ["ATT", "ok", "", "ATTT", "att"][int(rng.integers(5))],
+            "ident": _IDENTITIES[int(rng.integers(len(_IDENTITIES)))], "extra": "",
+        }
+        row = [fields[h] for h in header]
+        if k == where and bad is not None:
+            if bad == "short":
+                row = row[: max(header.index(h) for h in names.values())]
+            else:
+                row[header.index("t")] = bad
+        line = ",".join(row)
+        if rng.random() < 0.1 and k != where:
+            line += ",spare"
+        lines.append(line)
+        if rng.random() < 0.05:
+            lines.append("")  # a blank line
+    text = "".join(line + ends[int(rng.integers(3))] for line in lines)
+    if rng.random() < 0.5:
+        text = text.rstrip("\r\n")  # the last line without its end
+    path.write_bytes(text.encode())
+    return {**names, "injected_value": "ATT"}
+
+
+class TestIngestPathsAgree:
+    """The byte parser against the ``csv.reader`` path on logs without quotes."""
+
+    @pytest.mark.parametrize("block", [7, 64, 1000, None])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_trace(self, tmp_path, monkeypatch, block, seed):
+        if block:
+            monkeypatch.setattr(environments, "INGEST_BLOCK", block)
+        f = tmp_path / "log.csv"
+        cmap = _fuzzed_log(f, seed, 600)
+        expected = _outcome(f, environments._scan_rows, cmap)
+        assert not isinstance(expected[0], int)  # not an error
+        assert _outcome(f, environments._scan_bytes, cmap) == expected
+        labels = expected[0]
+        assert {"id", "id\x00", "id\x00\x00", "", "日本語", "wider than eight\x00"} <= set(labels)
+
+    @pytest.mark.parametrize(
+        "bad", ["short", "abc", "", "1.2.3", "0x10", "- 1", "inf", "nan", "-inf", "1e999"]
+    )
+    @pytest.mark.parametrize("block", [64, None])
+    def test_same_error(self, tmp_path, monkeypatch, bad, block):
+        if block:
+            monkeypatch.setattr(environments, "INGEST_BLOCK", block)
+        f = tmp_path / "log.csv"
+        cmap = _fuzzed_log(f, 4, 300, bad=bad)
+        expected = _outcome(f, environments._scan_rows, cmap)
+        assert isinstance(expected[0], int)
+        assert _outcome(f, environments._scan_bytes, cmap) == expected
+
+    @pytest.mark.parametrize("block", [64, None])
+    def test_field_limit_counts_characters(self, tmp_path, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(environments, "INGEST_BLOCK", block)
+        old = csv.field_size_limit(40)
+        try:
+            f = tmp_path / "log.csv"
+            cmap = dict(environments.CAR_HACKING_COLUMNS)
+            rows = [f"{0.1 * k:.1f},id{k % 2},T," + "é" * 40 for k in range(20)]  # 80 bytes
+            _write_log(f, rows, header="Timestamp,CAN_ID,Flag,note")
+            fine = _outcome(f, environments._scan_bytes, cmap)
+            assert fine == _outcome(f, environments._scan_rows, cmap)
+            assert fine[3]["n_rows"] == 20
+            rows[12] += "é"
+            _write_log(f, rows, header="Timestamp,CAN_ID,Flag,note")
+            too_long = _outcome(f, environments._scan_bytes, cmap)
+            assert too_long == _outcome(f, environments._scan_rows, cmap)
+            assert too_long[0] == 14 and "field larger than field limit" in too_long[1]
+        finally:
+            csv.field_size_limit(old)
+
+
+def test_decimal_kernel_matches_float_bit_for_bit():
+    rng = np.random.default_rng(53)
+    n = 200_000
+    digits = (rng.integers(0, 10, (n, 30)) + 48).astype(np.uint8)
+    int_len = rng.integers(0, 13, n).tolist()
+    frac_len = rng.integers(0, 19, n).tolist()
+    form = rng.integers(0, 4, n).tolist()  # point inside, none, trailing, leading zeros
+    texts = []
+    rows = [digits[j].tobytes().decode() for j in range(n)]
+    for row, i, k, kind in zip(rows, int_len, frac_len, form):
+        whole, frac = row[:i], row[i : i + k]
+        if kind == 1 or not frac:
+            texts.append(whole + frac or "0")
+        elif kind == 2:
+            texts.append((whole or "7") + ".")
+        elif kind == 3:
+            texts.append("000" + whole + "." + frac)
+        else:
+            texts.append(whole + "." + frac)
+    two53 = str(2**53)
+    for m in (two53, str(2**53 + 1), str(2**53 - 1), str(2**53 + 2), "1" + "0" * 18):
+        texts += [m[:p] + "." + m[p:] for p in range(len(m) + 1)] + [m, "0" + m, m + ".0"]
+    texts += ["." + "9" * 18, "0." + "0" * 17 + "1", "9" * 19, "9" * 20, "1" * 19 + ".5"]
+    block = ("\n".join(texts) + "\n").encode()
+    a = np.frombuffer(block, np.uint8)
+    hi = np.flatnonzero(a == 10)
+    lo = np.concatenate(([0], hi[:-1] + 1))
+    got = environments._decimals(block, a, lo, hi)
+    want = np.array([float(t) for t in texts])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # most fields take the fast path: at most 19 digits, a mantissa of at most 2**53
+    fast = sum(len(d) <= 19 and int(d) <= 2**53 for d in (t.replace(".", "") for t in texts))
+    assert fast > n // 2
 
 
 def test_save_matches_csv_writer(tmp_path):
