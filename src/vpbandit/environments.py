@@ -9,8 +9,6 @@ game setting.
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import compress, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -25,6 +23,7 @@ from .errors import (
 
 DEFAULT_ROUND_WINDOW = 0.25  # seconds per round when bucketing CAN logs
 INGEST_BLOCK = 1 << 18  # bytes of CAN log per parse pass; a longer line grows its block
+MAX_TRACE_CELLS = 1 << 26  # rounds × arms of an ingested trace: 64 MiB of int8 indicators
 
 #: Column mapping for the common car-hacking CSV layout. All names can be
 #: remapped; ``injected_value`` is the flag value marking injected messages.
@@ -205,16 +204,15 @@ def ingest_can_log(path, column_map=None, round_window=DEFAULT_ROUND_WINDOW):
     identity.  Blank lines are skipped.
 
     The file is read as UTF-8, after a byte-order mark if it starts with
-    one.  The header row is read by ``csv.reader``; the data rows are split
-    in blocks of about ``INGEST_BLOCK`` bytes by a few numpy passes per
-    block, so memory does not grow with the file.  A log whose data rows
-    hold a quote character is read again from the start by ``csv.reader``,
-    a few hundred rows at a time; both readings give the same trace.  A row
-    that is short of a mapped column, that holds a field over
-    ``csv.field_size_limit()`` characters or whose timestamp is not a finite
-    number raises ``RowParseError`` with the physical line on which the
-    first such row starts; bytes that are not UTF-8 raise
-    ``InputEncodingError``.
+    one, by numpy passes over blocks of about ``INGEST_BLOCK`` bytes, so
+    memory does not grow with the file.  A log that this byte parser
+    declines (a quote, bytes that are not UTF-8, a bad row, or a row of over
+    ``csv.field_size_limit()`` bytes) is read again by ``csv.reader``.  A
+    row that is short of a mapped column, that holds an oversized field or
+    whose timestamp is not a finite number raises ``RowParseError`` with
+    the physical line on which the first such row starts; bytes that are
+    not UTF-8 raise ``InputEncodingError``, and a trace of over
+    ``MAX_TRACE_CELLS`` rounds × arms ``InvalidConfigError``.
     """
     if not round_window > 0:
         raise InvalidConfigError(f"round_window must be positive, got {round_window!r}")
@@ -246,40 +244,46 @@ def _columns(reader, path, cmap):
 
 
 def _scan_rows(path, cmap):
-    """Scan ``path`` with ``csv.reader``, 512 rows and one column at a time."""
+    """Scan ``path`` with ``csv.reader``, one row at a time; raise at its first bad row."""
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         i_ts, i_id, i_flag = _columns(reader, path, cmap)
         need = max(i_ts, i_id, i_flag) + 1
-        is_injected = cmap["injected_value"].__eq__
+        injected = cmap["injected_value"]
         n_rows, lo, hi = 0, math.inf, -math.inf
         labels, hit_ts, hit_ids = set(), [], []
-        while True:
-            try:
-                chunk = list(islice(reader, 512))
-                rows = list(filter(None, chunk))  # a blank line reads as []
-                ts = np.array(list(map(float, map(itemgetter(i_ts), rows))))
-                good = not rows or (min(map(len, rows)) >= need and np.isfinite(ts).all())
-            except (ValueError, IndexError, csv.Error):
-                good = False
-            if not good:
-                _raise_first_bad_row(path, i_ts, need)
-            if not chunk:
-                break
-            if not rows:
-                continue
-            n_rows += len(rows)
-            lo, hi = min(lo, ts.min()), max(hi, ts.max())
-            ids = list(map(itemgetter(i_id), rows))
-            labels.update(ids)
-            hit = list(map(is_injected, map(itemgetter(i_flag), rows)))
-            hit_ts.append(ts[np.array(hit, dtype=bool)])
-            hit_ids += compress(ids, hit)
-    return n_rows, lo, hi, labels, hit_ts, hit_ids
+        before = reader.line_num  # physical lines before the next row
+        try:
+            for row in reader:
+                if row:  # a blank line reads as []
+                    if len(row) < need:
+                        raise RowParseError(before + 1, f"expected {need} fields, got {len(row)}")
+                    raw = row[i_ts]
+                    try:
+                        ts = float(raw)
+                    except ValueError:
+                        raise RowParseError(before + 1, f"unparseable timestamp {raw!r}") from None
+                    if not math.isfinite(ts):
+                        raise RowParseError(before + 1, f"non-finite timestamp {raw!r}")
+                    n_rows += 1
+                    if ts < lo:
+                        lo = ts
+                    if ts > hi:
+                        hi = ts
+                    labels.add(row[i_id])
+                    if row[i_flag] == injected:
+                        hit_ts.append(ts)
+                        hit_ids.append(row[i_id])
+                before = reader.line_num
+        except csv.Error as exc:
+            raise RowParseError(before + 1, f"malformed CSV: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+    return n_rows, lo, hi, labels, [np.array(hit_ts, dtype=float)], hit_ids
 
 
 def _scan_bytes(path, cmap):
-    """Scan ``path`` by numpy passes over blocks of bytes; None if a data row holds a quote."""
+    """Scan ``path`` by numpy passes over blocks of bytes; None where it declines the log."""
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         columns = _columns(reader, path, cmap)
@@ -291,11 +295,9 @@ def _scan_bytes(path, cmap):
     ids, hit_ts, hit_ids = {}, [], []
     with open(path, "rb") as f:
         for block in _blocks(f, header_lines):
-            if b'"' in block:
-                return None
-            rows = _parse_block(block, columns, need, flag, ids)
+            rows = None if b'"' in block else _parse_block(block, columns, need, flag, ids)
             if rows is None:
-                _raise_first_bad_row(path, columns[0], need)
+                return None
             ts, injected_ts, injected_ids = rows
             if ts.size:
                 n_rows += ts.size
@@ -359,7 +361,7 @@ def _parse_block(block, columns, need, flag, ids):
     ends a field and ``\\r`` or ``\\n`` a row; the empty line inside
     ``\\r\\n`` is skipped with the blank ones.  ``ids`` maps identity bytes to
     ids and gains the new ones.  None if the block is not UTF-8 or holds a
-    bad row.
+    bad row or a row longer than ``csv.field_size_limit()`` bytes.
     """
     if not block.isascii():
         try:
@@ -380,15 +382,12 @@ def _parse_block(block, columns, need, flag, ids):
     del sep
     e = np.append(np.flatnonzero(a[bounds[1:-1]] != 44) + 1, bounds.size - 1)
     s = np.concatenate(([0], e[:-1]))
-    full = bounds[e] - bounds[s] > 1  # blank lines are skipped
+    length = bounds[e] - bounds[s] - 1  # bytes in the row
+    full = length > 0  # blank lines are skipped
     s, e = s[full], e[full]
-    if (e - s < need).any():
+    # csv counts the limit in characters, of which a row has at most as many as bytes
+    if (e - s < need).any() or (length[full] > csv.field_size_limit()).any():
         return None
-    limit = csv.field_size_limit()
-    for r in np.flatnonzero(bounds[e] - bounds[s] > limit).tolist():  # csv counts characters
-        line = block[bounds[s[r]] + 1 : bounds[e[r]]]
-        if any(len(f.decode()) > limit for f in line.split(b",")):
-            return None
 
     def field(k):
         return bounds[s + k] + 1, bounds[s + k + 1]
@@ -479,8 +478,15 @@ def _bucket(path, round_window, n_rows, lo, hi, labels, hit_ts, hit_ids):
         raise EmptyInputError(f"{path} contains no data rows")
     t0 = float(lo)
     labels = sorted(labels)
+    span = float(hi) - t0
+    # n_rounds * len(labels) > MAX_TRACE_CELLS, tested before int() of a quotient that may be inf
+    if not span / round_window < MAX_TRACE_CELLS // len(labels):
+        raise InvalidConfigError(
+            f"{path} spans {span:g} s: at round_window {round_window!r} its trace of "
+            f"{len(labels)} arms would exceed {MAX_TRACE_CELLS} round-by-arm cells"
+        )
     col = {ident: i for i, ident in enumerate(labels)}
-    n_rounds = int((float(hi) - t0) / round_window) + 1
+    n_rounds = int(span / round_window) + 1
     indicators = np.zeros((n_rounds, len(labels)), dtype=np.int8)
     rounds = ((np.concatenate(hit_ts) - t0) / round_window).astype(np.intp)
     indicators[rounds, list(map(col.__getitem__, hit_ids))] = 1
@@ -496,32 +502,6 @@ def _bucket(path, round_window, n_rows, lo, hi, labels, hit_ts, hit_ids):
 def _not_utf8(path, exc):
     # the decoder works on blocks of the file, so the line is not known
     return InputEncodingError(f"{path} is not UTF-8 text: {exc.reason}")
-
-
-def _raise_first_bad_row(path, i_ts, need):
-    """Re-read ``path`` row by row and raise ``RowParseError`` for its first bad row."""
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        next(reader)
-        line = reader.line_num + 1  # the physical line the next row starts on
-        try:
-            for row in reader:
-                if row:
-                    if len(row) < need:
-                        raise RowParseError(line, f"expected {need} fields, got {len(row)}")
-                    raw = row[i_ts]
-                    try:
-                        ts = float(raw)
-                    except ValueError:
-                        raise RowParseError(line, f"unparseable timestamp {raw!r}") from None
-                    if not math.isfinite(ts):
-                        raise RowParseError(line, f"non-finite timestamp {raw!r}")
-                line = reader.line_num + 1
-        except csv.Error as exc:
-            raise RowParseError(line, f"malformed CSV: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-    raise RowParseError(line, f"{path} changed while it was read")
 
 
 @dataclass

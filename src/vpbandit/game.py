@@ -335,27 +335,19 @@ def run_comparison(trace, rng, epsilon=0.1, vp_scaling=None, fixed_m=3, eta=None
     curves["exp3m"] = run_single_player(m_spec, rng.spawn(1)[0]).cumulative_reward / t_axis
 
     eta1 = _tuned_eta(n, 1, 1, horizon) if eta is None else min(eta, ETA_CLAMP)
-    exp3 = Exp3Attacker(n, eta=eta1)
-    r3 = rng.spawn(1)[0]
-    rewards = np.empty(horizon)
-    for t in range(horizon):
-        arm = exp3.select(r3)
-        x = float(trace.indicators[t, arm])
-        exp3.update(arm, x)
-        rewards[t] = x
-    curves["exp3"] = np.cumsum(rewards) / t_axis
-
-    for name, pick in (
-        ("ucb1", lambda st, r: ucb1_select(st)),
-        ("epsilon_greedy", lambda st, r: epsilon_greedy_select(st, epsilon, r)),
+    # the functions and methods are looked up each round, where a profiler may wrap them
+    for name, learner, pick in (
+        ("exp3", Exp3Attacker(n, eta=eta1), lambda exp3, r: exp3.select(r)),
+        ("ucb1", FrequentistState(n), lambda st, r: ucb1_select(st)),
+        ("epsilon_greedy", FrequentistState(n),
+         lambda st, r: epsilon_greedy_select(st, epsilon, r)),
     ):
-        st = FrequentistState(n)
         rb = rng.spawn(1)[0]
         rewards = np.empty(horizon)
         for t in range(horizon):
-            arm = pick(st, rb)
+            arm = pick(learner, rb)
             x = float(trace.indicators[t, arm])
-            st.update(arm, x)
+            learner.update(arm, x)
             rewards[t] = x
         curves[name] = np.cumsum(rewards) / t_axis
     return curves

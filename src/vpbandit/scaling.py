@@ -36,7 +36,7 @@ class MovingAverage:
     n_arms: int
     window: int
     _buf: np.ndarray = field(init=False, repr=False)
-    _count: np.ndarray = field(init=False, repr=False)
+    _filled: int = field(init=False, repr=False)  # pushes in the window, equal for all arms
     _pos: int = field(init=False, repr=False)
     _sums: np.ndarray = field(init=False, repr=False)
 
@@ -44,16 +44,13 @@ class MovingAverage:
         if self.window < 1:
             raise ValueError("window must be >= 1")
         self._buf = np.zeros((self.window, self.n_arms))
-        self._count = np.zeros(self.n_arms, dtype=int)
+        self._filled = 0
         self._pos = 0
         self._sums = np.zeros(self.n_arms)
 
     @property
     def averages(self):
-        out = np.zeros(self.n_arms)
-        seen = self._count > 0
-        out[seen] = self._sums[seen] / self._count[seen]
-        return out
+        return self._sums / self._filled if self._filled else np.zeros(self.n_arms)
 
     def push(self, estimates):
         estimates = np.asarray(estimates, dtype=float)
@@ -61,7 +58,7 @@ class MovingAverage:
             raise ValueError(f"expected {self.n_arms} estimates")
         self._sums += estimates - self._buf[self._pos]
         self._buf[self._pos] = estimates
-        self._count = np.minimum(self._count + 1, self.window)
+        self._filled = min(self._filled + 1, self.window)
         self._pos = (self._pos + 1) % self.window
         return self
 

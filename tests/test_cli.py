@@ -620,6 +620,16 @@ class TestSchema:
         _assert_fails_fast(rc, err, tmp_path / "out")
         assert f"{log} is not UTF-8" in err[0]
 
+    @pytest.mark.parametrize("case", ["ingest", "compare-trace_csv"])
+    def test_log_whose_trace_is_too_large_fails_fast(self, tmp_path, case):
+        # one stray timestamp used to size a 7.11 PiB indicator matrix
+        log = tmp_path / "log.csv"
+        log.write_text("Timestamp,CAN_ID,Flag\n0.0,idA,T\n1e15,idB,R\n")
+        sub, cfg = _full_config(case, log)
+        rc, err = _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out")
+        _assert_fails_fast(rc, err, tmp_path / "out")
+        assert "spans 1e+15 s: at round_window 0.1" in err[0]
+
     @pytest.mark.parametrize("eta", [0.1, "corollary_1_1"])
     def test_horizon_beyond_the_trace_fails_fast(self, tmp_path, eta):
         # 40 rows 0.05 s apart in 0.5 s rounds: a 4-round trace
@@ -687,9 +697,11 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# Values of a number key's type, mostly out of its range.  None is a round
-# window below 1e-3: indicator matrices grow as 1 / round_window.
-_NUMBER = st.one_of(st.integers(-1, 7), st.sampled_from([-1.0, 0.0, 1e-3, 1.0, 2.5, 1e300]))
+# Values of a number key's type, mostly out of its range.  A round window of
+# 1e-9 asks for a trace over ingest's bound on rounds × arms.
+_NUMBER = st.one_of(
+    st.integers(-1, 7), st.sampled_from([-1.0, 0.0, 1e-9, 1e-3, 1.0, 2.5, 1e300])
+)
 
 
 @settings(max_examples=150, deadline=1000)  # ms per example

@@ -310,6 +310,24 @@ class TestIngest:
         with pytest.raises(InputEncodingError, match="is not UTF-8"):
             ingest_can_log(f)
 
+    @pytest.mark.parametrize("window", [0.25, 1e-300])
+    def test_stray_timestamp_fails_before_the_trace_is_allocated(self, tmp_path, window):
+        # 4e15 rounds used to end in a MemoryError for 7.11 PiB; at 1e-300 s the count is inf
+        f = tmp_path / "log.csv"
+        _write_log(f, ["0.0,idA,T", "1e15,idB,R"])
+        with pytest.raises(InvalidConfigError, match=r"spans 1e\+15 s: at round_window"):
+            ingest_can_log(f, round_window=window)
+
+    def test_cell_bound_is_rounds_times_arms(self, tmp_path, monkeypatch):
+        # rows 1.25 s apart in 0.25 s rounds: 6 rounds of 2 arms
+        f = tmp_path / "log.csv"
+        _write_log(f, ["0.0,idA,T", "1.25,idB,R"])
+        monkeypatch.setattr(environments, "MAX_TRACE_CELLS", 12)
+        assert ingest_can_log(f).indicators.shape == (6, 2)
+        monkeypatch.setattr(environments, "MAX_TRACE_CELLS", 11)
+        with pytest.raises(InvalidConfigError, match="2 arms would exceed 11 round-by-arm cells"):
+            ingest_can_log(f)
+
 
 # A remapped layout: the flag first, an unused column, the timestamp last.
 _REMAP = {"timestamp": "time", "identity": "ident", "flag": "kind", "injected_value": "ATTACK"}
@@ -445,6 +463,7 @@ class TestIngestChunks:
             with open(f, "rb") as fh:
                 blocks = list(environments._blocks(fh, 1))
             assert all(not b.startswith(b"\n") for b in blocks[1:])
+            assert (environments._scan_bytes(f, cmap) is None) == bool(bad)
             assert _outcome(f, environments._scan_bytes, cmap) == expected
         if bad:
             assert expected == (39, "line 39: unparseable timestamp 'zz'")
@@ -461,6 +480,7 @@ class TestIngestChunks:
         _write_log(f, rows, header="Timestamp,CAN_ID,Flag,a,b,c")
         assert len(rows[5]) > environments.INGEST_BLOCK
         cmap = dict(environments.CAR_HACKING_COLUMNS)
+        assert environments._scan_bytes(f, cmap) is None  # a row of over `limit` bytes
         outcome = _outcome(f, environments._scan_bytes, cmap)
         assert outcome == _outcome(f, environments._scan_rows, cmap)
         if bad_after:
@@ -487,6 +507,7 @@ class TestIngestChunks:
         assert expected[3]["n_rows"] == 30
         for size in range(5, 41):
             monkeypatch.setattr(environments, "INGEST_BLOCK", size)
+            assert environments._scan_bytes(f, cmap) is not None
             assert _outcome(f, environments._scan_bytes, cmap) == expected
 
     def test_memory_does_not_grow_with_the_file(self, tmp_path):
@@ -513,10 +534,12 @@ class TestIngestChunks:
 
 
 def _outcome(path, scan, cmap, round_window=0.25):
-    """(labels, indicator bytes, shape, metadata) of one ingest path, or (line, message) of its error."""
+    """(labels, indicator bytes, shape, metadata) of a scan, or (line, message) of its error.
+
+    A log that ``scan`` declines is read by the row loop, as ``ingest_can_log`` does.
+    """
     try:
-        result = scan(path, cmap)
-        assert result is not None  # a log without quotes stays on the byte path
+        result = scan(path, cmap) or environments._scan_rows(path, cmap)
         tr = environments._bucket(path, round_window, *result)
     except RowParseError as exc:
         return exc.line_number, str(exc)
@@ -583,7 +606,7 @@ def _fuzzed_log(path, seed, n_rows, bad=None):
 
 
 class TestIngestPathsAgree:
-    """The byte parser against the ``csv.reader`` path on logs without quotes."""
+    """Ingest's rule against the ``csv.reader`` row loop on logs without quotes."""
 
     @pytest.mark.parametrize("block", [7, 64, 1000, None])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -594,6 +617,7 @@ class TestIngestPathsAgree:
         cmap = _fuzzed_log(f, seed, 600)
         expected = _outcome(f, environments._scan_rows, cmap)
         assert not isinstance(expected[0], int)  # not an error
+        assert environments._scan_bytes(f, cmap) is not None
         assert _outcome(f, environments._scan_bytes, cmap) == expected
         labels = expected[0]
         assert {"id", "id\x00", "id\x00\x00", "", "日本語", "wider than eight\x00"} <= set(labels)
@@ -609,7 +633,35 @@ class TestIngestPathsAgree:
         cmap = _fuzzed_log(f, 4, 300, bad=bad)
         expected = _outcome(f, environments._scan_rows, cmap)
         assert isinstance(expected[0], int)
+        assert environments._scan_bytes(f, cmap) is None
         assert _outcome(f, environments._scan_bytes, cmap) == expected
+
+    @pytest.mark.parametrize("block", [7, 64, None])
+    def test_plain_logs_stay_on_the_byte_path(self, tmp_path, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(environments, "INGEST_BLOCK", block)
+        # shaped like the benchmark's: epoch timestamps in microseconds, four-hex-digit identities
+        rng = np.random.default_rng(5)
+        stamps = 1_478_198_376_000_000 + np.cumsum(rng.integers(0, 2000, 3000))
+        rows = [f"{s // 1_000_000}.{s % 1_000_000:06d},{int(rng.integers(0x800)):04x},"
+                f"{'T' if rng.random() < 0.05 else 'R'}" for s in stamps.tolist()]
+        f = tmp_path / "log.csv"
+        _write_log(f, rows)
+        cmap = dict(environments.CAR_HACKING_COLUMNS)
+        scan = environments._scan_bytes(f, cmap)
+        assert scan is not None and scan[0] == 3000
+        assert _outcome(f, environments._scan_bytes, cmap) == _outcome(
+            f, environments._scan_rows, cmap
+        )
+        # a row of exactly `limit` bytes stays; one byte more goes to the row loop
+        old = csv.field_size_limit(max(map(len, rows)))
+        try:
+            assert environments._scan_bytes(f, cmap) is not None
+            rows[7] += "0"
+            _write_log(f, rows)
+            assert environments._scan_bytes(f, cmap) is None
+        finally:
+            csv.field_size_limit(old)
 
     @pytest.mark.parametrize("block", [64, None])
     def test_field_limit_counts_characters(self, tmp_path, monkeypatch, block):
