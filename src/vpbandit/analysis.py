@@ -335,7 +335,6 @@ def _replica_curves(spec, record_weights, index, child):
     from .game import run_single_player
 
     run = run_single_player(spec, child, record_weights=record_weights and index == 0)
-    run.normalized_weights = None  # only the marginals outlive the run
     gm = g_max_curve(run.reward_matrix, run.play_counts)
     bound = theorem1_bound(gm, spec.n_arms, spec.scaling.a, spec.scaling.b, run.eta)
     curves = (gm - run.cumulative_reward, bound, gm, run.cumulative_reward)

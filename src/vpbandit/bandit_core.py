@@ -76,7 +76,7 @@ def _checked(m, probs):
     return p
 
 
-def _systematic(m, p, u):
+def _systematic(m, c, u):
     """Arms hit by the points ``(u + k) * total / m``, k = 0..m-1.
 
     Arm i owns the interval [c[i-1], c[i]) of the cumulative marginals c,
@@ -85,7 +85,6 @@ def _systematic(m, p, u):
     total itself, where the top point lands when ``u + m - 1`` rounds up to
     m.  A draw that is not m distinct arms raises; it is never repaired.
     """
-    c = p.cumsum()
     total = float(c[-1])
     step = total / m
     points = [(u + k) * step for k in range(m)]
@@ -100,7 +99,7 @@ def _systematic(m, p, u):
     return idx
 
 
-def dep_round(m, probs, rng, validate=True):
+def dep_round(m, probs, rng, cumulative=None):
     """Sample exactly ``m`` distinct arm indices with the given marginals.
 
     Systematic sampling (Madow 1949; Tille, Sampling Algorithms, 2006,
@@ -113,10 +112,10 @@ def dep_round(m, probs, rng, validate=True):
     and never is.  The draw uses exactly one double of ``rng`` and returns
     the indices in increasing order.
 
-    ``validate=False`` skips the input checks for callers that constructed
-    the marginals themselves (the learner's inner loop); the output check
-    always runs.
+    ``cumulative`` is ``probs.cumsum()``, passed by a caller that built and
+    checked the marginals itself (the learner's cached plan); the input
+    checks and the sum are then skipped.  The output check always runs.
     """
-    p = _checked(m, probs) if validate else np.asarray(probs, dtype=float)
-    return _systematic(m, p, rng.random())
-
+    if cumulative is None:
+        cumulative = _checked(m, probs).cumsum()
+    return _systematic(m, cumulative, rng.random())

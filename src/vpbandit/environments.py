@@ -178,7 +178,8 @@ def synthesize_intrusion_trace(
         while t < duration:
             length = rng.uniform(lo, hi)
             first = int(t / round_window)
-            last = min(horizon - 1, int((t + length) / round_window))
+            # bounded before int(): at a tiny round_window the quotient is inf
+            last = int(min(horizon - 1, (t + length) / round_window))
             indicators[first : last + 1, arm] = 1
             t += length + rng.uniform(0.5, 1.5) * mean_gap
     meta = {

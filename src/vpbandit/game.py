@@ -10,6 +10,14 @@ depend on the other's current choice.
 The learners mutate their weights in place.  ``Exp3MVPLearner`` is the
 package's one implementation of the variable-play learner; ``bandit_core``
 supplies its capping and subset-sampling steps.
+
+The defender's weights move only in rounds where it catches the attacker,
+so the learner caches a plan per play count m: the marginals, the capped
+set and the cumulative marginals that ``dep_round`` takes as its
+``cumulative`` argument.  A plan is built the first time m is played and
+dropped when the weights are assigned or an update moves a weight.  With
+play counts in [a, b] at most (b - a + 1) plans exist, each two arrays of
+N floats plus the capped indices, all read-only.
 """
 
 import functools
@@ -43,7 +51,12 @@ def _tuned_eta(n_arms, a, b, horizon):
 class Exp3MVPLearner:
     """Variable-play learner: capped exponential weights, subsets drawn by
     systematic sampling, and importance-weighted multiplicative updates of
-    the uncapped arms."""
+    the uncapped arms.
+
+    Each play count's plan is cached until the weights are assigned or an
+    update moves one (see the module docstring), so callers must not change
+    the weights in place.
+    """
 
     def __init__(self, n_arms, eta):
         if not 0.0 < eta < 1.0:
@@ -61,6 +74,7 @@ class Exp3MVPLearner:
         # the running maximum that ``marginals`` and ``update`` read
         self._weights = w
         self._max = float(w.max())
+        self._plans = {}
 
     def marginals(self, m):
         """Selection marginals for playing ``m`` of the ``N`` arms.
@@ -69,8 +83,13 @@ class Exp3MVPLearner:
         remaining probability mass is mixed with uniform exploration eta/N.
         Returns ``(probs, capped)``: ``probs`` sums to ``m``, and ``capped``
         holds the indices pinned at exactly 1 (``None`` when nothing is
-        capped).
+        capped).  Both are the cached plan's read-only arrays.
         """
+        probs, capped, _ = self._plans.get(m) or self._plan(m)
+        return probs, capped
+
+    def _plan(self, m):
+        """Build and cache ``(probs, capped, cumulative)`` for play count m."""
         w = self._weights
         n = self.n_arms
         if not 1 <= m < n:
@@ -91,12 +110,17 @@ class Exp3MVPLearner:
         if capped is not None:
             # algebraically exactly 1; pin it so downstream code can rely on it
             probs[capped] = 1.0
-        return probs, capped
+            capped.flags.writeable = False
+        cumulative = probs.cumsum()
+        probs.flags.writeable = False
+        cumulative.flags.writeable = False
+        plan = self._plans[m] = (probs, capped, cumulative)
+        return plan
 
     def play(self, m, rng):
         """Draw the scan set for this round; returns (chosen, probs, capped)."""
-        probs, capped = self.marginals(m)
-        chosen = dep_round(m, probs, rng, validate=False)
+        probs, capped, cumulative = self._plans.get(m) or self._plan(m)
+        chosen = dep_round(m, probs, rng, cumulative=cumulative)
         return chosen, probs, capped
 
     def update(self, chosen, rewards, probs, capped):
@@ -105,7 +129,7 @@ class Exp3MVPLearner:
         Rewards are nonnegative, so a moved weight only grows and the new
         maximum is the larger of the running maximum and the moved weights;
         dividing by it leaves the maximum at exactly 1.0.  The rescale is
-        skipped when no weight moved.
+        skipped, and the cached plans kept, when no weight moved.
         """
         w = self._weights
         coef = len(chosen) * self.eta / self.n_arms
@@ -127,9 +151,7 @@ class Exp3MVPLearner:
         if moved:
             w /= top
             self._max = 1.0
-
-    def normalized_weights(self):
-        return self.weights / self.weights.sum()
+            self._plans = {}
 
 
 class Exp3Attacker:
@@ -162,13 +184,17 @@ class Exp3Attacker:
         return (1.0 - self.eta) * self.weights[arm] / total + self.eta / self.n_arms
 
     def update(self, arm, reward):
+        if not reward:
+            return  # the factor is exp(0) = 1: no weight moves
         p = self.selection_probability(arm)
         xhat = (self.eta / self.n_arms) * reward / p
-        self.weights[arm] *= math.exp(xhat * self._log1p_iota)
-        if self.weights[arm] > self._max:
-            self._max = self.weights[arm]
-            if self._max > 1e100:
-                self.weights /= self._max
+        w = self.weights
+        v = float(w[arm]) * math.exp(xhat * self._log1p_iota)
+        w[arm] = v
+        if v > self._max:
+            self._max = v
+            if v > 1e100:
+                w /= v
                 self._max = 1.0
 
 
@@ -257,7 +283,6 @@ class SinglePlayerRun:
     round_rewards: np.ndarray  # learner's reward per round
     cumulative_reward: np.ndarray  # G(t) curve
     eta: float
-    normalized_weights: np.ndarray = None  # (T, N) if recorded
     marginals: np.ndarray = None  # (T, N) selection marginals if recorded
 
 
@@ -277,7 +302,6 @@ def run_single_player(spec, rng, record_weights=False):
         rewards = bernoulli_rewards(spec.env, horizon, env_rng)
     play_counts = np.empty(horizon, dtype=int)
     round_rewards = np.empty(horizon)
-    weights = np.empty((horizon, n)) if record_weights else None
     margs = np.empty((horizon, n)) if record_weights else None
     counts = None if needs_ma else sample_arm_counts(spec.scaling, horizon, scale_rng).tolist()
     for t in range(horizon):
@@ -287,7 +311,6 @@ def run_single_player(spec, rng, record_weights=False):
         obs = y[chosen]
         obs_list = obs.tolist()
         if record_weights:
-            weights[t] = learner.normalized_weights()
             margs[t] = probs
         learner.update(chosen.tolist(), obs_list, probs, capped)
         play_counts[t] = m
@@ -302,7 +325,6 @@ def run_single_player(spec, rng, record_weights=False):
         round_rewards=round_rewards,
         cumulative_reward=np.cumsum(round_rewards),
         eta=eta,
-        normalized_weights=weights,
         marginals=margs,
     )
 

@@ -261,7 +261,8 @@ class TestDepRound:
         assert chosen.tolist() == [0, 2]
         # the points are spread over the actual total, so the same marginals
         # at a quarter of the scale draw the same arms
-        chosen = dep_round(2, np.full(4, 0.125), _FixedUniform(0.25), validate=False)
+        p = np.full(4, 0.125)
+        chosen = dep_round(2, p, _FixedUniform(0.25), cumulative=p.cumsum())
         assert chosen.tolist() == [0, 2]
 
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
@@ -296,8 +297,9 @@ class TestDepRound:
     def test_unchecked_marginal_above_one_raises(self):
         # the interval [0, 1.5) of arm 0 holds both points 0 and 1: the
         # duplicate is reported, not repaired
+        p = np.array([1.5, 0.5, 0.0])
         with pytest.raises(InvalidMarginalsError):
-            dep_round(2, np.array([1.5, 0.5, 0.0]), _FixedUniform(0.0), validate=False)
+            dep_round(2, p, _FixedUniform(0.0), cumulative=p.cumsum())
 
     def test_one_draw_uses_one_double(self):
         r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
@@ -356,6 +358,84 @@ class TestMultiPlayRound:
             assert abs(mean[i] - y[i]) <= 4 * math.sqrt(var / draws) + 1e-12
 
 
+_WEIGHT = st.floats(1e-3, 1e3)
+
+
+def _weight_vector(data, n):
+    w = np.array(data.draw(st.lists(_WEIGHT, min_size=n, max_size=n)))
+    if data.draw(st.booleans()):
+        w[data.draw(st.integers(0, n - 1))] = 1e6  # capping fires for m >= 2
+    return w
+
+
+def _bits(a):
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+
+class TestPlanCache:
+    """The learner's cached per-play-count plans against a fresh learner."""
+
+    def _check_plans(self, learner, eta):
+        for m, (probs, capped, cumulative) in learner._plans.items():
+            fresh_probs, fresh_capped = _learner(learner.weights.copy(), eta).marginals(m)
+            assert _bits(probs) == _bits(fresh_probs)
+            assert _bits(capped) == _bits(fresh_capped)
+            assert _bits(cumulative) == _bits(fresh_probs.cumsum())
+            assert not probs.flags.writeable and not cumulative.flags.writeable
+            assert capped is None or not capped.flags.writeable
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_plans_match_a_fresh_learner(self, data):
+        n = data.draw(st.integers(2, 12))
+        eta = data.draw(st.floats(0.01, 0.9))
+        learner = _learner(_weight_vector(data, n), eta)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        steps = st.sampled_from(["marginals", "play", "update", "assign"])
+        for step in data.draw(st.lists(steps, min_size=1, max_size=20)):
+            m = data.draw(st.integers(1, n - 1))
+            if step == "assign":
+                learner.weights = _weight_vector(data, n)
+                assert not learner._plans
+            elif step == "marginals":
+                # the cached plan's arrays, which _check_plans compares
+                probs, capped = learner.marginals(m)
+                assert probs is learner._plans[m][0] and capped is learner._plans[m][1]
+            elif step == "play":
+                fresh_probs, _ = _learner(learner.weights.copy(), eta).marginals(m)
+                twin = np.random.default_rng()
+                twin.bit_generator.state = rng.bit_generator.state
+                chosen, probs, _ = learner.play(m, rng)
+                assert chosen.tolist() == dep_round(m, fresh_probs, twin).tolist()
+                assert not probs.flags.writeable
+            else:
+                chosen, probs, capped = learner.play(m, rng)
+                rewards = data.draw(
+                    st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=m, max_size=m)
+                )
+                frozen = set() if capped is None else set(capped.tolist())
+                moving = any(y and j not in frozen for j, y in zip(chosen.tolist(), rewards))
+                before = list(learner._plans.values())
+                learner.update(chosen.tolist(), rewards, probs, capped)
+                after = list(learner._plans.values())
+                if moving:
+                    assert not after  # no plan survives a moving update
+                else:
+                    assert len(after) == len(before)
+                    assert all(a is b for a, b in zip(after, before))
+            self._check_plans(learner, eta)
+
+    def test_plan_arrays_reject_writes(self):
+        learner = _learner([10.0, 1.0, 1.0, 1.0], 0.2)
+        probs, capped = learner.marginals(2)
+        with pytest.raises(ValueError):
+            probs[0] = 0.5
+        with pytest.raises(ValueError):
+            capped[0] = 1
+        with pytest.raises(ValueError):
+            learner._plans[2][2][0] = 0.0
+
+
 class TestHedge:
     # Exp3Attacker keeps weights (1 + iota) ** cumulative_estimate; its
     # weight-proportional part is the hedge distribution
@@ -387,6 +467,15 @@ class TestHedge:
         assert np.all(np.isfinite(att.weights)) and att.weights.max() <= 1e100
         probs = [att.selection_probability(a) for a in range(2)]
         assert np.all(np.isfinite(probs)) and sum(probs) == pytest.approx(1.0)
+
+    def test_zero_reward_is_a_no_op(self):
+        att = Exp3Attacker(3, eta=0.5, iota=1.0)
+        att.update(1, 1.0)
+        weights, top = att.weights.copy(), att._max
+        att.update(1, 0.0)
+        att.update(2, 0.0)
+        assert att.weights.tobytes() == weights.tobytes() and att._max == top
+        assert type(att._max) is float
 
 
 class TestSinglePlayRound:

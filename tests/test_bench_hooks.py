@@ -3,12 +3,14 @@
 ``perfbench/tracing.py`` wraps functions and methods at the names their
 callers look up.  A renamed or moved function would make it fail with a
 ``KeyError`` when the benchmark runs, so every name it patches is checked
-here, reading ``perfbench/`` without changing it.
+here, reading ``perfbench/`` without changing it.  The simulation loops must
+also still call the wrapped names: each round draws through ``game.dep_round``.
 """
 
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 from vpbandit import analysis, baselines, cli, environments, game, scaling
@@ -41,3 +43,37 @@ def test_every_traced_name_exists(plan):
         if attr not in vars(owner)
     ]
     assert not missing
+
+
+def _counting_dep_round(monkeypatch):
+    calls = []
+    dep_round = game.dep_round
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return dep_round(*args, **kwargs)
+
+    monkeypatch.setattr(game, "dep_round", counting)
+    return calls
+
+
+def test_game_draws_through_dep_round_every_round(monkeypatch):
+    # the benchmark's subset-sampling span wraps ``game.dep_round``: a
+    # shortcut past it would leave that span empty
+    calls = _counting_dep_round(monkeypatch)
+    config = game.GameConfig(
+        n_arms=10, horizon=600, scaling=scaling.ScalingSpec.uniform(1, 4), seed=3
+    )
+    trace = game.run_game(config)
+    assert calls == trace.play_counts.tolist()
+
+
+def test_single_player_draws_through_dep_round_every_round(monkeypatch):
+    calls = _counting_dep_round(monkeypatch)
+    spec = game.SinglePlayerSpec(
+        env=environments.BernoulliEnv.harmonic(10),
+        scaling=scaling.ScalingSpec.truncated_gaussian(1, 3, mean=2.0, std=0.8),
+        horizon=600,
+    )
+    run = game.run_single_player(spec, np.random.default_rng(5))
+    assert calls == run.play_counts.tolist()

@@ -698,9 +698,10 @@ def _is_number(v):
 
 
 # Values of a number key's type, mostly out of its range.  A round window of
-# 1e-9 asks for a trace over ingest's bound on rounds × arms.
+# 1e-9 asks for a trace over ingest's bound on rounds × arms; one of 1e-320
+# puts a burst's end round at infinity.
 _NUMBER = st.one_of(
-    st.integers(-1, 7), st.sampled_from([-1.0, 0.0, 1e-9, 1e-3, 1.0, 2.5, 1e300])
+    st.integers(-1, 7), st.sampled_from([-1.0, 0.0, 1e-320, 1e-9, 1e-3, 1.0, 2.5, 1e300])
 )
 
 

@@ -83,6 +83,14 @@ class TestSyntheticTrace:
         )
         assert np.all(tr.indicators == 1)
 
+    def test_subnormal_round_window_saturates_the_bursts(self):
+        # (t + length) / 1e-320 is inf: the burst runs to the last round
+        tr = synthesize_intrusion_trace(
+            4, attacked=(1,), horizon=30, round_window=1e-320, rng=np.random.default_rng(0)
+        )
+        assert tr.indicators[:, 1].tolist() == [1] * 30
+        assert not tr.indicators[:, [0, 2, 3]].any()
+
     def test_only_attacked_columns_are_nonzero(self):
         tr = synthesize_intrusion_trace(
             26, attacked=(3, 17), horizon=7000, rng=np.random.default_rng(2)

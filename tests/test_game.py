@@ -280,13 +280,23 @@ class TestSinglePlayer:
         with pytest.raises(InvalidConfigError, match="exceeds the trace's 4 rounds"):
             SinglePlayerSpec(env=tr, scaling=ScalingSpec.uniform(1, 2), horizon=5)
 
-    def test_run_records_consistent_curves(self):
+    def test_run_records_consistent_curves(self, monkeypatch):
         spec = SinglePlayerSpec(
             env=BernoulliEnv.harmonic(6),
             scaling=ScalingSpec.uniform(1, 3),
             eta=0.1,
             horizon=400,
         )
+        # each round's normalized weights, after the draw and before the update
+        normalized = []
+        play = Exp3MVPLearner.play
+
+        def recording(self, m, rng):
+            out = play(self, m, rng)
+            normalized.append(self.weights / self.weights.sum())
+            return out
+
+        monkeypatch.setattr(Exp3MVPLearner, "play", recording)
         run = run_single_player(spec, np.random.default_rng(7), record_weights=True)
         assert run.reward_matrix.shape == (400, 6)
         assert np.all(run.play_counts >= 1) and np.all(run.play_counts <= 3)
@@ -298,7 +308,8 @@ class TestSinglePlayer:
             run.marginals.sum(axis=1), run.play_counts, atol=1e-9
         )
         # normalized weight rows sum to 1
-        np.testing.assert_allclose(run.normalized_weights.sum(axis=1), 1.0)
+        assert len(normalized) == 400
+        np.testing.assert_allclose(np.array(normalized).sum(axis=1), 1.0)
 
     def test_running_maximum_is_the_weights_maximum(self, monkeypatch):
         # the benchmark's regret instance at its tuned eta, where capping
