@@ -2,16 +2,13 @@
 pursuit-evasion game built on them."""
 
 from .analysis import (
-    BoundInterval,
     RegretReport,
+    attacker_value,
     corollary11_eta,
-    equilibrium_values,
     g_max,
     g_max_curve,
-    kstar_interval,
     pseudo_regret,
     theorem1_bound,
-    theorem2_bounds,
 )
 from .bandit_core import cap_threshold, dep_round
 from .baselines import FrequentistState, epsilon_greedy_select, ucb1_select

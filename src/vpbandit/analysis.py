@@ -1,4 +1,4 @@
-"""Hindsight optima, regret accounting, and closed-form bound evaluators.
+"""Hindsight optima, regret accounting, closed-form bounds and the game value.
 
 The hindsight optimum G_max (``g_max``, ``g_max_curve``) is the best nested
 family of arm sets: an ordering of arms whose rank-j arm is scanned in every
@@ -238,19 +238,6 @@ def corollary11_eta(n, a, b, horizon):
     return eta, ceiling
 
 
-def equilibrium_values(n, nu):
-    """Long-run average rewards (defender, attacker) = (nu/N, (N-nu)/N)."""
-    if not 0 < nu < n:
-        raise InvalidParameterError(f"need 0 < nu < N, got nu={nu} N={n}")
-    return nu / n, (n - nu) / n
-
-
-def theorem2_bounds(n, a, b):
-    """Greedy-attacker average-reward interval ((N-b)/N, (N-a)/N)."""
-    check_nab(n, a, b)
-    return (n - b) / n, (n - a) / n
-
-
 def check_nab(n, a, b):
     """Reject play-count bounds outside 1 <= a <= b < N."""
     if not 1 <= a <= b < n:
@@ -258,51 +245,53 @@ def check_nab(n, a, b):
 
 
 # ---------------------------------------------------------------------------
-# heterogeneous-payoff interval
+# value of the game
 
 
-@dataclass
-class BoundInterval:
-    """Attacker average-reward interval under heterogeneous payoffs.
+def attacker_value(profile, law):
+    """The attacker's equilibrium payoff V and its support size K*, as ``(V, K*)``.
 
-    Uses the harmonic-sum form (K - c) / sum_{j<=K} (1/mu_j): the support of
-    the optimal attack distribution is the K highest-payoff locations played
-    inversely proportional to their payoffs.  The theorem statement's
-    denominator differs (sum of mu rather than of 1/mu); both coincide for
-    homogeneous payoffs, and the harmonic form is the one the optimization
-    actually attains.
-    """
+    ``profile.mu`` is non-increasing (``PayoffProfile`` canonicalizes) and
+    ``law`` is ``(counts, probs, mean)`` of the defender's play count M
+    (``ScalingSpec.law``; a cut size c is ``((c,), (1.0,), c)``).  With
+    H_K = sum_{j<=K} 1/mu_j, V = max_K E[(K - M)^+] / H_K over the integers K
+    above min M, ties to the smallest K: the attacker plays its top K*
+    locations in proportion to 1/mu, which equalizes mu_i d_i on the support
+    as in ORIGAMI (Kiekintveld et al., AAMAS 2009).  mu = 1 gives the paper's
+    equilibrium (N - E[M]) / N, and the point laws at b and a its Theorem 2
+    interval; for any payoffs those two bound V of every law on [a, b].  The
+    paper's heterogeneous-payoff bound divides by sum_j mu_j, not by
+    sum_j 1/mu_j; both agree for equal payoffs, and the harmonic form is the
+    one the optimization attains.
 
-    lower: float
-    upper: float
-    kstar_lower: int
-    kstar_upper: int
+    Proof.  Let g_i = mu_i d_i for the attacker's mix d, and g_(j) its j-th
+    largest value.  The defender sees M = m, and its best reply scans the m
+    largest g, so the attacker earns f(d) = sum_j g_(j) P(M < j).  Playing d
+    in proportion to 1/mu on the top K locations gives f = E[(K - M)^+] / H_K.
+    Telescoping g_(j) = sum_{K>=j} lam_K, with lam_K = g_(K) - g_(K+1) >= 0,
+    gives f(d) = sum_K lam_K E[(K - M)^+] <= V sum_K lam_K H_K, and
+    sum_K lam_K H_K <= sum_i g_i / mu_i = 1, as H_K is the smallest
+    reciprocal sum over any K locations; so f(d) <= V.  The defender's
+    reward s = mu_I - r differs from -r by a function of the attacker's
+    action alone, so the game is strategically zero-sum and V is the
+    attacker's equilibrium payoff.
 
-
-def kstar_interval(profile, a, b):
-    """Interval bounding the attacker's long-run average reward.
-
-    ``profile.mu`` must be non-increasing (PayoffProfile canonicalizes).
-    The endpoint for cut size c is max over K in {c+1, ..., N} of
-    (K - c) / sum_{j<=K} 1/mu_j, with c = a for the upper endpoint and
-    c = b for the lower; ties go to the smallest K.
+    E[(K - M)^+] is taken as (K - mean) + sum_k P(k) (k - K)^+, whose second
+    term is exactly 0.0 for K >= max M, so the closed forms hold bit for bit.
     """
     mu = np.asarray(profile.mu, dtype=float)
+    counts, probs, mean = np.asarray(law[0]), np.asarray(law[1]), law[2]
     n = mu.size
-    check_nab(n, a, b)
+    if counts.min() <= 0 or counts.max() >= n:
+        raise InvalidParameterError(f"play counts must lie in (0, {n}), got {counts.tolist()}")
     if np.any(np.diff(mu) > 0):
         raise InvalidParameterError("payoffs must be sorted non-increasing")
     harmonic = np.cumsum(1.0 / mu)  # harmonic[k-1] = sum_{j<=k} 1/mu_j
-
-    def best(c):
-        ks = np.arange(c + 1, n + 1)
-        vals = (ks - c) / harmonic[ks - 1]
-        i = int(np.argmax(vals))  # argmax takes the first (smallest K) on ties
-        return float(vals[i]), int(ks[i])
-
-    upper, k_up = best(a)
-    lower, k_lo = best(b)
-    return BoundInterval(lower=lower, upper=upper, kstar_lower=k_lo, kstar_upper=k_up)
+    ks = np.arange(math.floor(counts.min()) + 1, n + 1)
+    excess = (np.maximum(counts - ks[:, None], 0) * probs).sum(axis=1)
+    vals = ((ks - mean) + excess) / harmonic[ks - 1]
+    i = int(np.argmax(vals))  # argmax takes the first (smallest K) on ties
+    return float(vals[i]), int(ks[i])
 
 
 # ---------------------------------------------------------------------------

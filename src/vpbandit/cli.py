@@ -308,14 +308,21 @@ def _environment(section, seed_seq):
 # the replica worker count
 
 
+def _equilibrium_items(payoff, law):
+    """Game-value summary lines; the defender's, mu_1 nu / N, for equal payoffs only."""
+    mu = payoff.mu
+    items = [("equilibrium_defender", mu[0] * law[2] / mu.size)] if mu[0] == mu[-1] else []
+    return items + [("equilibrium_attacker", analysis.attacker_value(payoff, law)[0])]
+
+
 def _run_bounds(cfg, out_dir, workers):
     n, a, b = cfg["n"], cfg["a"], cfg["b"]
-    items = []
-    lo, hi = analysis.theorem2_bounds(n, a, b)
-    items += [("theorem2_lower", lo), ("theorem2_upper", hi)]
+    analysis.check_nab(n, a, b)
+    flat = PayoffProfile.homogeneous(n)
+    lo, hi = (analysis.attacker_value(flat, ((c,), (1.0,), c))[0] for c in (b, a))
+    items = [("theorem2_lower", lo), ("theorem2_upper", hi)]
     if "nu" in cfg:
-        d, at = analysis.equilibrium_values(n, cfg["nu"])
-        items += [("equilibrium_defender", d), ("equilibrium_attacker", at)]
+        items += _equilibrium_items(flat, ((cfg["nu"],), (1.0,), cfg["nu"]))
     if "horizon" in cfg:
         eta, ceiling = analysis.corollary11_eta(n, a, b, cfg["horizon"])
         items += [("tuned_eta", eta), ("regret_ceiling", ceiling)]
@@ -428,10 +435,9 @@ def _run_game(cfg, out_dir, workers):
         ("defender_tail_mean", def_tail),
         ("tail_rounds", tail),
     ]
-    nu = scaling.stationary_mean()
-    if nu is not None and 0 < nu < config.n_arms:
-        d_eq, a_eq = analysis.equilibrium_values(config.n_arms, nu)
-        items += [("equilibrium_defender", d_eq), ("equilibrium_attacker", a_eq)]
+    law = scaling.law()
+    if law is not None:
+        items += _equilibrium_items(config.payoff, law)
     _write_summary(os.path.join(out_dir, "summary.txt"), items)
 
 
@@ -454,11 +460,11 @@ def _run_ingest(cfg, out_dir, workers):
 def _run_sweep(cfg, out_dir, workers):
     n, a, b, steps = cfg["n"], cfg["a"], cfg["b"], cfg["steps"]
     analysis.check_nab(n, a, b)  # before n sizes any payoff profile
-    _write_manifest(out_dir, {**cfg, "interval_form": "harmonic"})
     mus = np.linspace(cfg["mu_min"], cfg["mu_max"], steps)
-    intervals = [analysis.kstar_interval(PayoffProfile.homogeneous(n, mu), a, b) for mu in mus]
-    lower = np.array([iv.lower for iv in intervals])
-    upper = np.array([iv.upper for iv in intervals])
+    profiles = (PayoffProfile.homogeneous(n, mu) for mu in mus)
+    values = [[analysis.attacker_value(p, ((c,), (1.0,), c))[0] for c in (b, a)] for p in profiles]
+    lower, upper = np.array(values).T
+    _write_manifest(out_dir, {**cfg, "interval_form": "harmonic"})
     write_csv(os.path.join(out_dir, "sweep.csv"), ["mu", "lower", "upper"], [mus, lower, upper])
     _write_summary(os.path.join(out_dir, "summary.txt"), [("points", steps)])
 

@@ -519,6 +519,9 @@ class PayoffProfile:
         mu = np.asarray(self.mu, dtype=float)
         if np.any(mu <= 0) or np.any(mu > 1):
             raise InvalidConfigError("payoffs must lie in (0, 1]")
+        with np.errstate(over="ignore"):  # the game value sums reciprocal payoffs
+            if not np.isfinite(np.sum(1.0 / mu)):
+                raise InvalidConfigError(f"payoffs' reciprocal sum overflows at {mu.min():.3g}")
         if self.order is None:
             self.order = np.argsort(-mu, kind="stable")
             mu = mu[self.order]

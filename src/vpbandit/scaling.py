@@ -4,10 +4,10 @@ The play count is produced by a pluggable rule bounded by integers
 ``a <= M_t <= b``, and this module alone knows its law: ``sample_arm_counts``
 draws the whole sequence of a stateless kind in one batch,
 ``sample_arm_count`` decides one round of ``budget_threshold``, and
-``ScalingSpec.stationary_mean`` gives nu = E[M_t] for every stateless
-kind.  The ``budget_threshold`` kind is our own illustrative rule (the
-contract only requires boundedness), combining a resource budget with the
-number of arms whose recent reward average looks active.
+``ScalingSpec.law`` gives the exact law of M_t for every stateless kind.
+The ``budget_threshold`` kind is our own illustrative rule (the contract
+only requires boundedness), combining a resource budget with the number of
+arms whose recent reward average looks active.
 """
 
 import math
@@ -111,22 +111,26 @@ class ScalingSpec:
         if self.b >= n_arms:
             raise InvalidSpecError(f"b={self.b} must be < number of arms {n_arms}")
 
-    def stationary_mean(self):
-        """Stationary mean of the play count; ``None`` for ``budget_threshold``.
+    def law(self):
+        """Exact law of the play count, ``(counts, probs, mean)``.
 
+        ``None`` for ``budget_threshold``, whose count follows the rewards.
         The truncated Gaussian rounds to k with probability proportional to
-        P(k - 1/2 <= X <= k + 1/2), so its mean is sum_k k P(k).
+        P(k - 1/2 <= X <= k + 1/2), so its mean is sum_k k P(k); an interval
+        symmetric about the Gaussian mean keeps that mean exactly.
         """
         if self.kind == "constant":
-            return float(self.m)
+            return (self.m,), (1.0,), float(self.m)
+        counts = tuple(range(self.a, self.b + 1))
         if self.kind == "uniform_discrete":
-            return 0.5 * (self.a + self.b)
+            return counts, (1.0 / len(counts),) * len(counts), 0.5 * (self.a + self.b)
         if self.kind == "truncated_gaussian":
+            masses = [self._gaussian_mass(k - 0.5, k + 0.5) for k in counts]
+            total = math.fsum(masses)
+            probs = tuple(p / total for p in masses)
             if abs((self.mean - self.a) - (self.b - self.mean)) < 1e-12:
-                return float(self.mean)  # symmetric interval keeps the mean
-            ks = range(self.a, self.b + 1)
-            masses = [self._gaussian_mass(k - 0.5, k + 0.5) for k in ks]
-            return math.fsum(k * p for k, p in zip(ks, masses)) / math.fsum(masses)
+                return counts, probs, float(self.mean)
+            return counts, probs, math.fsum(k * p for k, p in zip(counts, masses)) / total
         return None
 
     @classmethod

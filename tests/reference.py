@@ -69,3 +69,38 @@ def g_max_curve(reward_matrix, play_counts):
         rows, cols = linear_sum_assignment(gains, maximize=True)
         out[t] = gains[rows, cols].sum()
     return out
+
+
+def attacker_value_lp(mu, counts, probs):
+    """The attacker's value of the mixed game, as one scipy ``linprog`` (HiGHS).
+
+    The attacker mixes d over the N locations and earns mu_i at location i
+    unless it is scanned; the defender sees the play count m, drawn with
+    probability ``probs[k]`` from ``counts[k]``, and scans the m locations
+    of largest mu_i d_i.  Each top-m sum is replaced by its LP dual,
+    min m t + sum_i u_i over u_i >= mu_i d_i - t, u >= 0, so the max-min is
+    one linear program over (d, then t_m and u_m for each count m).
+    """
+    from scipy.optimize import linprog
+
+    mu = np.asarray(mu, dtype=float)
+    n, k = mu.size, len(counts)
+    width = n + k * (n + 1)
+    cost = np.zeros(width)
+    cost[:n] = -mu  # maximize sum_m P(m) (sum_i mu_i d_i - m t_m - sum_i u_{m,i})
+    rows = np.zeros((k * n, width))
+    for j, (m, p) in enumerate(zip(counts, probs)):
+        t = n + j * (n + 1)
+        cost[t] = p * m
+        cost[t + 1 : t + 1 + n] = p
+        block = rows[j * n : (j + 1) * n]
+        block[:, :n] = np.diag(mu)  # mu_i d_i - t_m - u_{m,i} <= 0
+        block[:, t] = -1.0
+        block[:, t + 1 : t + 1 + n] = -np.eye(n)
+    bounds = [(0, None)] * n + ([(None, None)] + [(0, None)] * n) * k
+    res = linprog(
+        cost, A_ub=rows, b_ub=np.zeros(k * n), A_eq=np.ones((1, width)) * (np.arange(width) < n),
+        b_eq=[1.0], bounds=bounds, method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun

@@ -12,16 +12,14 @@ import os
 import mpmath
 import numpy as np
 
-from reference import dep_round_many
+from reference import attacker_value_lp, dep_round_many
 from vpbandit import cli
 from vpbandit.analysis import (
+    attacker_value,
     corollary11_eta,
-    equilibrium_values,
     g_max,
-    kstar_interval,
     pseudo_regret,
     theorem1_bound,
-    theorem2_bounds,
 )
 from vpbandit.environments import BernoulliEnv, PayoffProfile, synthesize_intrusion_trace
 from vpbandit.game import (
@@ -55,7 +53,9 @@ def test_equilibrium_of_the_two_player_game():
     traces = run_game_replicas(config, 20)
     att = float(np.mean([t.attacker_reward[-20_000:].mean() for t in traces]))
     dfd = float(np.mean([t.defender_reward[-20_000:].mean() for t in traces]))
-    d_eq, a_eq = equilibrium_values(10, 2)
+    a_eq, _ = attacker_value(PayoffProfile.homogeneous(10), config.scaling.law())
+    d_eq = 2 / 10
+    assert a_eq == 0.8
     assert abs(att - a_eq) <= 0.03
     assert abs(dfd - d_eq) <= 0.03
 
@@ -185,63 +185,47 @@ def test_hindsight_optimum_equals_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# support-size optimum against a simplex grid
+# game value against a linear program of the mixed game
 
 
-def _grid_objective(d, mu, c):
-    """Attack value of mixed strategies d: payoff mass minus what the best
-    fixed c-subset of scanners takes back.  d has shape (batch, N)."""
-    g = d * mu
-    top_c = np.sort(g, axis=1)[:, -c:].sum(axis=1)
-    return g.sum(axis=1) - top_c
+def _point(c):
+    return (c,), (1.0,), c
 
 
-def _grid_oracle_upper(mu, c, final_step=1e-4):
-    """Maximize the attack value over the probability simplex by zooming
-    grids: a coarse pass, then finer passes in a box around the incumbent.
-    The objective is concave (a minimum of linear functions), so the zoom
-    cannot get trapped away from the optimum."""
-    n = mu.size
-    step = 1.0 / 25.0
-    center = np.full(n, 1.0 / n)
-    radius = 1.0  # first pass covers the whole simplex
-    while True:
-        lo = np.maximum(center - radius, 0.0)
-        hi = np.minimum(center + radius, 1.0)
-        axes = [np.arange(lo[k], hi[k] + step / 2, step) for k in range(n - 1)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        d = np.stack([g.ravel() for g in mesh], axis=1)
-        last = 1.0 - d.sum(axis=1)
-        keep = last >= -1e-12
-        d = np.column_stack([d[keep], np.clip(last[keep], 0.0, None)])
-        vals = _grid_objective(d, mu, c)
-        best = int(np.argmax(vals))
-        center = d[best]
-        if step <= final_step:
-            return float(vals[best])
-        radius = 4.0 * step
-        step = max(final_step, step / 5.0)
-
-
-def test_support_size_optimum_matches_grid_search():
+def test_game_value_matches_the_linear_program():
+    # cut sizes: both endpoints of 50 random small instances
     rng = np.random.default_rng(19)
     for _ in range(50):
         n = int(rng.integers(3, 6))
         mu = np.sort(rng.uniform(0.1, 1.0, size=n))[::-1]
         a = int(rng.integers(1, n - 1))
         b = int(rng.integers(a, n))
-        prof = PayoffProfile(mu=mu)
-        interval = kstar_interval(prof, a, b)
-        assert abs(interval.upper - _grid_oracle_upper(mu, a)) <= 2e-3
+        for c in (a, b):
+            value, _ = attacker_value(PayoffProfile(mu=mu), _point(c))
+            assert abs(value - attacker_value_lp(mu, [c], [1.0])) <= 1e-9
+    # Dirichlet play-count laws on a random [a, b], a third with tied payoffs
+    rng = np.random.default_rng(31)
+    for i in range(300):
+        n = int(rng.integers(3, 31))
+        mu = rng.uniform(0.02, 1.0, size=n)
+        if i % 3 == 0:
+            mu = np.maximum(np.round(mu, 1), 0.1)
+        mu = np.sort(mu)[::-1]
+        a = int(rng.integers(1, n))
+        b = int(rng.integers(a, n))
+        counts = np.arange(a, b + 1)
+        probs = rng.dirichlet(np.ones(counts.size))
+        value, _ = attacker_value(PayoffProfile(mu=mu), (counts, probs, float(counts @ probs)))
+        assert abs(value - attacker_value_lp(mu, counts, probs)) <= 1e-9
     # homogeneous payoffs collapse to the flat-interval formulas exactly
     for n, a, b in ((10, 1, 3), (6, 2, 4), (4, 1, 2)):
-        flat = kstar_interval(PayoffProfile.homogeneous(n, 1.0), a, b)
-        lo, hi = theorem2_bounds(n, a, b)
-        assert flat.lower == lo and flat.upper == hi
+        flat = PayoffProfile.homogeneous(n, 1.0)
+        assert attacker_value(flat, _point(b)) == ((n - b) / n, n)
+        assert attacker_value(flat, _point(a)) == ((n - a) / n, n)
 
 
 # ---------------------------------------------------------------------------
-# heterogeneous game rewards stay inside the predicted interval
+# heterogeneous game rewards: inside the predicted interval, at the game value
 
 
 def test_heterogeneous_game_reward_containment():
@@ -249,17 +233,15 @@ def test_heterogeneous_game_reward_containment():
     for k in range(10):
         mu = np.sort(rng.uniform(0.4, 1.0, size=10))[::-1]
         prof = PayoffProfile(mu=mu)
-        interval = kstar_interval(prof, 1, 3)
-        config = GameConfig(
-            n_arms=10,
-            horizon=60_000,
-            scaling=ScalingSpec.truncated_gaussian(1, 3, mean=2.0, std=0.8),
-            payoff=prof,
-            seed=500 + k,
-        )
+        scaling = ScalingSpec.truncated_gaussian(1, 3, mean=2.0, std=0.8)
+        lower, _ = attacker_value(prof, _point(3))
+        upper, _ = attacker_value(prof, _point(1))
+        value, _ = attacker_value(prof, scaling.law())
+        config = GameConfig(n_arms=10, horizon=60_000, scaling=scaling, payoff=prof, seed=500 + k)
         trace = run_game(config)
         measured = float(trace.attacker_reward[-20_000:].mean())
-        assert interval.lower - 0.02 <= measured <= interval.upper + 0.02
+        assert lower - 0.02 <= measured <= upper + 0.02
+        assert abs(measured - value) <= 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +278,12 @@ def test_closed_forms_match_high_precision_evaluation():
         assert abs(got_eta - float(ref_eta)) <= 1e-12 * max(1.0, float(ref_eta))
         assert abs(got_ceiling - float(ref_ceiling)) <= 1e-12 * float(ref_ceiling)
 
-        got_d, got_a = equilibrium_values(n, nu)
-        assert abs(got_d - float(mpmath.mpf(nu) / mn)) <= 1e-12
+        flat = PayoffProfile.homogeneous(n)
+        got_a, _ = attacker_value(flat, _point(nu))
         assert abs(got_a - float((mn - nu) / mn)) <= 1e-12
 
-        lo, hi = theorem2_bounds(n, a, b)
+        lo, _ = attacker_value(flat, _point(b))
+        hi, _ = attacker_value(flat, _point(a))
         assert abs(lo - float((mn - mb) / mn)) <= 1e-12
         assert abs(hi - float((mn - ma) / mn)) <= 1e-12
 

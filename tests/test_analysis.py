@@ -9,14 +9,12 @@ import pytest
 from reference import g_max_curve as scipy_g_max_curve
 from vpbandit.analysis import (
     _CHUNK_ELEMENTS,
+    attacker_value,
     corollary11_eta,
-    equilibrium_values,
     g_max,
     g_max_curve,
-    kstar_interval,
     pseudo_regret,
     theorem1_bound,
-    theorem2_bounds,
 )
 from vpbandit.environments import BernoulliEnv, PayoffProfile
 from vpbandit.errors import InvalidParameterError, ShapeError
@@ -193,24 +191,6 @@ class TestClosedForms:
         assert all(a >= b for a, b in zip(etas, etas[1:]))
         assert etas[0] == 1.0  # clamped at very short horizons
 
-    def test_equilibrium_values(self):
-        d, a = equilibrium_values(10, 2)
-        assert (d, a) == (0.2, 0.8)
-        for nu in range(1, 10):
-            d, a = equilibrium_values(10, nu)
-            assert d + a == pytest.approx(1.0)
-        d, _ = equilibrium_values(1000, 999)
-        assert d == pytest.approx(0.999)
-
-    def test_greedy_attacker_interval(self):
-        assert theorem2_bounds(10, 1, 3) == (pytest.approx(0.7), pytest.approx(0.9))
-        lo, hi = theorem2_bounds(10, 2, 2)
-        assert lo == hi == pytest.approx(0.8)
-        # the interval contains the stationary value for every nu in [a, b]
-        lo, hi = theorem2_bounds(10, 1, 3)
-        for nu in (1, 2, 3):
-            assert lo <= equilibrium_values(10, nu)[1] <= hi
-
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
             theorem1_bound(10.0, 5, 0, 3, 0.1)
@@ -223,35 +203,70 @@ class TestClosedForms:
         assert theorem1_bound(np.zeros(2), 10, 1, 3, 0.1).shape == (2,)
         with pytest.raises(InvalidParameterError):
             corollary11_eta(5, 1, 2, 0)
-        with pytest.raises(InvalidParameterError):
-            equilibrium_values(5, 5)
 
 
-class TestKStarInterval:
+def _point(c):
+    return (c,), (1.0,), c
+
+
+class TestAttackerValue:
+    def test_equilibrium_of_equal_payoffs(self):
+        # mu = 1: V = (N - nu)/N for every nu, on the last support size
+        flat = PayoffProfile.homogeneous(10)
+        assert attacker_value(flat, _point(2)) == (0.8, 10)
+        for nu in range(1, 10):
+            assert attacker_value(flat, _point(nu)) == ((10 - nu) / 10, 10)
+        assert attacker_value(PayoffProfile.homogeneous(1000), _point(999))[0] == 1 / 1000
+        # uniform{1, 2, 3}: sum_m P(m) (N - m)/N would give 0.7999999999999999
+        law = ScalingSpec.uniform(1, 3).law()
+        assert attacker_value(flat, law) == (0.8, 10)
+
+    def test_greedy_attacker_interval(self):
+        # Theorem 2: cut sizes b and a bound the value of every law on [a, b]
+        flat = PayoffProfile.homogeneous(10)
+        assert attacker_value(flat, _point(3))[0] == pytest.approx(0.7)
+        assert attacker_value(flat, _point(1))[0] == pytest.approx(0.9)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            prof = PayoffProfile(mu=rng.uniform(0.05, 1.0, size=10))
+            probs = rng.dirichlet(np.ones(3))
+            value, _ = attacker_value(prof, ((1, 2, 3), probs, probs @ [1, 2, 3]))
+            lower, _ = attacker_value(prof, _point(3))
+            upper, _ = attacker_value(prof, _point(1))
+            assert lower - 1e-12 <= value <= upper + 1e-12
+
     def test_homogeneous_reduces_to_flat_interval(self):
         for mu in (1.0, 0.6, 0.2):
             prof = PayoffProfile.homogeneous(10, mu)
-            interval = kstar_interval(prof, 1, 3)
-            assert interval.kstar_lower == interval.kstar_upper == 10
-            assert interval.upper == pytest.approx(mu * 9 / 10)
-            assert interval.lower == pytest.approx(mu * 7 / 10)
-        flat = kstar_interval(PayoffProfile.homogeneous(10, 1.0), 1, 3)
-        lo, hi = theorem2_bounds(10, 1, 3)
-        assert (flat.lower, flat.upper) == (pytest.approx(lo), pytest.approx(hi))
+            upper, k_up = attacker_value(prof, _point(1))
+            lower, k_lo = attacker_value(prof, _point(3))
+            assert k_lo == k_up == 10
+            assert upper == pytest.approx(mu * 9 / 10)
+            assert lower == pytest.approx(mu * 7 / 10)
 
     def test_non_monotone_support(self):
         # with payoffs (1.0, 0.5, 0.1) the third location is too weak to
         # help: the optimum stops at support size 2
-        prof = PayoffProfile(mu=np.array([1.0, 0.5, 0.1]))
-        interval = kstar_interval(prof, 1, 2)
-        assert interval.kstar_upper == 2
-        assert interval.upper == pytest.approx(1 / 3)
+        value, kstar = attacker_value(PayoffProfile(mu=np.array([1.0, 0.5, 0.1])), _point(1))
+        assert kstar == 2
+        assert value == pytest.approx(1 / 3)
+
+    def test_ties_go_to_the_smallest_support(self):
+        # payoffs (1, 1, 0.5) at cut size 1: K = 2 and K = 3 both give 1/2
+        assert attacker_value(PayoffProfile(mu=np.array([1.0, 1.0, 0.5])), _point(1)) == (0.5, 2)
 
     def test_rejects_increasing_payoffs(self):
         prof = PayoffProfile(mu=np.array([0.9, 0.5, 0.3]))
         prof.mu = prof.mu[::-1].copy()  # break the canonical order on purpose
         with pytest.raises(InvalidParameterError):
-            kstar_interval(prof, 1, 2)
+            attacker_value(prof, _point(1))
+
+    @pytest.mark.parametrize(
+        "law", [_point(0), _point(5), _point(-1.0), _point(5.5), ((1, 5), (0.5, 0.5), 3.0)]
+    )
+    def test_rejects_counts_outside_zero_to_n(self, law):
+        with pytest.raises(InvalidParameterError, match="play counts"):
+            attacker_value(PayoffProfile.homogeneous(5), law)
 
 
 class TestPseudoRegret:

@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vpbandit import cli, environments
-from vpbandit.environments import BernoulliEnv
+from vpbandit.analysis import attacker_value
+from vpbandit.environments import BernoulliEnv, PayoffProfile
 from vpbandit.errors import ShapeError
 from vpbandit.game import SinglePlayerSpec, run_single_player
 from vpbandit.scaling import ScalingSpec
@@ -176,21 +178,36 @@ class TestGame:
         # uniform{1,2} play counts have stationary mean 1.5
         assert float(summary["equilibrium_attacker"]) == pytest.approx(1 - 1.5 / 6)
 
+    def _summary(self, tmp_path, **change):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, dict(self.CFG, **change))
+        assert cli.main(["simulate-game", "--config", cfg, "--out", str(out)]) == 0
+        return dict(line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines())
+
     def test_asymmetric_truncated_gaussian_has_equilibrium_in_summary(self, tmp_path):
         scaling = {"kind": "truncated_gaussian", "a": 1, "b": 3, "mean": 1.5, "std": 0.8}
-        out = tmp_path / "out"
-        assert cli.main(
-            ["simulate-game", "--config", _write_config(tmp_path, dict(self.CFG, scaling=scaling)),
-             "--out", str(out)]
-        ) == 0
-        summary = dict(
-            line.split("=", 1)
-            for line in (out / "summary.txt").read_text().splitlines()
-        )
+        summary = self._summary(tmp_path, scaling=scaling)
         # E[M] of the law rounded from N(1.5, 0.8) on [1, 3], by mpmath at 50 digits
         nu = 1.66794657181565334620
         assert float(summary["equilibrium_defender"]) == pytest.approx(nu / 6, rel=1e-14)
         assert float(summary["equilibrium_attacker"]) == pytest.approx(1 - nu / 6, rel=1e-14)
+
+    def test_unequal_payoffs_have_the_game_value_in_summary(self, tmp_path):
+        payoff = [0.4, 0.9, 0.8, 0.55, 0.7, 0.6]
+        summary = self._summary(tmp_path, payoff=payoff)
+        value, kstar = attacker_value(
+            PayoffProfile(mu=np.array(payoff)), ScalingSpec.uniform(1, 2).law()
+        )
+        # 17 significant digits round-trip: the line is the value bit for bit
+        assert float(summary["equilibrium_attacker"]) == value
+        assert 1 < kstar < 6 and value != 1 - 1.5 / 6
+        # no defender value is derived for unequal payoffs
+        assert "equilibrium_defender" not in summary
+
+    def test_equal_payoffs_scale_the_defender_value(self, tmp_path):
+        summary = self._summary(tmp_path, payoff=[0.5] * 6)
+        assert float(summary["equilibrium_defender"]) == 0.5 * 1.5 / 6
+        assert float(summary["equilibrium_attacker"]) == pytest.approx(0.5 * (1 - 1.5 / 6))
 
     def test_seed_overrides(self, tmp_path, monkeypatch):
         cfgp = _write_config(tmp_path, self.CFG)
@@ -497,12 +514,17 @@ def _write_can_log(path):
 
 
 def _run_main(sub, cfg, cfg_path, out):
-    """(exit status, stderr lines) of one CLI run."""
+    """(exit status, stderr lines) of one CLI run.
+
+    Warnings count as stderr lines: a plain run prints them there, while
+    pytest would only record them.
+    """
     cfg_path.write_text(json.dumps(cfg))
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = cli.main([sub, "--config", str(cfg_path), "--out", str(out)])
-    return rc, err.getvalue().splitlines()
+    return rc, err.getvalue().splitlines() + [f"{w.category.__name__}: {w.message}" for w in caught]
 
 
 def _assert_one_error(rc, err, status=1):
@@ -580,6 +602,9 @@ class TestSchema:
                                  "horizon": 20, "budget": -3}),
             ("simulate-single", {"budget": 7}),
             ("bounds", {"gmax": -1e6}),
+            # a subnormal payoff overflows the harmonic sum of the game value
+            ("sweep", {"mu_min": 1e-320}),
+            ("simulate-game", {"payoff": [1.0, 1e-320, 0.5, 0.25, 1]}),
         ],
     )
     def test_bad_values_fail_before_any_output(self, tmp_path, sub, change):
@@ -721,7 +746,9 @@ def test_fuzzed_out_of_range_number_never_raises(can_log, data):
     with tempfile.TemporaryDirectory() as work:
         out = os.path.join(work, "out")
         rc, err = _run_main(sub, cfg, pathlib.Path(work) / "c.json", out)
-        if rc != 0:
+        if rc == 0:
+            assert err == []  # no warning either: a run that succeeds is silent
+        else:
             assert rc in (1, 2)
             assert len(err) == 1 and err[0].startswith("error: "), err
             assert not os.path.exists(out)

@@ -776,6 +776,13 @@ class TestPayoffs:
         with pytest.raises(InvalidConfigError):
             PayoffProfile(mu=np.array([0.5, 0.0]))
 
+    @pytest.mark.parametrize("mu", [[0.5, 1e-320], [1e-307] * 1000])
+    def test_rejects_payoffs_whose_reciprocal_sum_overflows(self, mu):
+        # one reciprocal overflows, or a thousand finite ones sum past the
+        # largest double; the game value needs their partial sums
+        with pytest.raises(InvalidConfigError, match="reciprocal sum"):
+            PayoffProfile(mu=np.array(mu))
+
 
 class TestIntrusionTrace:
     def test_validates_shape_and_labels(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vpbandit.analysis import corollary11_eta, equilibrium_values
+from vpbandit.analysis import attacker_value, corollary11_eta
 from vpbandit.environments import BernoulliEnv, PayoffProfile, synthesize_intrusion_trace
 from vpbandit.errors import InvalidConfigError, InvalidParameterError
 from vpbandit.game import (
@@ -135,7 +135,7 @@ class TestGameRuns:
         r_avg, s_avg = trace.running_averages()
         assert r_avg[-1] == pytest.approx(0.5, abs=0.05)
         assert s_avg[-1] == pytest.approx(0.5, abs=0.05)
-        assert equilibrium_values(2, 1) == (0.5, 0.5)
+        assert attacker_value(PayoffProfile.homogeneous(2), config.scaling.law()) == (0.5, 2)
 
     def test_attacker_decisions_replay_from_own_feedback(self):
         # information hygiene: the attacker's move at round t is a function

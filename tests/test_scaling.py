@@ -94,10 +94,32 @@ class TestScalingSpec:
             (ScalingSpec(kind="budget_threshold", a=1, b=3), None),
         ],
     )
-    def test_stationary_mean(self, spec, nu):
+    def test_law_mean(self, spec, nu):
         # nu = E[M_t] is known for every stateless rule; the symmetric ones
         # keep their exact centre
-        assert spec.stationary_mean() == nu
+        law = spec.law()
+        assert (None if law is None else law[2]) == nu
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ScalingSpec(kind="constant", a=1, b=3, m=2),
+            ScalingSpec.uniform(1, 4),
+            ScalingSpec.truncated_gaussian(1, 3, mean=2.0, std=0.8),
+            ScalingSpec.truncated_gaussian(1, 4, mean=2.7, std=1.1),
+        ],
+        ids=["constant", "uniform", "gaussian-symmetric", "gaussian-asymmetric"],
+    )
+    def test_law_matches_sampled_frequencies(self, spec):
+        counts, probs, mean = spec.law()
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
+        assert mean == pytest.approx(np.dot(counts, probs), rel=1e-14)
+        draws = 200_000
+        vals = sample_arm_counts(spec, draws, np.random.default_rng(5))
+        assert set(np.unique(vals)) <= set(counts)
+        for k, p in zip(counts, probs):
+            sigma = math.sqrt(p * (1 - p) / draws)
+            assert abs(np.mean(vals == k) - p) <= 5 * sigma + 1e-12, k
 
     def test_validate_for_requires_b_below_n(self):
         spec = ScalingSpec.uniform(1, 3)
