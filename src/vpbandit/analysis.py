@@ -23,26 +23,11 @@ for every prefix of the horizon at once:
 
 On integer rewards the curve equals one ``linear_sum_assignment`` per round
 bit for bit, and on real rewards to 1e-12 relative (``tests/test_analysis.py``
-holds it to that loop).  Microseconds per round of ``g_max_curve`` against
-that loop (harmonic Bernoulli rewards, play counts uniform on [1, b]; best of
-15 interleaved runs on a 2-core Xeon, Python 3.11, numpy 2.4, scipy 1.17):
-
-    ======  ======  ======  =======
-    N       b       numpy   scipy
-    ======  ======  ======  =======
-    10      3       4.9     7.5
-    100     3       11.7    15.1
-    1000    3       71      51
-    10      7       25      12
-    50      20      403     33
-    ======  ======  ======  =======
-
-It is slower than scipy by about 1.4x at (1000, 3), 2x at (10, 7) and 12x
-at (50, 20).  The lockstep search pays numpy's per-call cost at every step
-of the slowest round in a chunk, so it loses to scipy's compiled loop as b
-grows; the top-b cut takes b argmax passes over the (rounds, b, N) prefix
-gains, and at large N those prefixes cost more than scipy's solve.  Every
-``simulate-single`` configuration in the tests and the benchmark has b <= 3.
+holds it to that loop).  It beats that loop at b = 3 and N <= 100 and loses
+at larger N or b, where the lockstep search pays numpy's per-call cost at
+every step of the slowest round in a chunk; README.md tables the
+microseconds per round.  Every ``simulate-single`` configuration in the
+tests and the benchmark has b <= 3.
 """
 
 import math
@@ -251,18 +236,18 @@ def check_nab(n, a, b):
 def attacker_value(profile, law):
     """The attacker's equilibrium payoff V and its support size K*, as ``(V, K*)``.
 
-    ``profile.mu`` is non-increasing (``PayoffProfile`` canonicalizes) and
-    ``law`` is ``(counts, probs, mean)`` of the defender's play count M
-    (``ScalingSpec.law``; a cut size c is ``((c,), (1.0,), c)``).  With
-    H_K = sum_{j<=K} 1/mu_j, V = max_K E[(K - M)^+] / H_K over the integers K
-    above min M, ties to the smallest K: the attacker plays its top K*
-    locations in proportion to 1/mu, which equalizes mu_i d_i on the support
-    as in ORIGAMI (Kiekintveld et al., AAMAS 2009).  mu = 1 gives the paper's
-    equilibrium (N - E[M]) / N, and the point laws at b and a its Theorem 2
-    interval; for any payoffs those two bound V of every law on [a, b].  The
-    paper's heterogeneous-payoff bound divides by sum_j mu_j, not by
-    sum_j 1/mu_j; both agree for equal payoffs, and the harmonic form is the
-    one the optimization attains.
+    ``profile.mu`` holds the payoffs in any order, and ``law`` is
+    ``(counts, probs, mean)`` of the defender's play count M
+    (``ScalingSpec.law``; a cut size c is ``((c,), (1.0,), c)``).  With mu
+    sorted non-increasing and H_K = sum_{j<=K} 1/mu_j, V = max_K
+    E[(K - M)^+] / H_K over the integers K above min M, ties to the smallest
+    K: the attacker plays its top K* locations in proportion to 1/mu, which
+    equalizes mu_i d_i on the support as in ORIGAMI (Kiekintveld et al.,
+    AAMAS 2009).  mu = 1 gives the paper's equilibrium (N - E[M]) / N, and
+    the point laws at b and a its Theorem 2 interval; for any payoffs those
+    two bound V of every law on [a, b].  The paper's heterogeneous-payoff
+    bound divides by sum_j mu_j, not by sum_j 1/mu_j; both agree for equal
+    payoffs, and the harmonic form is the one the optimization attains.
 
     Proof.  Let g_i = mu_i d_i for the attacker's mix d, and g_(j) its j-th
     largest value.  The defender sees M = m, and its best reply scans the m
@@ -277,7 +262,8 @@ def attacker_value(profile, law):
     attacker's equilibrium payoff.
 
     E[(K - M)^+] is taken as (K - mean) + sum_k P(k) (k - K)^+, whose second
-    term is exactly 0.0 for K >= max M, so the closed forms hold bit for bit.
+    term is added only for K < max M, where it can be nonzero, so the closed
+    forms hold bit for bit.  The cost is O(N) time and memory.
     """
     mu = np.asarray(profile.mu, dtype=float)
     counts, probs, mean = np.asarray(law[0]), np.asarray(law[1]), law[2]
@@ -285,11 +271,14 @@ def attacker_value(profile, law):
     if counts.min() <= 0 or counts.max() >= n:
         raise InvalidParameterError(f"play counts must lie in (0, {n}), got {counts.tolist()}")
     if np.any(np.diff(mu) > 0):
-        raise InvalidParameterError("payoffs must be sorted non-increasing")
+        mu = np.sort(mu)[::-1]
     harmonic = np.cumsum(1.0 / mu)  # harmonic[k-1] = sum_{j<=k} 1/mu_j
-    ks = np.arange(math.floor(counts.min()) + 1, n + 1)
-    excess = (np.maximum(counts - ks[:, None], 0) * probs).sum(axis=1)
-    vals = ((ks - mean) + excess) / harmonic[ks - 1]
+    k0 = math.floor(counts.min()) + 1
+    ks = np.arange(k0, n + 1)
+    vals = np.subtract(ks, mean, dtype=float)
+    short = ks[: max(0, math.ceil(counts.max()) - k0)]  # the K below max M
+    vals[: short.size] += (np.maximum(counts - short[:, None], 0) * probs).sum(axis=1)
+    vals /= harmonic[k0 - 1 :]
     i = int(np.argmax(vals))  # argmax takes the first (smallest K) on ties
     return float(vals[i]), int(ks[i])
 
@@ -315,7 +304,6 @@ class RegretReport:
     bound: np.ndarray
     gmax_mean: np.ndarray
     reward_mean: np.ndarray
-    replicas: int = 0
     play_counts: np.ndarray = None
     marginals: np.ndarray = None
 
@@ -351,7 +339,6 @@ def pseudo_regret(spec, replicas, rng, workers=1, record_weights=False):
         bound=bounds.mean(axis=0),
         gmax_mean=gmaxes.mean(axis=0),
         reward_mean=rewards.mean(axis=0),
-        replicas=replicas,
         play_counts=play_counts,
         marginals=marginals,
     )

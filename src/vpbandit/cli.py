@@ -82,13 +82,6 @@ def _scan_sets(scanned, counts):
     return [";".join(islice(text, k)) for k in counts.tolist()]
 
 
-def emit_plot_data(report, path):
-    """Write a regret report as t,regret_mean,regret_stderr,bound."""
-    t = np.arange(1, report.regret_mean.size + 1)
-    columns = [t, report.regret_mean, report.regret_stderr, report.bound]
-    write_csv(path, ["t", "regret_mean", "regret_stderr", "bound"], columns)
-
-
 def _write_summary(path, items):
     with open(path, "w") as f:
         for k, v in items:
@@ -252,7 +245,6 @@ CONFIGS = {
         "horizon": (None, COUNT),  # None: the trace length
         "replicas": (1, INT),
         "record_weights": (False, BOOL),
-        "budget": (OMIT, INT),
     },
     "compare": {
         **COMMON,
@@ -311,7 +303,8 @@ def _environment(section, seed_seq):
 def _equilibrium_items(payoff, law):
     """Game-value summary lines; the defender's, mu_1 nu / N, for equal payoffs only."""
     mu = payoff.mu
-    items = [("equilibrium_defender", mu[0] * law[2] / mu.size)] if mu[0] == mu[-1] else []
+    equal = mu.min() == mu.max()
+    items = [("equilibrium_defender", mu[0] * law[2] / mu.size)] if equal else []
     return items + [("equilibrium_attacker", analysis.attacker_value(payoff, law)[0])]
 
 
@@ -336,9 +329,7 @@ def _run_single_player(cfg, out_dir, workers):
     env_ss, run_ss = np.random.SeedSequence(cfg["seed"]).spawn(2)
     env = _environment(cfg["environment"], env_ss)
     scaling = ScalingSpec(**cfg["scaling"])
-    spec = SinglePlayerSpec(
-        env, scaling, eta=cfg["eta"], horizon=cfg["horizon"], budget=cfg.get("budget")
-    )
+    spec = SinglePlayerSpec(env, scaling, eta=cfg["eta"], horizon=cfg["horizon"])
     # positional: the benchmark's entry span counts spec.horizon * replicas
     report = analysis.pseudo_regret(
         spec, cfg["replicas"], np.random.default_rng(run_ss),
@@ -346,11 +337,14 @@ def _run_single_player(cfg, out_dir, workers):
     )
     derived = {"eta_resolved": spec.resolve_eta(), "eta_clamp": ETA_CLAMP, "horizon": spec.horizon}
     _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling), **derived})
-    emit_plot_data(report, os.path.join(out_dir, "curves.csv"))
+    t = np.arange(1, spec.horizon + 1)
+    header = ["t", "regret_mean", "regret_stderr", "bound"]
+    columns = [t, report.regret_mean, report.regret_stderr, report.bound]
+    write_csv(os.path.join(out_dir, "curves.csv"), header, columns)
     if cfg["record_weights"]:
         # replica 0's marginal trajectories (rows sum to M_t)
         header = ["t", "m"] + [f"w_{i + 1}_norm" for i in range(spec.n_arms)]
-        columns = [np.arange(1, spec.horizon + 1), report.play_counts, *report.marginals.T]
+        columns = [t, report.play_counts, *report.marginals.T]
         write_csv(os.path.join(out_dir, "weights.csv"), header, columns)
     _write_summary(
         os.path.join(out_dir, "summary.txt"),

@@ -142,7 +142,8 @@ def synthesize_intrusion_trace(
     burst_length_range=(3.0, 5.0),
     round_window=DEFAULT_ROUND_WINDOW,
     n_bursts=300,
-    rng=None,
+    *,
+    rng,
 ):
     """Generate a trace with intermittent attack bursts on selected arms.
 
@@ -507,25 +508,17 @@ def _not_utf8(path, exc):
 
 @dataclass
 class PayoffProfile:
-    """Location-dependent payoff weights, canonicalized to non-increasing order.
-
-    ``order[k]`` maps the canonical position k back to the original arm index.
-    """
+    """Location-dependent payoff weights: ``mu[i]`` is what location i is worth."""
 
     mu: np.ndarray
-    order: np.ndarray = None
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
+        mu = self.mu = np.asarray(self.mu, dtype=float)
         if np.any(mu <= 0) or np.any(mu > 1):
             raise InvalidConfigError("payoffs must lie in (0, 1]")
         with np.errstate(over="ignore"):  # the game value sums reciprocal payoffs
             if not np.isfinite(np.sum(1.0 / mu)):
                 raise InvalidConfigError(f"payoffs' reciprocal sum overflows at {mu.min():.3g}")
-        if self.order is None:
-            self.order = np.argsort(-mu, kind="stable")
-            mu = mu[self.order]
-        self.mu = mu
 
     @property
     def n_arms(self):

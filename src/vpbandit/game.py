@@ -29,11 +29,11 @@ import numpy as np
 from .analysis import corollary11_eta
 from .bandit_core import cap_threshold, dep_round
 from .baselines import FrequentistState, epsilon_greedy_select, ucb1_select
-from .environments import BernoulliEnv, IntrusionTrace, PayoffProfile, bernoulli_rewards
+from .environments import IntrusionTrace, PayoffProfile, bernoulli_rewards
 from .errors import InvalidConfigError, InvalidParameterError, InvalidPlayCountError
 from .scaling import MovingAverage, ScalingSpec, sample_arm_count, sample_arm_counts
 
-DEFAULT_IOTA = math.e - 1.0  # makes the hedge exponent match exp(estimate)
+DEFAULT_IOTA = math.e - 1.0  # manifests record the attacker's weight base as 1 + iota = e
 DEFAULT_SCAN_DISCOUNT = 0.01
 ETA_CLAMP = 1.0 - 1e-6  # tuned rates are clamped below 1, the learner's open bound
 
@@ -71,22 +71,10 @@ class Exp3MVPLearner:
 
     @weights.setter
     def weights(self, w):
-        # the running maximum that ``marginals`` and ``update`` read
+        # the running maximum that ``_plan`` and ``update`` read
         self._weights = w
         self._max = float(w.max())
         self._plans = {}
-
-    def marginals(self, m):
-        """Selection marginals for playing ``m`` of the ``N`` arms.
-
-        Large weights are capped so every marginal stays at most 1; the
-        remaining probability mass is mixed with uniform exploration eta/N.
-        Returns ``(probs, capped)``: ``probs`` sums to ``m``, and ``capped``
-        holds the indices pinned at exactly 1 (``None`` when nothing is
-        capped).  Both are the cached plan's read-only arrays.
-        """
-        probs, capped, _ = self._plans.get(m) or self._plan(m)
-        return probs, capped
 
     def _plan(self, m):
         """Build and cache ``(probs, capped, cumulative)`` for play count m."""
@@ -118,7 +106,15 @@ class Exp3MVPLearner:
         return plan
 
     def play(self, m, rng):
-        """Draw the scan set for this round; returns (chosen, probs, capped)."""
+        """Draw a scan set of ``m`` of the ``N`` arms; returns ``(chosen, probs, capped)``.
+
+        ``probs`` are the selection marginals: large weights are capped so
+        every marginal stays at most 1, and the remaining mass is mixed with
+        uniform exploration eta/N.  ``probs`` sums to ``m``; ``capped`` holds
+        the indices pinned at exactly 1 (``None`` when nothing is capped).
+        Both are the cached plan's read-only arrays.  ``chosen`` is the
+        increasing arm indices drawn from ``probs`` by ``dep_round``.
+        """
         probs, capped, cumulative = self._plans.get(m) or self._plan(m)
         chosen = dep_round(m, probs, rng, cumulative=cumulative)
         return chosen, probs, capped
@@ -157,17 +153,16 @@ class Exp3MVPLearner:
 class Exp3Attacker:
     """Single-play exponential-weight learner with exploration mixing.
 
-    Keeps weights ``(1 + iota) ** cumulative_estimate`` directly and samples
+    Keeps weights ``exp(cumulative_estimate)`` directly and samples
     the mixture (1 - eta) * weight-proportional + eta * uniform exactly, so
     a round costs O(N) with no exponentiation of the whole vector.
     """
 
-    def __init__(self, n_arms, eta, iota=DEFAULT_IOTA):
+    def __init__(self, n_arms, eta):
         if not 0.0 < eta <= 1.0:
             raise InvalidConfigError(f"eta must be in (0, 1], got {eta}")
         self.n_arms = n_arms
         self.eta = eta
-        self._log1p_iota = math.log1p(iota)
         self.weights = np.ones(n_arms)
         self._max = 1.0
 
@@ -189,7 +184,7 @@ class Exp3Attacker:
         p = self.selection_probability(arm)
         xhat = (self.eta / self.n_arms) * reward / p
         w = self.weights
-        v = float(w[arm]) * math.exp(xhat * self._log1p_iota)
+        v = float(w[arm]) * math.exp(xhat)
         w[arm] = v
         if v > self._max:
             self._max = v
@@ -239,7 +234,6 @@ class SinglePlayerSpec:
     scaling: ScalingSpec
     eta: object = "corollary_1_1"  # float or the tuning-rule name
     horizon: int = None
-    budget: int = None  # budget_threshold scaling only; caps the play count
 
     def __post_init__(self):
         if self.horizon is None:
@@ -254,15 +248,6 @@ class SinglePlayerSpec:
                 f"horizon {self.horizon} exceeds the trace's {self.env.n_rounds} rounds"
             )
         self.scaling.validate_for(self.n_arms)
-        if self.budget is not None:
-            if self.scaling.kind != "budget_threshold":
-                raise InvalidConfigError(
-                    f"budget applies to budget_threshold scaling only, not {self.scaling.kind!r}"
-                )
-            if self.budget < self.scaling.a:
-                raise InvalidConfigError(
-                    f"budget must be >= a={self.scaling.a}, got {self.budget}"
-                )
 
     @property
     def n_arms(self):
@@ -280,7 +265,6 @@ class SinglePlayerRun:
 
     reward_matrix: np.ndarray  # realized rewards of all arms, (T, N)
     play_counts: np.ndarray
-    round_rewards: np.ndarray  # learner's reward per round
     cumulative_reward: np.ndarray  # G(t) curve
     eta: float
     marginals: np.ndarray = None  # (T, N) selection marginals if recorded
@@ -295,7 +279,6 @@ def run_single_player(spec, rng, record_weights=False):
     learner = Exp3MVPLearner(n, eta)
     needs_ma = spec.scaling.kind == "budget_threshold"
     ma = MovingAverage(n, window=10) if needs_ma else None
-    budget = spec.budget if spec.budget is not None else spec.scaling.b
     if isinstance(spec.env, IntrusionTrace):
         rewards = spec.env.indicators[:horizon].astype(float)
     else:
@@ -305,7 +288,7 @@ def run_single_player(spec, rng, record_weights=False):
     margs = np.empty((horizon, n)) if record_weights else None
     counts = None if needs_ma else sample_arm_counts(spec.scaling, horizon, scale_rng).tolist()
     for t in range(horizon):
-        m = counts[t] if counts is not None else sample_arm_count(spec.scaling, ma, budget)
+        m = counts[t] if counts is not None else sample_arm_count(spec.scaling, ma)
         y = rewards[t]
         chosen, probs, capped = learner.play(m, learner_rng)
         obs = y[chosen]
@@ -322,7 +305,6 @@ def run_single_player(spec, rng, record_weights=False):
     return SinglePlayerRun(
         reward_matrix=rewards,
         play_counts=play_counts,
-        round_rewards=round_rewards,
         cumulative_reward=np.cumsum(round_rewards),
         eta=eta,
         marginals=margs,

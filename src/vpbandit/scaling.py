@@ -146,16 +146,14 @@ class ScalingSpec:
         return cls(kind="truncated_gaussian", a=a, b=b, mean=mean, std=std)
 
 
-def sample_arm_count(spec, ma, budget):
+def sample_arm_count(spec, ma):
     """This round's play count under the ``budget_threshold`` rule.
 
-    The budget caps the count; below the cap it aims at the number of arms
-    whose recent average in ``ma`` exceeds the threshold.  ``budget`` is at
-    least ``spec.a``; ``SinglePlayerSpec`` rejects a smaller one.
+    The number of arms whose recent average in ``ma`` exceeds the
+    threshold, clipped to [a, b]: b is the budget.
     """
-    cap = min(spec.b, int(budget))
     hot = int(np.count_nonzero(ma.averages > spec.threshold))
-    return min(cap, max(spec.a, hot))
+    return min(spec.b, max(spec.a, hot))
 
 
 def sample_arm_counts(spec, count, rng):

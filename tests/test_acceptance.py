@@ -126,7 +126,7 @@ def test_variable_play_matches_fixed_play_on_a_trace():
 def _marginals(weights, eta, m):
     learner = Exp3MVPLearner(weights.size, eta)
     learner.weights = weights
-    return learner.marginals(m)
+    return learner.play(m, np.random.default_rng(0))[1:]
 
 
 def test_dependent_rounding_marginals_match():

@@ -255,11 +255,21 @@ class TestAttackerValue:
         # payoffs (1, 1, 0.5) at cut size 1: K = 2 and K = 3 both give 1/2
         assert attacker_value(PayoffProfile(mu=np.array([1.0, 1.0, 0.5])), _point(1)) == (0.5, 2)
 
-    def test_rejects_increasing_payoffs(self):
-        prof = PayoffProfile(mu=np.array([0.9, 0.5, 0.3]))
-        prof.mu = prof.mu[::-1].copy()  # break the canonical order on purpose
-        with pytest.raises(InvalidParameterError):
-            attacker_value(prof, _point(1))
+    def test_value_does_not_depend_on_the_payoff_order(self):
+        # the value sorts its own copy of the payoffs: every permutation,
+        # ties included, gives the same bits
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            n = int(rng.integers(2, 12))
+            tied = rng.random() < 0.3
+            mu = rng.choice([0.25, 0.5, 1.0], n) if tied else rng.uniform(0.05, 1.0, n)
+            c = int(rng.integers(1, n))
+            laws = [_point(c), _point(c - 0.5), ((1, c), (0.25, 0.75), 0.25 + 0.75 * c)]
+            for law in laws:
+                expected = attacker_value(PayoffProfile(mu=np.sort(mu)[::-1]), law)
+                for _ in range(3):
+                    value, kstar = attacker_value(PayoffProfile(mu=rng.permutation(mu)), law)
+                    assert (value.hex(), kstar) == (expected[0].hex(), expected[1])
 
     @pytest.mark.parametrize(
         "law", [_point(0), _point(5), _point(-1.0), _point(5.5), ((1, 5), (0.5, 0.5), 3.0)]

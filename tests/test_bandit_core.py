@@ -24,6 +24,12 @@ def _learner(weights, eta):
     return learner
 
 
+def _marginals(learner, m):
+    """``(probs, capped)`` of one ``play(m)``, drawn with a throwaway generator."""
+    _, probs, capped = learner.play(m, np.random.default_rng(0))
+    return probs, capped
+
+
 class _FixedUniform:
     """Stands in for a generator whose uniforms are ``us`` in turn, the last
     one repeated."""
@@ -116,7 +122,7 @@ class TestMarginals:
     # where w' replaces the capped weights by kappa
 
     def test_uniform_weights_give_m_over_n(self):
-        probs, capped = _learner(np.ones(4), 0.5).marginals(2)
+        probs, capped = _marginals(_learner(np.ones(4), 0.5), 2)
         np.testing.assert_allclose(probs, 0.5)
         assert capped is None
 
@@ -124,7 +130,7 @@ class TestMarginals:
         # eta = 0.2, m = 2: c = (1/2 - 0.05) / 0.8 = 0.5625 and 10 >= 13 c, so
         # arm 0 is capped at kappa = 3 c / (1 - c) = 27/7; w' sums to 48/7 and
         # probs = (7/30) w' + 0.1 = [1, 1/3, 1/3, 1/3]
-        probs, capped = _learner([10.0, 1.0, 1.0, 1.0], 0.2).marginals(2)
+        probs, capped = _marginals(_learner([10.0, 1.0, 1.0, 1.0], 0.2), 2)
         np.testing.assert_allclose(probs, [1.0, 1 / 3, 1 / 3, 1 / 3])
         assert capped.tolist() == [0]
         assert probs[0] == 1.0  # pinned exactly
@@ -132,7 +138,7 @@ class TestMarginals:
     def test_uncapped_when_below_threshold(self):
         # for m = 1 the check 10 >= c * 13 fails (c = 0.95 / 0.8 > 1), so
         # probs = 0.8 w / 13 + 0.05 with no capping
-        probs, capped = _learner([10.0, 1.0, 1.0, 1.0], 0.2).marginals(1)
+        probs, capped = _marginals(_learner([10.0, 1.0, 1.0, 1.0], 0.2), 1)
         np.testing.assert_allclose(
             probs, [8 / 13 + 0.05, 0.8 / 13 + 0.05, 0.8 / 13 + 0.05, 0.8 / 13 + 0.05]
         )
@@ -140,10 +146,11 @@ class TestMarginals:
 
     def test_rejects_bad_play_count(self):
         learner = _learner(np.ones(4), 0.1)
+        rng = np.random.default_rng(0)
         with pytest.raises(InvalidPlayCountError):
-            learner.marginals(0)
+            learner.play(0, rng)
         with pytest.raises(InvalidPlayCountError):
-            learner.marginals(4)
+            learner.play(4, rng)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -153,7 +160,7 @@ class TestMarginals:
     )
     def test_marginal_sum_and_range(self, weights, eta, data):
         m = data.draw(st.integers(1, len(weights) - 1))
-        probs, capped = _learner(weights, eta).marginals(m)
+        probs, capped = _marginals(_learner(weights, eta), m)
         assert abs(probs.sum() - m) <= 1e-9
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
         if capped is not None:
@@ -167,8 +174,8 @@ class TestMarginals:
     )
     def test_scale_invariance(self, weights, scale, data):
         m = data.draw(st.integers(1, len(weights) - 1))
-        a_probs, a_capped = _learner(weights, 0.2).marginals(m)
-        b_probs, b_capped = _learner(scale * np.array(weights), 0.2).marginals(m)
+        a_probs, a_capped = _marginals(_learner(weights, 0.2), m)
+        b_probs, b_capped = _marginals(_learner(scale * np.array(weights), 0.2), m)
         np.testing.assert_allclose(a_probs, b_probs, rtol=1e-9, atol=1e-12)
         assert (a_capped is None) == (b_capped is None)
         if a_capped is not None:
@@ -212,7 +219,7 @@ class TestDepRound:
             n = int(rng.integers(3, 11))
             m = int(rng.integers(1, n))
             learner = _learner(rng.uniform(0.05, 5.0, size=n), float(rng.uniform(0.0, 0.5)))
-            p, _ = learner.marginals(m)
+            p, _ = _marginals(learner, m)
             r1, r2 = np.random.default_rng(case), np.random.default_rng(case)
             batch = dep_round_many(m, p, 500, r1)
             for k in range(500):
@@ -281,7 +288,7 @@ class TestDepRound:
 
     @pytest.mark.parametrize("weights", [[10.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 10.0]])
     def test_learner_marginals_with_capped_and_zero_arms(self, weights):
-        probs, capped = _learner(weights, 0.2).marginals(2)
+        probs, capped = _marginals(_learner(weights, 0.2), 2)
         assert probs[capped].tolist() == [1.0]
         # zero-mass arms first, in the middle and last
         p = np.insert(probs, [0, 2, 4], 0.0)
@@ -316,7 +323,7 @@ class TestMultiPlayRound:
         chosen, probs, capped = learner.play(2, rng)
         learner.update(chosen, np.zeros(chosen.size), probs, capped)
         np.testing.assert_array_equal(learner.weights, np.ones(4))
-        np.testing.assert_allclose(learner.marginals(2)[0], 0.5)
+        np.testing.assert_allclose(_marginals(learner, 2)[0], 0.5)
 
     def test_capped_arm_weight_is_frozen_and_always_chosen(self):
         # arm 0 is capped (see TestMarginals.test_capped_dominant_arm): it is
@@ -344,7 +351,7 @@ class TestMultiPlayRound:
         # fixed reward vector
         y = np.array([0.8, 0.2, 0.5, 0.0])
         learner = _learner([3.0, 1.0, 2.0, 0.5], 0.3)
-        marg, _ = learner.marginals(2)
+        marg, _ = _marginals(learner, 2)
         rng = np.random.default_rng(5)
         draws = 40_000
         acc = np.zeros(4)
@@ -377,7 +384,7 @@ class TestPlanCache:
 
     def _check_plans(self, learner, eta):
         for m, (probs, capped, cumulative) in learner._plans.items():
-            fresh_probs, fresh_capped = _learner(learner.weights.copy(), eta).marginals(m)
+            fresh_probs, fresh_capped = _marginals(_learner(learner.weights.copy(), eta), m)
             assert _bits(probs) == _bits(fresh_probs)
             assert _bits(capped) == _bits(fresh_capped)
             assert _bits(cumulative) == _bits(fresh_probs.cumsum())
@@ -391,22 +398,20 @@ class TestPlanCache:
         eta = data.draw(st.floats(0.01, 0.9))
         learner = _learner(_weight_vector(data, n), eta)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        steps = st.sampled_from(["marginals", "play", "update", "assign"])
+        steps = st.sampled_from(["play", "update", "assign"])
         for step in data.draw(st.lists(steps, min_size=1, max_size=20)):
             m = data.draw(st.integers(1, n - 1))
             if step == "assign":
                 learner.weights = _weight_vector(data, n)
                 assert not learner._plans
-            elif step == "marginals":
-                # the cached plan's arrays, which _check_plans compares
-                probs, capped = learner.marginals(m)
-                assert probs is learner._plans[m][0] and capped is learner._plans[m][1]
             elif step == "play":
-                fresh_probs, _ = _learner(learner.weights.copy(), eta).marginals(m)
+                fresh_probs, _ = _marginals(_learner(learner.weights.copy(), eta), m)
                 twin = np.random.default_rng()
                 twin.bit_generator.state = rng.bit_generator.state
-                chosen, probs, _ = learner.play(m, rng)
+                chosen, probs, capped = learner.play(m, rng)
                 assert chosen.tolist() == dep_round(m, fresh_probs, twin).tolist()
+                # the cached plan's arrays, which _check_plans compares
+                assert probs is learner._plans[m][0] and capped is learner._plans[m][1]
                 assert not probs.flags.writeable
             else:
                 chosen, probs, capped = learner.play(m, rng)
@@ -427,7 +432,7 @@ class TestPlanCache:
 
     def test_plan_arrays_reject_writes(self):
         learner = _learner([10.0, 1.0, 1.0, 1.0], 0.2)
-        probs, capped = learner.marginals(2)
+        _, probs, capped = learner.play(2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             probs[0] = 0.5
         with pytest.raises(ValueError):
@@ -437,11 +442,11 @@ class TestPlanCache:
 
 
 class TestHedge:
-    # Exp3Attacker keeps weights (1 + iota) ** cumulative_estimate; its
+    # Exp3Attacker keeps weights exp(cumulative_estimate); its
     # weight-proportional part is the hedge distribution
 
     def test_zero_cumulative_is_uniform(self):
-        att = Exp3Attacker(5, eta=0.5, iota=1.0)
+        att = Exp3Attacker(5, eta=0.5)
         np.testing.assert_allclose(
             [att.selection_probability(a) for a in range(5)], 0.2
         )
@@ -449,18 +454,19 @@ class TestHedge:
     def test_simple_two_arm_case(self):
         # at eta = 1 the estimate equals the reward, so one unit reward on
         # arm 0 makes the cumulative estimates [1, 0]
-        att = Exp3Attacker(2, eta=1.0, iota=1.0)
+        att = Exp3Attacker(2, eta=1.0)
         att.update(0, 1.0)
-        np.testing.assert_allclose(att.weights / att.weights.sum(), [2 / 3, 1 / 3])
+        e = math.e
+        np.testing.assert_allclose(att.weights / att.weights.sum(), [e / (e + 1), 1 / (e + 1)])
 
     def test_large_gap_saturates_stably(self):
-        att = Exp3Attacker(2, eta=1.0, iota=1.0)
+        att = Exp3Attacker(2, eta=1.0)
         for _ in range(100):
             att.update(0, 1.0)  # cumulative gap 100
         beta = att.weights / att.weights.sum()
         assert np.argmax(beta) == 0
         assert beta[0] > 1 - 1e-6
-        # a gap of 20000 (2**20000 overflows a float) stays finite through
+        # a gap of 20000 (e**20000 overflows a float) stays finite through
         # the 1e100 rescale
         for _ in range(19_900):
             att.update(0, 1.0)
@@ -469,7 +475,7 @@ class TestHedge:
         assert np.all(np.isfinite(probs)) and sum(probs) == pytest.approx(1.0)
 
     def test_zero_reward_is_a_no_op(self):
-        att = Exp3Attacker(3, eta=0.5, iota=1.0)
+        att = Exp3Attacker(3, eta=0.5)
         att.update(1, 1.0)
         weights, top = att.weights.copy(), att._max
         att.update(1, 0.0)
@@ -480,7 +486,7 @@ class TestHedge:
 
 class TestSinglePlayRound:
     def test_eta_one_samples_uniformly(self):
-        att = Exp3Attacker(3, eta=1.0, iota=1.0)
+        att = Exp3Attacker(3, eta=1.0)
         for _ in range(50):
             att.update(0, 1.0)  # cumulative estimates [50, 0, 0]
         rng = np.random.default_rng(0)
@@ -495,12 +501,12 @@ class TestSinglePlayRound:
     def test_estimate_formula(self):
         # uniform two-arm state, eta = 0.5: mixture prob of each arm is 0.5,
         # so a reward of 1 yields the scaled estimate (0.5/2) * 1 / 0.5 = 0.5
-        att = Exp3Attacker(2, eta=0.5, iota=1.0)
+        att = Exp3Attacker(2, eta=0.5)
         rng = np.random.default_rng(3)
         arm = att.select(rng)
         assert att.selection_probability(arm) == pytest.approx(0.5)
         att.update(arm, 1.0)
-        assert att.weights[arm] == pytest.approx(2.0**0.5)  # (1 + iota) ** 0.5
+        assert att.weights[arm] == math.exp(0.5)
         assert att.weights[1 - arm] == 1.0
 
     def test_tracks_a_fixed_best_arm(self):
@@ -510,7 +516,7 @@ class TestSinglePlayRound:
 
         n, horizon = 5, 10_000
         eta, _ = corollary11_eta(n, 1, 1, horizon)
-        att = Exp3Attacker(n, eta, iota=math.e - 1.0)
+        att = Exp3Attacker(n, eta)
         rng = np.random.default_rng(11)
         pulls = 0
         for _ in range(horizon):
@@ -526,7 +532,7 @@ class TestSinglePlayRound:
         # the first uniform skips exploration; the second is u.  A gap of
         # 2000 on arm 0 leaves the other weights below an ulp of the total
         n = 7
-        att = Exp3Attacker(n, eta=0.5, iota=1.0)
+        att = Exp3Attacker(n, eta=0.5)
         for _ in range(int(gap)):
             att.update(0, 1.0)
         arm = att.select(_FixedUniform(0.75, u))

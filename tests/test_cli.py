@@ -209,6 +209,23 @@ class TestGame:
         assert float(summary["equilibrium_defender"]) == 0.5 * 1.5 / 6
         assert float(summary["equilibrium_attacker"]) == pytest.approx(0.5 * (1 - 1.5 / 6))
 
+    def test_equal_first_and_last_payoffs_are_not_equal_payoffs(self, tmp_path):
+        summary = self._summary(tmp_path, n=3, payoff=[1.0, 0.5, 1.0])
+        assert "equilibrium_defender" not in summary
+
+    def test_payoffs_keep_the_config_order(self, tmp_path):
+        payoff = [0.2, 1.0, 0.5, 0.9]
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, dict(self.CFG, n=4, payoff=payoff, seed=3))
+        assert cli.main(["simulate-game", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["payoff"] == payoff
+        # location I_t is worth payoff[I_t] to whichever player scores it
+        for name in ("trace_000.csv", "trace_001.csv"):
+            rows = [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+            assert {row[1] for row in rows} == {"0", "1", "2", "3"}
+            for row in rows:
+                assert float(row[4]) + float(row[5]) == payoff[int(row[1])]
+
     def test_seed_overrides(self, tmp_path, monkeypatch):
         cfgp = _write_config(tmp_path, self.CFG)
         base, flag, env = tmp_path / "b", tmp_path / "f", tmp_path / "e"
@@ -446,9 +463,8 @@ class TestWriteCsv:
         assert cli._scan_sets(np.zeros(0, dtype=int), np.zeros(0, dtype=int)) == []
 
 
-# A config of every kind with every key of its table set (for single_player,
-# across its cases: budget goes with budget_threshold scaling only), covering
-# every environment type and scaling kind; "@LOG@" stands for a CAN log path.
+# A config of every kind with every key of its table set, covering every
+# environment type and scaling kind; "@LOG@" stands for a CAN log path.
 _LOG_COLUMNS = {"timestamp": "Timestamp", "identity": "CAN_ID", "flag": "Flag"}
 FULL_CONFIGS = {
     "bounds": ("bounds", {"n": 10, "a": 1, "b": 3, "nu": 2, "horizon": 1000, "eta": 0.1,
@@ -462,7 +478,7 @@ FULL_CONFIGS = {
     "single_player-harmonic": ("simulate-single", {
         "environment": {"type": "harmonic_bernoulli", "n_arms": 5, "top": 0.8},
         "scaling": {"kind": "budget_threshold", "a": 1, "b": 3, "threshold": 0.2},
-        "eta": "corollary_1_1", "horizon": 30, "budget": 2,
+        "eta": "corollary_1_1", "horizon": 30,
     }),
     "single_player-synthetic": ("simulate-single", {
         "environment": {"type": "synthetic_trace", "n_arms": 6, "attacked": [1, 4],
@@ -552,8 +568,8 @@ class TestSchema:
         assert (rc, err) == (0, [])
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         for key, value in cfg.items():
-            # payoff is written in canonical order, sections with their defaults
-            if key != "payoff" and not isinstance(value, dict):
+            # sections are written with their defaults
+            if not isinstance(value, dict):
                 assert manifest[key] == value, key
 
     def test_integer_passes_through_as_a_number(self, tmp_path):
@@ -597,9 +613,10 @@ class TestSchema:
                                                  "n_bursts": -5}}),
             ("simulate-single", {"horizon": -5}),
             ("simulate-single", {"horizon": 0}),
+            # budget is not a key: b is the budget_threshold rule's cap
             ("simulate-single", {"environment": {"type": "harmonic_bernoulli", "n_arms": 5},
                                  "scaling": {"kind": "budget_threshold", "a": 1, "b": 3},
-                                 "horizon": 20, "budget": -3}),
+                                 "horizon": 20, "budget": 2}),
             ("simulate-single", {"budget": 7}),
             ("bounds", {"gmax": -1e6}),
             # a subnormal payoff overflows the harmonic sum of the game value
@@ -613,6 +630,8 @@ class TestSchema:
         _, cfg = _full_config(case, _write_can_log(tmp_path / "log.csv"))
         rc, err = _run_main(sub, {**cfg, **change}, tmp_path / "c.json", tmp_path / "out")
         _assert_fails_fast(rc, err, tmp_path / "out")
+        if "budget" in change:
+            assert err == ["error: unknown key(s) in config: ['budget']"]
 
     @pytest.mark.parametrize("mean, std", [(50, 0.1), (10, 1)])
     def test_gaussian_without_mass_fails_fast(self, tmp_path, mean, std):
@@ -676,14 +695,6 @@ class TestSchema:
         log.write_bytes(b"\xef\xbb\xbf" + log.read_bytes())
         assert _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "marked") == (0, [])
         assert _read_all(tmp_path / "marked") == _read_all(tmp_path / "plain")
-
-    def test_budget_is_recorded_in_the_manifest(self, tmp_path):
-        _, cfg = _full_config("single_player-harmonic", "unused")
-        without = {k: v for k, v in cfg.items() if k != "budget"}
-        for run, out in ((without, tmp_path / "without"), (cfg, tmp_path / "with")):
-            assert _run_main("simulate-single", run, tmp_path / "c.json", out) == (0, [])
-        assert "budget" not in json.loads((tmp_path / "without" / "manifest.json").read_text())
-        assert json.loads((tmp_path / "with" / "manifest.json").read_text())["budget"] == 2
 
 
 _LEAF = st.one_of(st.none(), st.booleans(), st.text(max_size=8))

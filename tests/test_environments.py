@@ -761,11 +761,6 @@ class TestPayoffs:
         prof = PayoffProfile(mu=np.full(3, 0.5))
         assert _round_payoffs(prof, 0, [1]) == (0.5, 0.0)
 
-    def test_canonical_ordering(self):
-        prof = PayoffProfile(mu=np.array([0.2, 0.9, 0.4]))
-        np.testing.assert_allclose(prof.mu, [0.9, 0.4, 0.2])
-        assert prof.order.tolist() == [1, 2, 0]
-
     def test_defender_scores_the_caught_location(self):
         # the defender scores the payoff of the one location it catches
         prof = PayoffProfile(mu=np.array([0.9, 0.4, 0.2]))

@@ -300,9 +300,10 @@ class TestSinglePlayer:
         run = run_single_player(spec, np.random.default_rng(7), record_weights=True)
         assert run.reward_matrix.shape == (400, 6)
         assert np.all(run.play_counts >= 1) and np.all(run.play_counts <= 3)
-        np.testing.assert_allclose(
-            run.cumulative_reward, np.cumsum(run.round_rewards)
-        )
+        # each round adds the 0/1 rewards of its M_t scanned arms
+        gains = np.diff(run.cumulative_reward, prepend=0.0)
+        assert np.all(gains == np.round(gains))
+        assert np.all(gains >= 0) and np.all(gains <= run.play_counts)
         # recorded marginal rows sum to that round's play count
         np.testing.assert_allclose(
             run.marginals.sum(axis=1), run.play_counts, atol=1e-9
@@ -338,7 +339,7 @@ class TestSinglePlayer:
         learner.weights = np.array([0.5, 3.0, 0.25, 1.0])
         assert learner._max == 3.0
         # arm 1 holds the maximum and is not moved
-        probs, capped = learner.marginals(2)
+        _, probs, capped = learner.play(2, np.random.default_rng(0))
         learner.update([0, 2], [1.0, 1.0], probs, capped)
         assert learner._max == learner.weights.max() == 1.0
         assert learner.weights[1] == 1.0

@@ -184,14 +184,14 @@ class TestSampling:
         spec = ScalingSpec(kind="budget_threshold", a=1, b=3, threshold=0.1)
         ma = MovingAverage(5, window=4)
         # nothing hot yet: clamps to a
-        assert sample_arm_count(spec, ma, 3) == 1
+        assert sample_arm_count(spec, ma) == 1
         ma.push([0.5, 0.5, 0.0, 0.0, 0.0])
-        assert sample_arm_count(spec, ma, 3) == 2
+        assert sample_arm_count(spec, ma) == 2
         ma.push([0.5, 0.5, 0.5, 0.5, 0.5])
         # five hot arms, capped by b
-        assert sample_arm_count(spec, ma, 3) == 3
-        # budget caps below b
-        assert sample_arm_count(spec, ma, 2) == 2
+        assert sample_arm_count(spec, ma) == 3
+        spec = ScalingSpec(kind="budget_threshold", a=1, b=2, threshold=0.1)
+        assert sample_arm_count(spec, ma) == 2
 
     def test_batch_rejects_stateful_kind(self):
         spec = ScalingSpec(kind="budget_threshold", a=1, b=3)
