@@ -313,7 +313,7 @@ def _replica_curves(spec, record_weights, index, child):
 
     run = run_single_player(spec, child, record_weights=record_weights and index == 0)
     gm = g_max_curve(run.reward_matrix, run.play_counts)
-    bound = theorem1_bound(gm, spec.n_arms, spec.scaling.a, spec.scaling.b, run.eta)
+    bound = theorem1_bound(gm, spec.n_arms, spec.scaling.a, spec.scaling.b, spec.eta)
     curves = (gm - run.cumulative_reward, bound, gm, run.cumulative_reward)
     return curves, (run.play_counts, run.marginals) if index == 0 else None
 

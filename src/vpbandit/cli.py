@@ -335,7 +335,7 @@ def _run_single_player(cfg, out_dir, workers):
         spec, cfg["replicas"], np.random.default_rng(run_ss),
         workers=workers, record_weights=cfg["record_weights"],
     )
-    derived = {"eta_resolved": spec.resolve_eta(), "eta_clamp": ETA_CLAMP, "horizon": spec.horizon}
+    derived = {"eta_resolved": spec.eta, "eta_clamp": ETA_CLAMP, "horizon": spec.horizon}
     _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling), **derived})
     t = np.arange(1, spec.horizon + 1)
     header = ["t", "regret_mean", "regret_stderr", "bound"]
@@ -354,7 +354,7 @@ def _run_single_player(cfg, out_dir, workers):
             ("final_bound", report.bound[-1]),
             ("final_gmax_mean", report.gmax_mean[-1]),
             ("final_reward_mean", report.reward_mean[-1]),
-            ("eta", spec.resolve_eta()),
+            ("eta", spec.eta),
             ("replicas", cfg["replicas"]),
         ],
     )
@@ -390,8 +390,8 @@ def _run_game(cfg, out_dir, workers):
     )
     traces = run_game_replicas(config, cfg["replicas"], workers=workers)
     derived = {
-        "defender_eta": config.resolve_defender_eta(),
-        "attacker_eta": config.resolve_attacker_eta() if config.attacker_kind == "exp3" else None,
+        "defender_eta": config.defender_eta,
+        "attacker_eta": config.attacker_eta,
         "payoff": list(map(float, config.payoff.mu)),
         "iota": DEFAULT_IOTA,
     }
@@ -429,9 +429,7 @@ def _run_game(cfg, out_dir, workers):
         ("defender_tail_mean", def_tail),
         ("tail_rounds", tail),
     ]
-    law = scaling.law()
-    if law is not None:
-        items += _equilibrium_items(config.payoff, law)
+    items += _equilibrium_items(config.payoff, scaling.law())
     _write_summary(os.path.join(out_dir, "summary.txt"), items)
 
 

@@ -31,17 +31,19 @@ from .bandit_core import cap_threshold, dep_round
 from .baselines import FrequentistState, epsilon_greedy_select, ucb1_select
 from .environments import IntrusionTrace, PayoffProfile, bernoulli_rewards
 from .errors import InvalidConfigError, InvalidParameterError, InvalidPlayCountError
-from .scaling import MovingAverage, ScalingSpec, sample_arm_count, sample_arm_counts
+from .scaling import BUDGET_WINDOW, MovingAverage, ScalingSpec, sample_arm_count, sample_arm_counts
 
 DEFAULT_IOTA = math.e - 1.0  # manifests record the attacker's weight base as 1 + iota = e
 DEFAULT_SCAN_DISCOUNT = 0.01
 ETA_CLAMP = 1.0 - 1e-6  # tuned rates are clamped below 1, the learner's open bound
 
 
-def _tuned_eta(n_arms, a, b, horizon):
-    """Horizon-tuned exploration rate (Corollary 1.1), clamped to ETA_CLAMP."""
-    eta, _ = corollary11_eta(n_arms, a, b, horizon)
-    return min(eta, ETA_CLAMP)
+def _eta(eta, n_arms, a, b, horizon):
+    """``eta`` as a float; ``None`` or ``"corollary_1_1"`` asks for the
+    horizon-tuned rate of Corollary 1.1, clamped to ETA_CLAMP."""
+    if eta is None or eta == "corollary_1_1":
+        return min(corollary11_eta(n_arms, a, b, horizon)[0], ETA_CLAMP)
+    return float(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +234,7 @@ class SinglePlayerSpec:
 
     env: object  # BernoulliEnv or IntrusionTrace
     scaling: ScalingSpec
-    eta: object = "corollary_1_1"  # float or the tuning-rule name
+    eta: object = "corollary_1_1"  # a float or the tuning rule (see _eta); stored resolved
     horizon: int = None
 
     def __post_init__(self):
@@ -248,15 +250,11 @@ class SinglePlayerSpec:
                 f"horizon {self.horizon} exceeds the trace's {self.env.n_rounds} rounds"
             )
         self.scaling.validate_for(self.n_arms)
+        self.eta = _eta(self.eta, self.n_arms, self.scaling.a, self.scaling.b, self.horizon)
 
     @property
     def n_arms(self):
         return self.env.n_arms
-
-    def resolve_eta(self):
-        if self.eta == "corollary_1_1":
-            return _tuned_eta(self.n_arms, self.scaling.a, self.scaling.b, self.horizon)
-        return float(self.eta)
 
 
 @dataclass
@@ -266,7 +264,6 @@ class SinglePlayerRun:
     reward_matrix: np.ndarray  # realized rewards of all arms, (T, N)
     play_counts: np.ndarray
     cumulative_reward: np.ndarray  # G(t) curve
-    eta: float
     marginals: np.ndarray = None  # (T, N) selection marginals if recorded
 
 
@@ -274,11 +271,10 @@ def run_single_player(spec, rng, record_weights=False):
     """Simulate the variable-play learner over one reward realization."""
     n = spec.n_arms
     horizon = spec.horizon
-    eta = spec.resolve_eta()
     env_rng, scale_rng, learner_rng = rng.spawn(3)
-    learner = Exp3MVPLearner(n, eta)
+    learner = Exp3MVPLearner(n, spec.eta)
     needs_ma = spec.scaling.kind == "budget_threshold"
-    ma = MovingAverage(n, window=10) if needs_ma else None
+    ma = MovingAverage(n, BUDGET_WINDOW) if needs_ma else None
     if isinstance(spec.env, IntrusionTrace):
         rewards = spec.env.indicators[:horizon].astype(float)
     else:
@@ -306,7 +302,6 @@ def run_single_player(spec, rng, record_weights=False):
         reward_matrix=rewards,
         play_counts=play_counts,
         cumulative_reward=np.cumsum(round_rewards),
-        eta=eta,
         marginals=margs,
     )
 
@@ -322,26 +317,27 @@ def run_comparison(trace, rng, epsilon=0.1, vp_scaling=None, fixed_m=3, eta=None
     the sum of indicators over their scan set; single-play learners score
     the indicator of their one arm.  ``eta`` overrides the exploration rate
     of every exponential-weights learner; by default each uses the
-    horizon-tuned rule for its own play-count bounds.
+    horizon-tuned rule for its own play-count bounds.  Every argument is
+    checked before the first replay.
     """
     horizon = trace.n_rounds
     n = trace.n_arms
     if vp_scaling is None:
         vp_scaling = ScalingSpec.truncated_gaussian(1, 3, mean=2.0, std=0.8)
-    curves = {}
+    specs = {
+        "exp3mvp": SinglePlayerSpec(env=trace, scaling=vp_scaling, eta=eta),
+        "exp3m": SinglePlayerSpec(env=trace, scaling=ScalingSpec.constant(fixed_m), eta=eta),
+    }
+    if not 0.0 <= epsilon <= 1.0:
+        raise InvalidParameterError(f"epsilon must be in [0, 1], got {epsilon}")
     t_axis = np.arange(1, horizon + 1)
-    eta_spec = "corollary_1_1" if eta is None else eta
-
-    vp_spec = SinglePlayerSpec(env=trace, scaling=vp_scaling, eta=eta_spec)
-    curves["exp3mvp"] = run_single_player(vp_spec, rng.spawn(1)[0]).cumulative_reward / t_axis
-
-    m_spec = SinglePlayerSpec(env=trace, scaling=ScalingSpec.constant(fixed_m), eta=eta_spec)
-    curves["exp3m"] = run_single_player(m_spec, rng.spawn(1)[0]).cumulative_reward / t_axis
-
-    eta1 = _tuned_eta(n, 1, 1, horizon) if eta is None else min(eta, ETA_CLAMP)
+    curves = {
+        name: run_single_player(spec, rng.spawn(1)[0]).cumulative_reward / t_axis
+        for name, spec in specs.items()
+    }
     # the functions and methods are looked up each round, where a profiler may wrap them
     for name, learner, pick in (
-        ("exp3", Exp3Attacker(n, eta=eta1), lambda exp3, r: exp3.select(r)),
+        ("exp3", Exp3Attacker(n, eta=_eta(eta, n, 1, 1, horizon)), lambda exp3, r: exp3.select(r)),
         ("ucb1", FrequentistState(n), lambda st, r: ucb1_select(st)),
         ("epsilon_greedy", FrequentistState(n),
          lambda st, r: epsilon_greedy_select(st, epsilon, r)),
@@ -365,8 +361,9 @@ def run_comparison(trace, rng, epsilon=0.1, vp_scaling=None, fixed_m=3, eta=None
 class GameConfig:
     n_arms: int
     horizon: int
-    scaling: ScalingSpec
+    scaling: ScalingSpec  # a kind with a law: the game value is a function of it
     attacker_kind: str = "exp3"
+    # both rates are stored resolved; the attacker's is None for the greedy attacker
     defender_eta: float = None  # default: horizon-tuned rule with (a, b)
     attacker_eta: float = None  # default: horizon-tuned rule with a = b = 1
     payoff: PayoffProfile = None
@@ -381,20 +378,20 @@ class GameConfig:
         if not 0.0 < self.scan_discount <= 1.0:
             raise InvalidConfigError(f"scan_discount must be in (0, 1], got {self.scan_discount}")
         self.scaling.validate_for(self.n_arms)
+        if self.scaling.law() is None:
+            raise InvalidConfigError(
+                f"scaling kind {self.scaling.kind!r} has no play-count law, which a game needs"
+            )
         if self.payoff is None:
             self.payoff = PayoffProfile.homogeneous(self.n_arms)
         elif self.payoff.n_arms != self.n_arms:
             raise InvalidConfigError("payoff profile size must match n_arms")
-
-    def resolve_defender_eta(self):
-        if self.defender_eta is not None:
-            return float(self.defender_eta)
-        return _tuned_eta(self.n_arms, self.scaling.a, self.scaling.b, self.horizon)
-
-    def resolve_attacker_eta(self):
-        if self.attacker_eta is not None:
-            return float(self.attacker_eta)
-        return _tuned_eta(self.n_arms, 1, 1, self.horizon)
+        a, b = self.scaling.a, self.scaling.b
+        self.defender_eta = _eta(self.defender_eta, self.n_arms, a, b, self.horizon)
+        self.attacker_eta = (
+            _eta(self.attacker_eta, self.n_arms, 1, 1, self.horizon)
+            if self.attacker_kind == "exp3" else None
+        )
 
 
 @dataclass
@@ -420,7 +417,7 @@ class GameTrace:
 def make_attacker(config):
     if config.attacker_kind == "greedy":
         return GreedyAttacker(config.n_arms, discount=config.scan_discount)
-    return Exp3Attacker(config.n_arms, eta=config.resolve_attacker_eta())
+    return Exp3Attacker(config.n_arms, eta=config.attacker_eta)
 
 
 def play_round(attacker, defender, m, payoff, attacker_rng, defender_rng):
@@ -450,7 +447,7 @@ def run_game(config, rng=None):
         rng = np.random.default_rng(config.seed)
     att_rng, def_rng, scale_rng = rng.spawn(3)
     attacker = make_attacker(config)
-    defender = Exp3MVPLearner(config.n_arms, config.resolve_defender_eta())
+    defender = Exp3MVPLearner(config.n_arms, config.defender_eta)
     horizon = config.horizon
     play_counts = sample_arm_counts(config.scaling, horizon, scale_rng)
     attacker_arm = np.empty(horizon, dtype=int)

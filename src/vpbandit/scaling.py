@@ -11,7 +11,7 @@ arms whose recent reward average looks active.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ KINDS = ("constant", "uniform_discrete", "truncated_gaussian", "budget_threshold
 MIN_GAUSSIAN_MASS = 1e-3
 
 
-@dataclass
 class MovingAverage:
     """Per-arm mean of the last ``window`` reward estimates.
 
@@ -33,34 +32,21 @@ class MovingAverage:
     do not inflate the play-count budget.
     """
 
-    n_arms: int
-    window: int
-    _buf: np.ndarray = field(init=False, repr=False)
-    _filled: int = field(init=False, repr=False)  # pushes in the window, equal for all arms
-    _pos: int = field(init=False, repr=False)
-    _sums: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        self._buf = np.zeros((self.window, self.n_arms))
-        self._filled = 0
-        self._pos = 0
-        self._sums = np.zeros(self.n_arms)
+    def __init__(self, n_arms, window):
+        self._buf = np.zeros((window, n_arms))  # ring buffer, one row per push
+        self._sums = np.zeros(n_arms)
+        self._pushes = 0
 
     @property
     def averages(self):
-        return self._sums / self._filled if self._filled else np.zeros(self.n_arms)
+        filled = min(self._pushes, len(self._buf))
+        return self._sums / filled if filled else np.zeros(self._sums.size)
 
     def push(self, estimates):
-        estimates = np.asarray(estimates, dtype=float)
-        if estimates.shape != (self.n_arms,):
-            raise ValueError(f"expected {self.n_arms} estimates")
-        self._sums += estimates - self._buf[self._pos]
-        self._buf[self._pos] = estimates
-        self._filled = min(self._filled + 1, self.window)
-        self._pos = (self._pos + 1) % self.window
-        return self
+        row = self._buf[self._pushes % len(self._buf)]
+        self._sums += estimates - row
+        row[:] = estimates
+        self._pushes += 1
 
 
 @dataclass
@@ -146,11 +132,16 @@ class ScalingSpec:
         return cls(kind="truncated_gaussian", a=a, b=b, mean=mean, std=std)
 
 
+#: Rounds of reward estimates that the ``budget_threshold`` rule averages.
+BUDGET_WINDOW = 10
+
+
 def sample_arm_count(spec, ma):
     """This round's play count under the ``budget_threshold`` rule.
 
-    The number of arms whose recent average in ``ma`` exceeds the
-    threshold, clipped to [a, b]: b is the budget.
+    The number of arms whose recent average in ``ma``, a ``MovingAverage``
+    over ``BUDGET_WINDOW`` rounds, exceeds the threshold, clipped to
+    [a, b]: b is the budget.
     """
     hot = int(np.count_nonzero(ma.averages > spec.threshold))
     return min(spec.b, max(spec.a, hot))

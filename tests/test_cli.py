@@ -622,6 +622,8 @@ class TestSchema:
             # a subnormal payoff overflows the harmonic sum of the game value
             ("sweep", {"mu_min": 1e-320}),
             ("simulate-game", {"payoff": [1.0, 1e-320, 0.5, 0.25, 1]}),
+            # budget_threshold has no play-count law, so no game value
+            ("simulate-game", {"scaling": {"kind": "budget_threshold", "a": 1, "b": 3}}),
         ],
     )
     def test_bad_values_fail_before_any_output(self, tmp_path, sub, change):
@@ -632,6 +634,8 @@ class TestSchema:
         _assert_fails_fast(rc, err, tmp_path / "out")
         if "budget" in change:
             assert err == ["error: unknown key(s) in config: ['budget']"]
+        if change == {"scaling": {"kind": "budget_threshold", "a": 1, "b": 3}}:
+            assert "'budget_threshold' has no play-count law" in err[0]
 
     @pytest.mark.parametrize("mean, std", [(50, 0.1), (10, 1)])
     def test_gaussian_without_mass_fails_fast(self, tmp_path, mean, std):

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from vpbandit import game
 from vpbandit.analysis import attacker_value, corollary11_eta
 from vpbandit.environments import BernoulliEnv, PayoffProfile, synthesize_intrusion_trace
-from vpbandit.errors import InvalidConfigError, InvalidParameterError
+from vpbandit.errors import InvalidConfigError, InvalidParameterError, InvalidSpecError
 from vpbandit.game import (
+    ETA_CLAMP,
     Exp3Attacker,
     Exp3MVPLearner,
     GameConfig,
@@ -17,6 +19,7 @@ from vpbandit.game import (
     make_attacker,
     map_replicas,
     play_round,
+    run_comparison,
     run_game,
     run_game_replicas,
     run_single_player,
@@ -222,8 +225,6 @@ class TestGameRuns:
         with pytest.raises(InvalidConfigError):
             GameConfig(n_arms=5, horizon=10, scaling=ScalingSpec.uniform(1, 2),
                        attacker_kind="nope")
-        from vpbandit.errors import InvalidSpecError
-
         with pytest.raises(InvalidSpecError):
             GameConfig(n_arms=3, horizon=10, scaling=ScalingSpec.uniform(1, 3))
         with pytest.raises(InvalidConfigError):
@@ -240,23 +241,70 @@ class TestGameRuns:
             GameConfig(n_arms=5, horizon=10, scaling=ScalingSpec.uniform(1, 2),
                        attacker_kind="greedy", scan_discount=discount)
 
+    @pytest.mark.parametrize("horizon", [1, 50_000])  # at T = 1 the clamp fires
+    def test_rates_are_resolved_at_construction(self, horizon):
+        scaling = ScalingSpec.uniform(1, 3)
+        config = GameConfig(n_arms=10, horizon=horizon, scaling=scaling)
+        assert config.defender_eta == min(corollary11_eta(10, 1, 3, horizon)[0], ETA_CLAMP)
+        assert config.attacker_eta == min(corollary11_eta(10, 1, 1, horizon)[0], ETA_CLAMP)
+        assert make_attacker(config).eta == config.attacker_eta
+        given = GameConfig(n_arms=10, horizon=horizon, scaling=scaling,
+                           defender_eta=0.3, attacker_eta=0.7)
+        assert (given.defender_eta, given.attacker_eta) == (0.3, 0.7)
+
+    @pytest.mark.parametrize("attacker_eta", [None, 0.7])
+    def test_greedy_game_has_no_attacker_rate(self, attacker_eta):
+        config = GameConfig(n_arms=5, horizon=10, scaling=ScalingSpec.uniform(1, 2),
+                            attacker_kind="greedy", attacker_eta=attacker_eta)
+        assert config.attacker_eta is None
+
+    def test_scaling_without_a_law_is_rejected(self):
+        with pytest.raises(InvalidConfigError, match="'budget_threshold' has no play-count law"):
+            GameConfig(n_arms=5, horizon=10,
+                       scaling=ScalingSpec(kind="budget_threshold", a=1, b=2))
+
+
+class TestComparison:
+    @pytest.mark.parametrize(
+        "change, error, replays",
+        [
+            ({}, None, 2),
+            ({"epsilon": 1.5}, InvalidParameterError, 0),
+            ({"epsilon": -0.1}, InvalidParameterError, 0),
+            ({"fixed_m": 6}, InvalidSpecError, 0),  # the trace has 6 arms
+            ({"fixed_m": 0}, InvalidSpecError, 0),
+        ],
+        ids=["valid", "epsilon-above-1", "epsilon-below-0", "fixed_m-equals-N", "fixed_m-0"],
+    )
+    def test_bad_arguments_fail_before_any_replay(self, monkeypatch, change, error, replays):
+        calls = []
+        replay = game.run_single_player
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(game, "run_single_player", counted)
+        trace = synthesize_intrusion_trace(
+            6, attacked=(1,), horizon=50, n_bursts=4, rng=np.random.default_rng(0)
+        )
+        if error is None:
+            run_comparison(trace, np.random.default_rng(1), **change)
+        else:
+            with pytest.raises(error):
+                run_comparison(trace, np.random.default_rng(1), **change)
+        assert len(calls) == replays
+
 
 class TestSinglePlayer:
     def test_eta_resolution(self):
-        spec = SinglePlayerSpec(
-            env=BernoulliEnv.harmonic(10),
-            scaling=ScalingSpec.uniform(1, 3),
-            horizon=100_000,
-        )
-        eta, _ = corollary11_eta(10, 1, 3, 100_000)
-        assert spec.resolve_eta() == pytest.approx(eta)
-        spec2 = SinglePlayerSpec(
-            env=BernoulliEnv.harmonic(10),
-            scaling=ScalingSpec.uniform(1, 3),
-            eta=0.1,
-            horizon=100,
-        )
-        assert spec2.resolve_eta() == 0.1
+        env, scaling = BernoulliEnv.harmonic(10), ScalingSpec.uniform(1, 3)
+        for horizon in (1, 100_000):  # at T = 1 the clamp fires
+            tuned = min(corollary11_eta(10, 1, 3, horizon)[0], ETA_CLAMP)
+            for eta in ("corollary_1_1", None):
+                assert SinglePlayerSpec(env, scaling, eta=eta, horizon=horizon).eta == tuned
+            assert SinglePlayerSpec(env, scaling, eta=0.1, horizon=horizon).eta == 0.1
+        assert tuned < ETA_CLAMP
 
     def test_trace_env_sets_horizon(self):
         tr = synthesize_intrusion_trace(

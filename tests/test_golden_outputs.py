@@ -39,6 +39,28 @@ CONFIGS = {
             "horizon": 1500, "replicas": 2, "record_weights": True,
         },
     ),
+    "bounds-all-keys": (
+        "bounds",
+        {
+            "schema_version": 1, "kind": "bounds", "seed": 11, "n": 12, "a": 2, "b": 5,
+            "nu": 3.4, "horizon": 20000, "eta": 0.05, "gmax": 4321.5,
+        },
+    ),
+    "sweep": (
+        "sweep",
+        {
+            "schema_version": 1, "kind": "sweep", "seed": 12, "n": 9, "a": 1, "b": 4,
+            "mu_min": 0.1, "mu_max": 0.95, "steps": 37,
+        },
+    ),
+    "ingest": (
+        "ingest",
+        {
+            "schema_version": 1, "kind": "ingest", "seed": 13, "path": "log.csv",
+            "column_map": {"identity": "Arbitration_ID", "injected_value": "A"},
+            "round_window": 0.05,
+        },
+    ),
     "compare-budget": (
         "compare",
         {
@@ -70,12 +92,38 @@ DIGESTS = {
         "summary.txt": "a5ec6949a9e3882bb12c2cec4fdafa21b26111df143c56390054b78c968881e5",
         "weights.csv": "d468b036cd7d9553972ea2e4c0a0625ccdf1e581df2dcbb655f0bbf9a447cc71",
     },
+    "bounds-all-keys": {
+        "manifest.json": "7ff041ccd4c748c1081fe9f4da25256dc34cfb856c401022286ac9d4c6745095",
+        "summary.txt": "728686b982b76a2a60cd750c30b7f96d5f9eed97a559f93fe1aeb55b597ef0b3",
+    },
+    "sweep": {
+        "manifest.json": "78d9495f41c431515baf227bcbeb9ccab2295afe3d1ad5ea70c7a045b5f86fef",
+        "summary.txt": "1fb3ca250b862993c6d82232d0d17b134a081d76facc88767ecdd429e9b2e5f7",
+        "sweep.csv": "06e577267738177310a12014dd2525a57d73944ec3d6eab7466e7fa74d3ca36d",
+    },
+    "ingest": {
+        "manifest.json": "144d5edb4b6d9feec47fbc6c3401a43cd4650b0e89191eaaf25a7c26c2f5b99d",
+        "summary.txt": "851a10455de52eb327d7553297252a8e905d48266b727fdd81f921e1aec41393",
+        "trace.csv": "d05f57935f77755c128c8f76d49b5df09f2844eee83a072dfe6ed63c5f536b19",
+        "trace.meta": "e6096f38cc7e9bc1b22b85e74539e036b52f75ade4e2fa0de9d9d65089b9410c",
+    },
     "compare-budget": {
         "compare.csv": "d07afccb92d3f60695745e9d599e9ad1cb4feaddd99a3aed58c2da067780964d",
         "manifest.json": "a2ef1b3a1e128f2aaeb35e1ada937c75275f97595d4a2f6f5551e7f35a48eb19",
         "summary.txt": "ff7310be02a2631d0e683d07c0dba4635f6038a0e2203135453f540cdd88f686",
     },
 }
+
+
+def _write_log(path):
+    """The ``ingest`` case's log: a byte-order mark, CRLF line ends and a blank line."""
+    rows = ["Timestamp,Arbitration_ID,DLC,Flag"]
+    for k in range(300):
+        ident = f"0x{(k * 37) % 11:03X}"
+        flag = "A" if k % 7 in (2, 3) and ident in ("0x002", "0x005", "0x009") else "N"
+        rows.append(f"{0.0123 * k + 1.5:.4f},{ident},8,{flag}")
+    rows.insert(120, "")
+    path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(rows).encode() + b"\r\n")
 
 
 def _digests(out_dir):
@@ -87,8 +135,11 @@ def _digests(out_dir):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_outputs_match_pinned_digests(tmp_path, name):
+def test_outputs_match_pinned_digests(tmp_path, monkeypatch, name):
     command, cfg = CONFIGS[name]
+    # the log path is relative, so the manifest and trace.meta bytes do not name tmp_path
+    monkeypatch.chdir(tmp_path)
+    _write_log(tmp_path / "log.csv")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
