@@ -29,13 +29,13 @@ MARGINAL_SUM_TOL = 1e-9
 
 
 def cap_threshold(weights, target):
-    """Find the cap value kappa and the set of arms at or above it.
+    """Find the cap value kappa.
 
     kappa solves  kappa / (sum_capped kappa + sum_rest w_i) = target,
     where the capped set is {i : w_i >= kappa}.  Scans cap-set sizes in
-    decreasing weight order and accepts the unique consistent size.
-
-    Returns ``(kappa, capped_indices)`` with indices into the original order.
+    decreasing weight order and accepts the unique consistent size m, the
+    one with exactly m weights at or above kappa, so the capped arms are
+    ``weights >= kappa``.
     """
     if not (0.0 < target < 1.0):
         raise InvalidTargetError(f"target must be in (0, 1), got {target}")
@@ -52,9 +52,7 @@ def cap_threshold(weights, target):
             break
         kappa = target * suffix[m] / (1.0 - m * target)
         if head[m - 1] >= kappa > head[m]:
-            capped = order[:m]
-            capped.sort()  # order is local, so its head is sorted in place
-            return kappa, capped
+            return kappa
     raise NumericPathologyError(
         "no consistent cap size found; check the capping precondition and weights"
     )

@@ -311,6 +311,9 @@ def _equilibrium_items(payoff, law):
 def _run_bounds(cfg, out_dir, workers):
     n, a, b = cfg["n"], cfg["a"], cfg["b"]
     analysis.check_nab(n, a, b)
+    if ("eta" in cfg) != ("gmax" in cfg):
+        given, missing = ("eta", "gmax") if "eta" in cfg else ("gmax", "eta")
+        raise InvalidConfigError(f"{given} needs {missing}: theorem1_bound takes both")
     flat = PayoffProfile.homogeneous(n)
     lo, hi = (analysis.attacker_value(flat, ((c,), (1.0,), c))[0] for c in (b, a))
     items = [("theorem2_lower", lo), ("theorem2_upper", hi)]
@@ -319,7 +322,7 @@ def _run_bounds(cfg, out_dir, workers):
     if "horizon" in cfg:
         eta, ceiling = analysis.corollary11_eta(n, a, b, cfg["horizon"])
         items += [("tuned_eta", eta), ("regret_ceiling", ceiling)]
-    if "eta" in cfg and "gmax" in cfg:
+    if "eta" in cfg:
         items.append(("theorem1_bound", analysis.theorem1_bound(cfg["gmax"], n, a, b, cfg["eta"])))
     _write_manifest(out_dir, cfg)
     _write_summary(os.path.join(out_dir, "summary.txt"), items)

@@ -12,12 +12,12 @@ package's one implementation of the variable-play learner; ``bandit_core``
 supplies its capping and subset-sampling steps.
 
 The defender's weights move only in rounds where it catches the attacker,
-so the learner caches a plan per play count m: the marginals, the capped
-set and the cumulative marginals that ``dep_round`` takes as its
-``cumulative`` argument.  A plan is built the first time m is played and
-dropped when the weights are assigned or an update moves a weight.  With
-play counts in [a, b] at most (b - a + 1) plans exist, each two arrays of
-N floats plus the capped indices, all read-only.
+so the learner caches a plan per play count m: the marginals, exactly 1.0
+at the capped arms and only there, and the cumulative marginals that
+``dep_round`` takes as its ``cumulative`` argument.  A plan is built the
+first time m is played and dropped when the weights are assigned or an
+update moves a weight.  With play counts in [a, b] at most (b - a + 1)
+plans exist, each two read-only arrays of N floats.
 """
 
 import functools
@@ -79,7 +79,7 @@ class Exp3MVPLearner:
         self._plans = {}
 
     def _plan(self, m):
-        """Build and cache ``(probs, capped, cumulative)`` for play count m."""
+        """Build and cache ``(probs, cumulative)`` for play count m."""
         w = self._weights
         n = self.n_arms
         if not 1 <= m < n:
@@ -87,61 +87,56 @@ class Exp3MVPLearner:
         eta = self.eta
         c = (1.0 / m - eta / n) / (1.0 - eta)
         total = w.sum()
+        capped = None
         if self._max >= c * total:
-            kappa, capped = cap_threshold(w, c)
-            wp = w.copy()
-            wp[capped] = kappa
-            total = wp.sum()
-        else:
-            wp = w
-            capped = None
-        probs = wp * (m * (1.0 - eta) / total)
+            kappa = cap_threshold(w, c)
+            capped = w >= kappa
+            w = np.minimum(w, kappa)
+            total = w.sum()
+        probs = w * (m * (1.0 - eta) / total)
         probs += m * eta / n
         if capped is not None:
             # algebraically exactly 1; pin it so downstream code can rely on it
             probs[capped] = 1.0
-            capped.flags.writeable = False
         cumulative = probs.cumsum()
         probs.flags.writeable = False
         cumulative.flags.writeable = False
-        plan = self._plans[m] = (probs, capped, cumulative)
+        plan = self._plans[m] = (probs, cumulative)
         return plan
 
     def play(self, m, rng):
-        """Draw a scan set of ``m`` of the ``N`` arms; returns ``(chosen, probs, capped)``.
+        """Draw a scan set of ``m`` of the ``N`` arms; returns ``(chosen, probs)``.
 
         ``probs`` are the selection marginals: large weights are capped so
         every marginal stays at most 1, and the remaining mass is mixed with
-        uniform exploration eta/N.  ``probs`` sums to ``m``; ``capped`` holds
-        the indices pinned at exactly 1 (``None`` when nothing is capped).
-        Both are the cached plan's read-only arrays.  ``chosen`` is the
-        increasing arm indices drawn from ``probs`` by ``dep_round``.
+        uniform exploration eta/N.  ``probs`` sums to ``m``, is exactly 1.0
+        at the capped arms and only there, and is the cached plan's
+        read-only array.  ``chosen`` is the increasing arm indices drawn
+        from ``probs`` by ``dep_round``.
         """
-        probs, capped, cumulative = self._plans.get(m) or self._plan(m)
+        probs, cumulative = self._plans.get(m) or self._plan(m)
         chosen = dep_round(m, probs, rng, cumulative=cumulative)
-        return chosen, probs, capped
+        return chosen, probs
 
-    def update(self, chosen, rewards, probs, capped):
+    def update(self, chosen, rewards, probs):
         """Importance-weighted multiplicative update, then rescale max to 1.
 
-        Rewards are nonnegative, so a moved weight only grows and the new
-        maximum is the larger of the running maximum and the moved weights;
-        dividing by it leaves the maximum at exactly 1.0.  The rescale is
-        skipped, and the cached plans kept, when no weight moved.
+        An arm at marginal 1.0 is capped and keeps its weight.  Rewards are
+        nonnegative, so a moved weight only grows and the new maximum is
+        the larger of the running maximum and the moved weights; dividing by
+        it leaves the maximum at exactly 1.0.  The rescale is skipped, and
+        the cached plans kept, when no weight moved.
         """
         w = self._weights
         coef = len(chosen) * self.eta / self.n_arms
-        capped_set = None
         top = self._max
         moved = False
         for j, y in zip(chosen, rewards):
             if y:
-                if capped is not None:
-                    if capped_set is None:
-                        capped_set = set(capped.tolist())
-                    if j in capped_set:
-                        continue
-                v = w[j] * math.exp(coef * (y / probs[j]))
+                p = probs[j]
+                if p == 1.0:
+                    continue
+                v = w[j] * math.exp(coef * (y / p))
                 w[j] = v
                 if v > top:
                     top = v
@@ -166,7 +161,6 @@ class Exp3Attacker:
         self.n_arms = n_arms
         self.eta = eta
         self.weights = np.ones(n_arms)
-        self._max = 1.0
 
     def select(self, rng):
         n = self.n_arms
@@ -188,11 +182,8 @@ class Exp3Attacker:
         w = self.weights
         v = float(w[arm]) * math.exp(xhat)
         w[arm] = v
-        if v > self._max:
-            self._max = v
-            if v > 1e100:
-                w /= v
-                self._max = 1.0
+        if v > 1e100:  # no weight exceeds 1e100 after an update, so v is the maximum
+            w /= v
 
 
 class GreedyAttacker:
@@ -217,11 +208,12 @@ class GreedyAttacker:
             return int(ties[0])
         return int(ties[rng.integers(ties.size)])
 
-    def update(self, arm, scanned):
+    def update(self, arm, reward):
+        # payoffs lie in (0, 1], so a reward of 0 means the location was scanned
         lam = self.discount
         v = self.values
         v *= 1.0 - lam
-        v[arm] += lam * (float(scanned) / self._rho)
+        v[arm] += lam * (float(reward == 0) / self._rho)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +243,8 @@ class SinglePlayerSpec:
             )
         self.scaling.validate_for(self.n_arms)
         self.eta = _eta(self.eta, self.n_arms, self.scaling.a, self.scaling.b, self.horizon)
+        if not 0.0 < self.eta < 1.0:
+            raise InvalidConfigError(f"eta must be in (0, 1), got {self.eta}")
 
     @property
     def n_arms(self):
@@ -286,12 +280,12 @@ def run_single_player(spec, rng, record_weights=False):
     for t in range(horizon):
         m = counts[t] if counts is not None else sample_arm_count(spec.scaling, ma)
         y = rewards[t]
-        chosen, probs, capped = learner.play(m, learner_rng)
+        chosen, probs = learner.play(m, learner_rng)
         obs = y[chosen]
         obs_list = obs.tolist()
         if record_weights:
             margs[t] = probs
-        learner.update(chosen.tolist(), obs_list, probs, capped)
+        learner.update(chosen.tolist(), obs_list, probs)
         play_counts[t] = m
         round_rewards[t] = sum(obs_list)  # exact: the rewards are 0/1
         if needs_ma:
@@ -392,6 +386,10 @@ class GameConfig:
             _eta(self.attacker_eta, self.n_arms, 1, 1, self.horizon)
             if self.attacker_kind == "exp3" else None
         )
+        if not 0.0 < self.defender_eta < 1.0:
+            raise InvalidConfigError(f"defender_eta must be in (0, 1), got {self.defender_eta}")
+        if self.attacker_eta is not None and not 0.0 < self.attacker_eta <= 1.0:
+            raise InvalidConfigError(f"attacker_eta must be in (0, 1], got {self.attacker_eta}")
 
 
 @dataclass
@@ -426,18 +424,15 @@ def play_round(attacker, defender, m, payoff, attacker_rng, defender_rng):
     Returns ``(attacker_arm, chosen, attacker_reward, defender_reward)``.
     """
     i = attacker.select(attacker_rng)
-    chosen, probs, capped = defender.play(m, defender_rng)
+    chosen, probs = defender.play(m, defender_rng)
     chosen_list = chosen.tolist()
     hit = i in chosen_list
     mu_i = float(payoff.mu[i])
     r = 0.0 if hit else mu_i
     s = mu_i if hit else 0.0
     obs = [mu_i if j == i else 0.0 for j in chosen_list]
-    if isinstance(attacker, GreedyAttacker):
-        attacker.update(i, hit)
-    else:
-        attacker.update(i, r)
-    defender.update(chosen_list, obs, probs, capped)
+    attacker.update(i, r)
+    defender.update(chosen_list, obs, probs)
     return i, chosen, r, s
 
 

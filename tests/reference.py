@@ -33,8 +33,10 @@ def dep_round_many(m, p, draws, rng):
 def cap_threshold_scan(weights, target):
     """The capping scan over every cap-set size, on numpy scalars.
 
-    Returns ``(kappa, capped)`` as ``bandit_core.cap_threshold`` does, or
-    ``None`` when no cap size is consistent.
+    Returns ``(kappa, capped)``, or ``None`` when no cap size is consistent:
+    ``kappa`` is what ``bandit_core.cap_threshold`` returns, and ``capped``
+    the sorted indices of the m largest weights, which must be the arms
+    with ``weights >= kappa``.
     """
     w = np.asarray(weights, dtype=float)
     order = np.argsort(-w, kind="stable")
@@ -49,6 +51,15 @@ def cap_threshold_scan(weights, target):
         if ws[m - 1] >= kappa > below:
             return kappa, np.sort(order[:m])
     return None
+
+
+def learner_capped(weights, eta, m):
+    """The arms the variable-play learner caps at play count m, by the scan
+    above: None when the largest weight is below the share
+    c = (1/m - eta/N) / (1 - eta) of the total, else their sorted indices."""
+    w = np.asarray(weights, dtype=float)
+    c = (1.0 / m - eta / w.size) / (1.0 - eta)
+    return None if w.max() < c * w.sum() else cap_threshold_scan(w, c)[1]
 
 
 def g_max_curve(reward_matrix, play_counts):

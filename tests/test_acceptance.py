@@ -12,7 +12,7 @@ import os
 import mpmath
 import numpy as np
 
-from reference import attacker_value_lp, dep_round_many
+from reference import attacker_value_lp, dep_round_many, learner_capped
 from vpbandit import cli
 from vpbandit.analysis import (
     attacker_value,
@@ -126,7 +126,8 @@ def test_variable_play_matches_fixed_play_on_a_trace():
 def _marginals(weights, eta, m):
     learner = Exp3MVPLearner(weights.size, eta)
     learner.weights = weights
-    return learner.play(m, np.random.default_rng(0))[1:]
+    _, probs = learner.play(m, np.random.default_rng(0))
+    return probs, learner_capped(weights, eta, m)
 
 
 def test_dependent_rounding_marginals_match():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import cap_threshold_scan, dep_round_many
+from reference import cap_threshold_scan, dep_round_many, learner_capped
 from vpbandit.bandit_core import cap_threshold, dep_round
 from vpbandit.errors import (
     InvalidMarginalsError,
@@ -25,9 +25,11 @@ def _learner(weights, eta):
 
 
 def _marginals(learner, m):
-    """``(probs, capped)`` of one ``play(m)``, drawn with a throwaway generator."""
-    _, probs, capped = learner.play(m, np.random.default_rng(0))
-    return probs, capped
+    """``(probs, capped)`` of one ``play(m)``, drawn with a throwaway
+    generator; ``capped`` is the reference scan's capped arms (None when
+    nothing is capped)."""
+    _, probs = learner.play(m, np.random.default_rng(0))
+    return probs, learner_capped(learner.weights, learner.eta, m)
 
 
 class _FixedUniform:
@@ -63,14 +65,18 @@ def _cap_oracle(weights, c):
 
 class TestCapThreshold:
     def test_single_dominant_weight(self):
-        kappa, capped = cap_threshold(np.array([10.0, 1.0, 1.0, 1.0]), 0.5)
+        w = np.array([10.0, 1.0, 1.0, 1.0])
+        kappa = cap_threshold(w, 0.5)
+        capped = np.flatnonzero(w >= kappa)
         assert kappa == pytest.approx(3.0)
         assert capped.tolist() == [0]
         # defining equation: kappa / (kappa + 3) = 0.5
         assert kappa / (kappa + 3.0) == pytest.approx(0.5)
 
     def test_two_equal_dominant_weights(self):
-        kappa, capped = cap_threshold(np.array([5.0, 5.0, 1.0, 1.0]), 0.4)
+        w = np.array([5.0, 5.0, 1.0, 1.0])
+        kappa = cap_threshold(w, 0.4)
+        capped = np.flatnonzero(w >= kappa)
         assert kappa == pytest.approx(4.0)
         assert capped.tolist() == [0, 1]
         # defining equation with both large weights capped
@@ -86,7 +92,8 @@ class TestCapThreshold:
             c = 1.0 / n + (1.0 / m_play - 1.0 / n) * rng.uniform(0.1, 1.0)
             if w.max() < c * w.sum():  # precondition: capping must be needed
                 continue
-            kappa, capped = cap_threshold(w, c)
+            kappa = cap_threshold(w, c)
+            capped = np.flatnonzero(w >= kappa)
             ok, ocapped = _cap_oracle(w, c)
             assert kappa == pytest.approx(ok, rel=1e-12)
             assert capped.tolist() == ocapped.tolist()
@@ -106,7 +113,8 @@ class TestCapThreshold:
                 with pytest.raises(NumericPathologyError):
                     cap_threshold(w, target)
                 continue
-            kappa, capped = cap_threshold(w, target)
+            kappa = cap_threshold(w, target)
+            capped = np.flatnonzero(w >= kappa)
             assert float(kappa).hex() == float(expected[0]).hex()
             assert capped.tolist() == expected[1].tolist()
 
@@ -320,8 +328,8 @@ class TestMultiPlayRound:
     def test_zero_rewards_leave_weights_unchanged(self):
         learner = _learner(np.ones(4), 0.5)
         rng = np.random.default_rng(0)
-        chosen, probs, capped = learner.play(2, rng)
-        learner.update(chosen, np.zeros(chosen.size), probs, capped)
+        chosen, probs = learner.play(2, rng)
+        learner.update(chosen, np.zeros(chosen.size), probs)
         np.testing.assert_array_equal(learner.weights, np.ones(4))
         np.testing.assert_allclose(_marginals(learner, 2)[0], 0.5)
 
@@ -334,10 +342,10 @@ class TestMultiPlayRound:
         rng = np.random.default_rng(1)
         for _ in range(20):
             learner = _learner(w0, 0.2)
-            chosen, probs, capped = learner.play(2, rng)
+            chosen, probs = learner.play(2, rng)
             assert 0 in chosen
-            assert capped.tolist() == [0]
-            learner.update(chosen, np.ones(chosen.size), probs, capped)
+            assert np.flatnonzero(probs == 1.0).tolist() == [0]
+            learner.update(chosen, np.ones(chosen.size), probs)
             expected = w0.copy()
             for j in chosen:
                 if j != 0:
@@ -356,7 +364,7 @@ class TestMultiPlayRound:
         draws = 40_000
         acc = np.zeros(4)
         for _ in range(draws):
-            chosen, probs, _ = learner.play(2, rng)
+            chosen, probs = learner.play(2, rng)
             acc[chosen] += y[chosen] / probs[chosen]
         mean = acc / draws
         for i in range(4):
@@ -383,13 +391,13 @@ class TestPlanCache:
     """The learner's cached per-play-count plans against a fresh learner."""
 
     def _check_plans(self, learner, eta):
-        for m, (probs, capped, cumulative) in learner._plans.items():
+        for m, (probs, cumulative) in learner._plans.items():
             fresh_probs, fresh_capped = _marginals(_learner(learner.weights.copy(), eta), m)
             assert _bits(probs) == _bits(fresh_probs)
-            assert _bits(capped) == _bits(fresh_capped)
+            pinned = np.flatnonzero(probs == 1.0)
+            assert pinned.tolist() == ([] if fresh_capped is None else fresh_capped.tolist())
             assert _bits(cumulative) == _bits(fresh_probs.cumsum())
             assert not probs.flags.writeable and not cumulative.flags.writeable
-            assert capped is None or not capped.flags.writeable
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -408,20 +416,21 @@ class TestPlanCache:
                 fresh_probs, _ = _marginals(_learner(learner.weights.copy(), eta), m)
                 twin = np.random.default_rng()
                 twin.bit_generator.state = rng.bit_generator.state
-                chosen, probs, capped = learner.play(m, rng)
+                chosen, probs = learner.play(m, rng)
                 assert chosen.tolist() == dep_round(m, fresh_probs, twin).tolist()
-                # the cached plan's arrays, which _check_plans compares
-                assert probs is learner._plans[m][0] and capped is learner._plans[m][1]
+                # the cached plan's array, which _check_plans compares
+                assert probs is learner._plans[m][0]
                 assert not probs.flags.writeable
             else:
-                chosen, probs, capped = learner.play(m, rng)
+                chosen, probs = learner.play(m, rng)
                 rewards = data.draw(
                     st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=m, max_size=m)
                 )
+                _, capped = _marginals(_learner(learner.weights.copy(), eta), m)
                 frozen = set() if capped is None else set(capped.tolist())
                 moving = any(y and j not in frozen for j, y in zip(chosen.tolist(), rewards))
                 before = list(learner._plans.values())
-                learner.update(chosen.tolist(), rewards, probs, capped)
+                learner.update(chosen.tolist(), rewards, probs)
                 after = list(learner._plans.values())
                 if moving:
                     assert not after  # no plan survives a moving update
@@ -430,15 +439,33 @@ class TestPlanCache:
                     assert all(a is b for a, b in zip(after, before))
             self._check_plans(learner, eta)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_capped_arms_are_the_arms_at_one(self, data):
+        # the marginals are the capped set's only record: exactly 1.0 at
+        # {w >= kappa} when capping fires and nowhere otherwise
+        n = data.draw(st.integers(2, 12))
+        eta = data.draw(st.floats(0.01, 0.9))
+        m = data.draw(st.integers(1, n - 1))
+        w = _weight_vector(data, n)
+        learner = _learner(w.copy(), eta)
+        _, probs = learner.play(m, np.random.default_rng(0))
+        c = (1.0 / m - eta / n) / (1.0 - eta)
+        capped = w >= cap_threshold(w, c) if w.max() >= c * w.sum() else np.zeros(n, bool)
+        assert np.array_equal(probs == 1.0, capped)
+        # a reward of 1 on every arm (coef = eta) moves exactly the uncapped
+        # weights, each by exp(eta / p) >= e**0.01, before the rescale
+        learner.update(list(range(n)), [1.0] * n, probs)
+        moved = np.where(capped, w, w * np.exp(eta / probs))
+        np.testing.assert_allclose(learner.weights, moved / moved.max(), rtol=1e-12)
+
     def test_plan_arrays_reject_writes(self):
         learner = _learner([10.0, 1.0, 1.0, 1.0], 0.2)
-        _, probs, capped = learner.play(2, np.random.default_rng(0))
+        _, probs = learner.play(2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             probs[0] = 0.5
         with pytest.raises(ValueError):
-            capped[0] = 1
-        with pytest.raises(ValueError):
-            learner._plans[2][2][0] = 0.0
+            learner._plans[2][1][0] = 0.0
 
 
 class TestHedge:
@@ -477,11 +504,10 @@ class TestHedge:
     def test_zero_reward_is_a_no_op(self):
         att = Exp3Attacker(3, eta=0.5)
         att.update(1, 1.0)
-        weights, top = att.weights.copy(), att._max
+        weights = att.weights.copy()
         att.update(1, 0.0)
         att.update(2, 0.0)
-        assert att.weights.tobytes() == weights.tobytes() and att._max == top
-        assert type(att._max) is float
+        assert att.weights.tobytes() == weights.tobytes()
 
 
 class TestSinglePlayRound:

@@ -312,7 +312,7 @@ class TestBadInput:
         cfgp = _write_config(tmp_path, {**TestGame.CFG, "defender_eta": 5})
         out = tmp_path / "a" / "b" / "out"
         assert cli.main(["simulate-game", "--config", cfgp, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: eta must be in (0, 1)")
+        assert capsys.readouterr().err.startswith("error: defender_eta must be in (0, 1)")
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_tail_fraction_of_one_is_the_whole_horizon(self, tmp_path):
@@ -503,6 +503,9 @@ FULL_CONFIGS = {
 }
 
 
+_DROP = object()  # a change that removes the key
+
+
 def _full_config(case, log_path):
     sub, body = FULL_CONFIGS[case]
     cfg = {"schema_version": 1, "kind": case.split("-")[0], "seed": 3, **body}
@@ -624,18 +627,39 @@ class TestSchema:
             ("simulate-game", {"payoff": [1.0, 1e-320, 0.5, 0.25, 1]}),
             # budget_threshold has no play-count law, so no game value
             ("simulate-game", {"scaling": {"kind": "budget_threshold", "a": 1, "b": 3}}),
+            # theorem1_bound takes both eta and gmax: one alone is an unused key
+            ("bounds", {"gmax": _DROP}),
+            ("bounds", {"eta": _DROP}),
         ],
     )
     def test_bad_values_fail_before_any_output(self, tmp_path, sub, change):
         case = {"simulate-game": "game", "simulate-single": "single_player-bernoulli",
                 "ingest": "ingest", "sweep": "sweep", "bounds": "bounds"}[sub]
         _, cfg = _full_config(case, _write_can_log(tmp_path / "log.csv"))
-        rc, err = _run_main(sub, {**cfg, **change}, tmp_path / "c.json", tmp_path / "out")
+        cfg = {k: v for k, v in {**cfg, **change}.items() if v is not _DROP}
+        rc, err = _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out")
         _assert_fails_fast(rc, err, tmp_path / "out")
         if "budget" in change:
             assert err == ["error: unknown key(s) in config: ['budget']"]
         if change == {"scaling": {"kind": "budget_threshold", "a": 1, "b": 3}}:
             assert "'budget_threshold' has no play-count law" in err[0]
+        if _DROP in change.values():
+            given, dropped = ("eta", "gmax") if "gmax" in change else ("gmax", "eta")
+            assert err == [f"error: {given} needs {dropped}: theorem1_bound takes both"]
+
+    @pytest.mark.parametrize(
+        "case, change, message",
+        [
+            ("game", {"defender_eta": 1.5}, "defender_eta must be in (0, 1), got 1.5"),
+            ("game", {"attacker_eta": 1.5}, "attacker_eta must be in (0, 1], got 1.5"),
+            ("single_player-bernoulli", {"eta": 0}, "eta must be in (0, 1), got 0.0"),
+        ],
+    )
+    def test_bad_rate_names_its_key(self, tmp_path, case, change, message):
+        sub, cfg = _full_config(case, "unused")
+        rc, err = _run_main(sub, {**cfg, **change}, tmp_path / "c.json", tmp_path / "out")
+        _assert_fails_fast(rc, err, tmp_path / "out")
+        assert err == [f"error: {message}"]
 
     @pytest.mark.parametrize("mean, std", [(50, 0.1), (10, 1)])
     def test_gaussian_without_mass_fails_fast(self, tmp_path, mean, std):

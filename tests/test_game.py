@@ -49,9 +49,9 @@ class _FixedDefender:
         self._probs[self._chosen] = 1.0
 
     def play(self, m, rng):
-        return self._chosen, self._probs, None
+        return self._chosen, self._probs
 
-    def update(self, chosen, rewards, probs, capped):
+    def update(self, chosen, rewards, probs):
         pass
 
 
@@ -174,7 +174,7 @@ class TestGameRuns:
         for t in range(config.horizon):
             arm = attacker.select(att_rng)
             assert arm == trace.attacker_arm[t]
-            attacker.update(arm, arm in scan_sets[t])
+            attacker.update(arm, 0.0 if arm in scan_sets[t] else 1.0)
 
     @pytest.mark.parametrize("attacker_kind", ["exp3", "greedy"])
     def test_scan_sets_are_consecutive_sorted_segments(self, attacker_kind):
@@ -258,6 +258,19 @@ class TestGameRuns:
                             attacker_kind="greedy", attacker_eta=attacker_eta)
         assert config.attacker_eta is None
 
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            ({"defender_eta": 1.0}, r"defender_eta must be in \(0, 1\), got 1.0"),
+            ({"defender_eta": 0.0}, r"defender_eta must be in \(0, 1\), got 0.0"),
+            ({"attacker_eta": 1.5}, r"attacker_eta must be in \(0, 1\], got 1.5"),
+            ({"attacker_eta": -0.1}, r"attacker_eta must be in \(0, 1\], got -0.1"),
+        ],
+    )
+    def test_bad_rate_is_rejected_at_construction(self, rates, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            GameConfig(n_arms=5, horizon=10, scaling=ScalingSpec.uniform(1, 2), **rates)
+
     def test_scaling_without_a_law_is_rejected(self):
         with pytest.raises(InvalidConfigError, match="'budget_threshold' has no play-count law"):
             GameConfig(n_arms=5, horizon=10,
@@ -305,6 +318,12 @@ class TestSinglePlayer:
                 assert SinglePlayerSpec(env, scaling, eta=eta, horizon=horizon).eta == tuned
             assert SinglePlayerSpec(env, scaling, eta=0.1, horizon=horizon).eta == 0.1
         assert tuned < ETA_CLAMP
+
+    @pytest.mark.parametrize("eta", [1.0, 0.0, -0.5])
+    def test_bad_eta_is_rejected_at_construction(self, eta):
+        with pytest.raises(InvalidConfigError, match=rf"eta must be in \(0, 1\), got {eta}"):
+            SinglePlayerSpec(BernoulliEnv.harmonic(10), ScalingSpec.uniform(1, 3), eta=eta,
+                             horizon=10)
 
     def test_trace_env_sets_horizon(self):
         tr = synthesize_intrusion_trace(
@@ -367,11 +386,11 @@ class TestSinglePlayer:
         update = Exp3MVPLearner.update
         seen = {"rounds": 0, "capped": 0}
 
-        def checked(self, chosen, rewards, probs, capped):
-            update(self, chosen, rewards, probs, capped)
+        def checked(self, chosen, rewards, probs):
+            update(self, chosen, rewards, probs)
             assert self._max == self.weights.max()
             seen["rounds"] += 1
-            seen["capped"] += capped is not None
+            seen["capped"] += bool((probs == 1.0).any())
 
         monkeypatch.setattr(Exp3MVPLearner, "update", checked)
         spec = SinglePlayerSpec(
@@ -387,7 +406,7 @@ class TestSinglePlayer:
         learner.weights = np.array([0.5, 3.0, 0.25, 1.0])
         assert learner._max == 3.0
         # arm 1 holds the maximum and is not moved
-        _, probs, capped = learner.play(2, np.random.default_rng(0))
-        learner.update([0, 2], [1.0, 1.0], probs, capped)
+        _, probs = learner.play(2, np.random.default_rng(0))
+        learner.update([0, 2], [1.0, 1.0], probs)
         assert learner._max == learner.weights.max() == 1.0
         assert learner.weights[1] == 1.0

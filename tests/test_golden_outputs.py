@@ -30,6 +30,14 @@ CONFIGS = {
             "scaling": {"kind": "uniform_discrete", "a": 1, "b": 3},
         },
     ),
+    "game-n4-greedy-payoff": (
+        "simulate-game",
+        {
+            "schema_version": 1, "kind": "game", "seed": 3, "n": 4, "horizon": 1500,
+            "replicas": 2, "attacker": "greedy", "payoff": [0.9, 0.6, 0.4, 0.2],
+            "scaling": {"kind": "uniform_discrete", "a": 1, "b": 3},
+        },
+    ),
     "single-harmonic": (
         "simulate-single",
         {
@@ -85,6 +93,13 @@ DIGESTS = {
         "manifest.json": "ef8aa4a070717c90ca67507d71c646ea328730a22d15fee3eb5930caf64a1468",
         "summary.txt": "f248919aab74aae812504a840af4b228138b50a78561c7e45925ea6f87274039",
         "trace_000.csv": "84ac30767a73b49f6da8052a5220ae815d2b2089d73246005d3d054f4608f797",
+    },
+    "game-n4-greedy-payoff": {
+        "curves.csv": "8bf4e25c91ee0acbf9a16259f90fe977c07be920d4d9681a5ca05821e9ddf708",
+        "manifest.json": "b713d671c9123fe34fa6f9b964bebe4f0a0300eb25da8b6e72dd92e31fcf4f56",
+        "summary.txt": "62c29ed20390b9dec83704e34f50719cdaacace3563ad963a83c10e1309e76a6",
+        "trace_000.csv": "87cb0530190c70942d42c1bd55e91d5df0f67ca858845afb357f4797a09775f5",
+        "trace_001.csv": "5018ef657153640fdab25afed63d2b951c0b23f462fbcc2a46cb11ee073054b4",
     },
     "single-harmonic": {
         "curves.csv": "17114eb9fc370ac47c698476d7058d395425818e3cd74e2276b14bb30e0ab821",
