@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ShapeError
+from .errors import InvalidConfigError
 
 E_MINUS_2 = math.e - 2.0
 
@@ -53,14 +53,14 @@ def _checked(reward_matrix, play_counts):
     y = np.asarray(reward_matrix, dtype=float)
     m = np.asarray(play_counts)
     if y.ndim != 2 or y.shape[0] < 1 or m.shape != y.shape[:1]:
-        raise ShapeError(
+        raise InvalidConfigError(
             f"need a (T, N) reward matrix with T >= 1 and one play count per round, "
             f"got rewards of shape {y.shape} and play counts of shape {m.shape}"
         )
     if not np.isfinite(y).all():
-        raise InvalidParameterError("rewards must be finite")
+        raise InvalidConfigError("rewards must be finite")
     if m.dtype.kind not in "iu" or m.min() < 1 or m.max() > y.shape[1]:
-        raise InvalidParameterError(f"play counts must be integers in [1, {y.shape[1]}]")
+        raise InvalidConfigError(f"play counts must be integers in [1, {y.shape[1]}]")
     return y, m
 
 
@@ -198,9 +198,9 @@ def theorem1_bound(gmax, n, a, b, eta):
     """
     check_nab(n, a, b)
     if not 0.0 < eta <= 1.0:
-        raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
+        raise InvalidConfigError(f"eta must be in (0, 1], got {eta}")
     if np.any(np.less(gmax, 0)):
-        raise InvalidParameterError(f"gmax must be >= 0, got {np.min(gmax)}")
+        raise InvalidConfigError(f"gmax must be >= 0, got {np.min(gmax)}")
     return (1.0 + E_MINUS_2 * b / a) * eta * gmax + (n / eta) * math.log(n / b)
 
 
@@ -212,7 +212,7 @@ def corollary11_eta(n, a, b, horizon):
     """
     check_nab(n, a, b)
     if horizon < 1:
-        raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
+        raise InvalidConfigError(f"horizon must be >= 1, got {horizon}")
     eta = min(
         1.0,
         math.sqrt(n * a * math.log(n / b) / ((a + E_MINUS_2 * b) * b * horizon)),
@@ -226,7 +226,7 @@ def corollary11_eta(n, a, b, horizon):
 def check_nab(n, a, b):
     """Reject play-count bounds outside 1 <= a <= b < N."""
     if not 1 <= a <= b < n:
-        raise InvalidParameterError(f"need 1 <= a <= b < N, got a={a} b={b} N={n}")
+        raise InvalidConfigError(f"need 1 <= a <= b < N, got a={a} b={b} N={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def attacker_value(profile, law):
     counts, probs, mean = np.asarray(law[0]), np.asarray(law[1]), law[2]
     n = mu.size
     if counts.min() <= 0 or counts.max() >= n:
-        raise InvalidParameterError(f"play counts must lie in (0, {n}), got {counts.tolist()}")
+        raise InvalidConfigError(f"play counts must lie in (0, {n}), got {counts.tolist()}")
     if np.any(np.diff(mu) > 0):
         mu = np.sort(mu)[::-1]
     harmonic = np.cumsum(1.0 / mu)  # harmonic[k-1] = sum_{j<=k} 1/mu_j

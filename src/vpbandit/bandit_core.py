@@ -14,12 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    InvalidMarginalsError,
-    InvalidPlayCountError,
-    InvalidTargetError,
-    NumericPathologyError,
-)
+from .errors import InvalidConfigError, NumericPathologyError
 
 MARGINAL_SUM_TOL = 1e-9
 
@@ -38,7 +33,7 @@ def cap_threshold(weights, target):
     ``weights >= kappa``.
     """
     if not (0.0 < target < 1.0):
-        raise InvalidTargetError(f"target must be in (0, 1), got {target}")
+        raise InvalidConfigError(f"target must be in (0, 1), got {target}")
     w = np.asarray(weights, dtype=float)
     order = (-w).argsort(kind="stable")
     ws = w[order]
@@ -66,11 +61,11 @@ def _checked(m, probs):
     p = np.asarray(probs, dtype=float)
     n = p.size
     if not 1 <= m < n:
-        raise InvalidPlayCountError(f"m must satisfy 1 <= m < {n}, got {m}")
+        raise InvalidConfigError(f"m must satisfy 1 <= m < {n}, got {m}")
     if not abs(float(p.sum()) - m) <= MARGINAL_SUM_TOL:
-        raise InvalidMarginalsError(f"marginals sum to {p.sum()!r}, expected {m}")
+        raise InvalidConfigError(f"marginals sum to {p.sum()!r}, expected {m}")
     if not np.all((p >= -MARGINAL_SUM_TOL) & (p <= 1.0 + MARGINAL_SUM_TOL)):
-        raise InvalidMarginalsError("marginals must lie in [0, 1]")
+        raise InvalidConfigError("marginals must lie in [0, 1]")
     return p
 
 
@@ -93,7 +88,7 @@ def _systematic(m, c, u):
         idx = c[:last].searchsorted(points, side="right")
         drawn = idx.tolist()
     if len(set(drawn)) != m:
-        raise InvalidMarginalsError(f"systematic sampling did not draw {m} distinct arms")
+        raise NumericPathologyError(f"systematic sampling did not draw {m} distinct arms")
     return idx
 
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidConfigError
 
 
 class FrequentistState:
@@ -41,7 +41,7 @@ def ucb1_select(state):
 def epsilon_greedy_select(state, epsilon, rng):
     """Uniform arm with probability epsilon, otherwise the empirical best."""
     if not 0.0 <= epsilon <= 1.0:
-        raise InvalidParameterError(f"epsilon must be in [0, 1], got {epsilon}")
+        raise InvalidConfigError(f"epsilon must be in [0, 1], got {epsilon}")
     if rng.random() < epsilon:
         return int(rng.integers(state.n_arms))
     return int(np.argmax(state.means))

@@ -3,7 +3,8 @@
 Every run takes a JSON config (schema version 1), resolves all defaults,
 and writes into the output directory:
 
-* ``manifest.json`` — the fully resolved config, enough to reproduce the run
+* ``manifest.json`` — the config with every default filled in and no other
+  key; fed back to the same subcommand, it reproduces the run byte for byte
 * ``summary.txt`` — final metrics and applicable theoretical values, one
   ``key=value`` per line
 * plot-ready CSV curves depending on the experiment kind
@@ -12,9 +13,12 @@ The key tables below are the whole config schema: one per experiment kind,
 scaling kind and environment type, each mapping a key to its default and
 type.  Unknown keys, keys that the section's kind does not use, missing keys
 and values of the wrong type are rejected (exit status 1) before any output
-is written.  The seed is mandatory (no wall-clock defaults); ``--seed`` and
-the ``BANDIT_SEED`` environment variable override the config value, in that
-order of increasing precedence.
+is written.  A game's ``attacker_eta`` belongs to the exp3 attacker and its
+``scan_discount`` to the greedy one; ``GameConfig`` rejects the other
+kind's key, and the failed run removes its output directory.  The seed is
+mandatory (no wall-clock defaults); ``--seed`` and the ``BANDIT_SEED``
+environment variable override the config value, in that order of
+increasing precedence.
 """
 
 import argparse
@@ -40,9 +44,7 @@ from .environments import (
 )
 from .errors import InvalidConfigError, VPBanditError
 from .game import (
-    DEFAULT_IOTA,
-    DEFAULT_SCAN_DISCOUNT,
-    ETA_CLAMP,
+    ATTACKER_KEYS,
     GameConfig,
     SinglePlayerSpec,
     run_comparison,
@@ -260,9 +262,9 @@ CONFIGS = {
         "scaling": (REQUIRED, _SCALING),
         "attacker": ("exp3", STR),
         "defender_eta": (None, NUM),
-        "attacker_eta": (None, NUM),
+        "attacker_eta": (OMIT, NUM),  # exp3 only
         "payoff": (OMIT, NUMS),
-        "scan_discount": (DEFAULT_SCAN_DISCOUNT, FRACTION),
+        "scan_discount": (OMIT, FRACTION),  # greedy only
         "replicas": (1, INT),
         "tail_fraction": (0.2, FRACTION),
     },
@@ -338,8 +340,8 @@ def _run_single_player(cfg, out_dir, workers):
         spec, cfg["replicas"], np.random.default_rng(run_ss),
         workers=workers, record_weights=cfg["record_weights"],
     )
-    derived = {"eta_resolved": spec.eta, "eta_clamp": ETA_CLAMP, "horizon": spec.horizon}
-    _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling), **derived})
+    derived = {"scaling": _scaling_manifest(scaling), "horizon": spec.horizon}
+    _write_manifest(out_dir, {**cfg, **derived})
     t = np.arange(1, spec.horizon + 1)
     header = ["t", "regret_mean", "regret_stderr", "bound"]
     columns = [t, report.regret_mean, report.regret_stderr, report.bound]
@@ -373,7 +375,7 @@ def _run_compare(cfg, out_dir, workers):
         env, np.random.default_rng(run_ss), epsilon=cfg["epsilon"], vp_scaling=scaling,
         fixed_m=cfg["fixed_m"],
     )
-    _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling), "iota": DEFAULT_IOTA})
+    _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling)})
     names = sorted(curves)
     columns = [np.arange(1, env.n_rounds + 1)] + [curves[name] for name in names]
     write_csv(os.path.join(out_dir, "compare.csv"), ["t"] + names, columns)
@@ -388,15 +390,15 @@ def _run_game(cfg, out_dir, workers):
     payoff = PayoffProfile(mu=np.asarray(cfg["payoff"], dtype=float)) if "payoff" in cfg else None
     config = GameConfig(
         n_arms=cfg["n"], horizon=cfg["horizon"], scaling=scaling, attacker_kind=cfg["attacker"],
-        defender_eta=cfg["defender_eta"], attacker_eta=cfg["attacker_eta"], payoff=payoff,
-        scan_discount=cfg["scan_discount"], seed=cfg["seed"],
+        defender_eta=cfg["defender_eta"], attacker_eta=cfg.get("attacker_eta"), payoff=payoff,
+        scan_discount=cfg.get("scan_discount"), seed=cfg["seed"],
     )
     traces = run_game_replicas(config, cfg["replicas"], workers=workers)
+    own = ATTACKER_KEYS[config.attacker_kind]
     derived = {
         "defender_eta": config.defender_eta,
-        "attacker_eta": config.attacker_eta,
+        own: getattr(config, own),
         "payoff": list(map(float, config.payoff.mu)),
-        "iota": DEFAULT_IOTA,
     }
     _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling), **derived})
     att_curves = []
@@ -459,7 +461,7 @@ def _run_sweep(cfg, out_dir, workers):
     profiles = (PayoffProfile.homogeneous(n, mu) for mu in mus)
     values = [[analysis.attacker_value(p, ((c,), (1.0,), c))[0] for c in (b, a)] for p in profiles]
     lower, upper = np.array(values).T
-    _write_manifest(out_dir, {**cfg, "interval_form": "harmonic"})
+    _write_manifest(out_dir, cfg)
     write_csv(os.path.join(out_dir, "sweep.csv"), ["mu", "lower", "upper"], [mus, lower, upper])
     _write_summary(os.path.join(out_dir, "summary.txt"), [("points", steps)])
 

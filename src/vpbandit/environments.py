@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    InputEncodingError,
-    InvalidConfigError,
-    RowParseError,
-    SchemaError,
-    ShapeError,
-)
+from .errors import InputFileError, InvalidConfigError, RowParseError
 
 DEFAULT_ROUND_WINDOW = 0.25  # seconds per round when bucketing CAN logs
 INGEST_BLOCK = 1 << 18  # bytes of CAN log per parse pass; a longer line grows its block
@@ -86,7 +79,7 @@ def write_columns(f, columns, newline="\n"):
     """
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
-        raise ShapeError(f"columns of different lengths {sorted(lengths)}")
+        raise InvalidConfigError(f"columns of different lengths {sorted(lengths)}")
     for lo in range(0, lengths.pop() if lengths else 0, CSV_BLOCK):
         fields = [_column_text(c[lo : lo + CSV_BLOCK]) for c in columns]
         f.write(newline.join(map(",".join, zip(*fields))) + newline)
@@ -213,7 +206,7 @@ def ingest_can_log(path, column_map=None, round_window=DEFAULT_ROUND_WINDOW):
     row that is short of a mapped column, that holds an oversized field or
     whose timestamp is not a finite number raises ``RowParseError`` with
     the physical line on which the first such row starts; bytes that are
-    not UTF-8 raise ``InputEncodingError``, and a trace of over
+    not UTF-8 raise ``InputFileError``, and a trace of over
     ``MAX_TRACE_CELLS`` rounds × arms ``InvalidConfigError``.
     """
     if not round_window > 0:
@@ -237,7 +230,7 @@ def _columns(reader, path, cmap):
     where = {name: i for i, name in enumerate(header)}
     for key in ("timestamp", "identity", "flag"):
         if cmap[key] not in where:
-            raise SchemaError(f"missing column {cmap[key]!r} (for {key})")
+            raise InputFileError(f"missing column {cmap[key]!r} (for {key})")
     return [where[cmap[k]] for k in ("timestamp", "identity", "flag")]
 
 
@@ -477,7 +470,7 @@ def _identities(block, a, lo, hi, ids, hit):
 def _bucket(path, round_window, n_rows, lo, hi, labels, hit_ts, hit_ids):
     """The trace of a scanned log: one arm per identity, one round per ``round_window`` s."""
     if not n_rows:
-        raise EmptyInputError(f"{path} contains no data rows")
+        raise InputFileError(f"{path} contains no data rows")
     t0 = float(lo)
     labels = sorted(labels)
     span = float(hi) - t0
@@ -503,7 +496,7 @@ def _bucket(path, round_window, n_rows, lo, hi, labels, hit_ts, hit_ids):
 
 def _not_utf8(path, exc):
     # the decoder works on blocks of the file, so the line is not known
-    return InputEncodingError(f"{path} is not UTF-8 text: {exc.reason}")
+    return InputFileError(f"{path} is not UTF-8 text: {exc.reason}")
 
 
 @dataclass

@@ -1,47 +1,19 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library: one per failure a caller can act on."""
 
 
 class VPBanditError(Exception):
-    """Base class for all library errors."""
-
-
-class InvalidTargetError(VPBanditError):
-    """Cap target outside (0, 1)."""
-
-
-class NumericPathologyError(VPBanditError):
-    """No consistent cap threshold exists (broken precondition or NaN weights)."""
-
-
-class InvalidPlayCountError(VPBanditError):
-    """Requested number of plays outside [1, N-1]."""
-
-
-class InvalidMarginalsError(VPBanditError):
-    """Marginal vector does not sum to the play count (or entries out of [0, 1])."""
-
-
-class InvalidSpecError(VPBanditError):
-    """Scaling spec with inconsistent bounds."""
-
-
-class InvalidParameterError(VPBanditError):
-    """Scalar parameter outside its domain."""
+    """Base class for all library errors; the CLI's one catch."""
 
 
 class InvalidConfigError(VPBanditError):
-    """Experiment or generator configuration is invalid."""
+    """A value outside its domain: a config key, argument, spec or array shape."""
 
 
-class SchemaError(VPBanditError):
-    """Input file is missing a required column."""
+class InputFileError(VPBanditError):
+    """A file the program reads is wrong: a missing column, not UTF-8, or no data rows."""
 
 
-class InputEncodingError(VPBanditError):
-    """Input file is not text in the expected encoding."""
-
-
-class RowParseError(VPBanditError):
+class RowParseError(InputFileError):
     """A data row could not be parsed; carries the 1-based line number."""
 
     def __init__(self, line_number, message):
@@ -49,9 +21,5 @@ class RowParseError(VPBanditError):
         self.line_number = line_number
 
 
-class EmptyInputError(VPBanditError):
-    """Input file contained no data rows."""
-
-
-class ShapeError(VPBanditError):
-    """Inconsistent array dimensions."""
+class NumericPathologyError(VPBanditError):
+    """An internal invariant failed: no consistent cap size, or a draw of too few arms."""

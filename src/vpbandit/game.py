@@ -30,10 +30,9 @@ from .analysis import corollary11_eta
 from .bandit_core import cap_threshold, dep_round
 from .baselines import FrequentistState, epsilon_greedy_select, ucb1_select
 from .environments import IntrusionTrace, PayoffProfile, bernoulli_rewards
-from .errors import InvalidConfigError, InvalidParameterError, InvalidPlayCountError
+from .errors import InvalidConfigError
 from .scaling import BUDGET_WINDOW, MovingAverage, ScalingSpec, sample_arm_count, sample_arm_counts
 
-DEFAULT_IOTA = math.e - 1.0  # manifests record the attacker's weight base as 1 + iota = e
 DEFAULT_SCAN_DISCOUNT = 0.01
 ETA_CLAMP = 1.0 - 1e-6  # tuned rates are clamped below 1, the learner's open bound
 
@@ -83,7 +82,7 @@ class Exp3MVPLearner:
         w = self._weights
         n = self.n_arms
         if not 1 <= m < n:
-            raise InvalidPlayCountError(f"m must satisfy 1 <= m < {n}, got {m}")
+            raise InvalidConfigError(f"m must satisfy 1 <= m < {n}, got {m}")
         eta = self.eta
         c = (1.0 / m - eta / n) / (1.0 - eta)
         total = w.sum()
@@ -323,7 +322,7 @@ def run_comparison(trace, rng, epsilon=0.1, vp_scaling=None, fixed_m=3, eta=None
         "exp3m": SinglePlayerSpec(env=trace, scaling=ScalingSpec.constant(fixed_m), eta=eta),
     }
     if not 0.0 <= epsilon <= 1.0:
-        raise InvalidParameterError(f"epsilon must be in [0, 1], got {epsilon}")
+        raise InvalidConfigError(f"epsilon must be in [0, 1], got {epsilon}")
     t_axis = np.arange(1, horizon + 1)
     curves = {
         name: run_single_player(spec, rng.spawn(1)[0]).cumulative_reward / t_axis
@@ -351,26 +350,38 @@ def run_comparison(trace, rng, epsilon=0.1, vp_scaling=None, fixed_m=3, eta=None
 # two-player game
 
 
+# the one config key each attacker kind takes
+ATTACKER_KEYS = {"exp3": "attacker_eta", "greedy": "scan_discount"}
+
+
 @dataclass
 class GameConfig:
     n_arms: int
     horizon: int
     scaling: ScalingSpec  # a kind with a law: the game value is a function of it
     attacker_kind: str = "exp3"
-    # both rates are stored resolved; the attacker's is None for the greedy attacker
+    # each attacker kind takes only its own key, stored resolved; the other stays None
     defender_eta: float = None  # default: horizon-tuned rule with (a, b)
-    attacker_eta: float = None  # default: horizon-tuned rule with a = b = 1
+    attacker_eta: float = None  # exp3 only; default: horizon-tuned rule with a = b = 1
     payoff: PayoffProfile = None
-    scan_discount: float = DEFAULT_SCAN_DISCOUNT
+    scan_discount: float = None  # greedy only; default: DEFAULT_SCAN_DISCOUNT
     seed: int = 0
 
     def __post_init__(self):
-        if self.attacker_kind not in ("exp3", "greedy"):
+        if self.attacker_kind not in ATTACKER_KEYS:
             raise InvalidConfigError(f"unknown attacker kind {self.attacker_kind!r}")
+        for kind, key in ATTACKER_KEYS.items():
+            if kind != self.attacker_kind and getattr(self, key) is not None:
+                raise InvalidConfigError(f"{key} applies only to the {kind} attacker")
         if self.horizon < 1:
             raise InvalidConfigError("horizon must be >= 1")
-        if not 0.0 < self.scan_discount <= 1.0:
-            raise InvalidConfigError(f"scan_discount must be in (0, 1], got {self.scan_discount}")
+        if self.attacker_kind == "greedy":
+            if self.scan_discount is None:
+                self.scan_discount = DEFAULT_SCAN_DISCOUNT
+            if not 0.0 < self.scan_discount <= 1.0:
+                raise InvalidConfigError(
+                    f"scan_discount must be in (0, 1], got {self.scan_discount}"
+                )
         self.scaling.validate_for(self.n_arms)
         if self.scaling.law() is None:
             raise InvalidConfigError(
@@ -382,14 +393,12 @@ class GameConfig:
             raise InvalidConfigError("payoff profile size must match n_arms")
         a, b = self.scaling.a, self.scaling.b
         self.defender_eta = _eta(self.defender_eta, self.n_arms, a, b, self.horizon)
-        self.attacker_eta = (
-            _eta(self.attacker_eta, self.n_arms, 1, 1, self.horizon)
-            if self.attacker_kind == "exp3" else None
-        )
         if not 0.0 < self.defender_eta < 1.0:
             raise InvalidConfigError(f"defender_eta must be in (0, 1), got {self.defender_eta}")
-        if self.attacker_eta is not None and not 0.0 < self.attacker_eta <= 1.0:
-            raise InvalidConfigError(f"attacker_eta must be in (0, 1], got {self.attacker_eta}")
+        if self.attacker_kind == "exp3":
+            self.attacker_eta = _eta(self.attacker_eta, self.n_arms, 1, 1, self.horizon)
+            if not 0.0 < self.attacker_eta <= 1.0:
+                raise InvalidConfigError(f"attacker_eta must be in (0, 1], got {self.attacker_eta}")
 
 
 @dataclass
@@ -482,9 +491,9 @@ def map_replicas(fn, parent, replicas, workers, *shared):
     pool, and ``fn`` and ``shared`` must be picklable.
     """
     if not isinstance(replicas, (int, np.integer)) or replicas < 1:
-        raise InvalidParameterError(f"replicas must be an integer >= 1, got {replicas!r}")
+        raise InvalidConfigError(f"replicas must be an integer >= 1, got {replicas!r}")
     if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers!r}")
+        raise InvalidConfigError(f"workers must be >= 1, got {workers!r}")
     call = functools.partial(fn, *shared)
     children = parent.spawn(replicas)
     if workers > 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidConfigError
 
 KINDS = ("constant", "uniform_discrete", "truncated_gaussian", "budget_threshold")
 
@@ -63,20 +63,20 @@ class ScalingSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InvalidSpecError(f"unknown scaling kind {self.kind!r}")
+            raise InvalidConfigError(f"unknown scaling kind {self.kind!r}")
         if not 1 <= self.a <= self.b:
-            raise InvalidSpecError(f"need 1 <= a <= b, got a={self.a} b={self.b}")
+            raise InvalidConfigError(f"need 1 <= a <= b, got a={self.a} b={self.b}")
         if self.kind == "constant":
             if self.m is None:
                 self.m = self.a
             if not self.a <= self.m <= self.b:
-                raise InvalidSpecError(f"constant m={self.m} outside [{self.a}, {self.b}]")
+                raise InvalidConfigError(f"constant m={self.m} outside [{self.a}, {self.b}]")
         if self.kind == "truncated_gaussian":
             if self.mean is None or self.std is None or self.std <= 0:
-                raise InvalidSpecError("truncated_gaussian needs mean and std > 0")
+                raise InvalidConfigError("truncated_gaussian needs mean and std > 0")
             mass = self._gaussian_mass(self.a - 0.5, self.b + 0.5)
             if not mass >= MIN_GAUSSIAN_MASS:  # also rejects NaN
-                raise InvalidSpecError(
+                raise InvalidConfigError(
                     f"truncated_gaussian mean={self.mean} std={self.std} has mass {mass:.3g} "
                     f"on [{self.a - 0.5}, {self.b + 0.5}], below {MIN_GAUSSIAN_MASS}"
                 )
@@ -95,7 +95,7 @@ class ScalingSpec:
 
     def validate_for(self, n_arms):
         if self.b >= n_arms:
-            raise InvalidSpecError(f"b={self.b} must be < number of arms {n_arms}")
+            raise InvalidConfigError(f"b={self.b} must be < number of arms {n_arms}")
 
     def law(self):
         """Exact law of the play count, ``(counts, probs, mean)``.
@@ -171,4 +171,4 @@ def sample_arm_counts(spec, count, rng):
             out[filled : filled + take] = np.floor(x[:take] + 0.5)
             filled += take
         return out
-    raise InvalidSpecError(f"kind {spec.kind!r} cannot be batch-sampled")
+    raise InvalidConfigError(f"kind {spec.kind!r} cannot be batch-sampled")

@@ -17,7 +17,7 @@ from vpbandit.analysis import (
     theorem1_bound,
 )
 from vpbandit.environments import BernoulliEnv, PayoffProfile
-from vpbandit.errors import InvalidParameterError, ShapeError
+from vpbandit.errors import InvalidConfigError
 from vpbandit.game import SinglePlayerSpec
 from vpbandit.scaling import ScalingSpec
 
@@ -84,7 +84,7 @@ class TestHindsightInputs:
         "counts", [[4, 4, 4, 4], [1, -1, 2, 1], [0, 1, 1, 1], [1.0, 2.0, 1.0, 1.0], [1, 2.5, 1, 1]]
     )
     def test_play_counts_must_be_integers_in_one_to_n(self, optimum, counts):
-        with pytest.raises(InvalidParameterError, match="play counts"):
+        with pytest.raises(InvalidConfigError, match="play counts"):
             optimum(self.ONES, counts)
 
     @pytest.mark.parametrize("optimum", [g_max, g_max_curve])
@@ -92,7 +92,7 @@ class TestHindsightInputs:
     def test_rewards_must_be_finite(self, optimum, bad):
         y = self.ONES.copy()
         y[2, 1] = bad
-        with pytest.raises(InvalidParameterError, match="finite"):
+        with pytest.raises(InvalidConfigError, match="finite"):
             optimum(y, [1, 2, 1, 1])
 
     @pytest.mark.parametrize("optimum", [g_max, g_max_curve])
@@ -106,7 +106,7 @@ class TestHindsightInputs:
         ],
     )
     def test_shapes(self, optimum, y, counts):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidConfigError, match=r"need a \(T, N\) reward matrix"):
             optimum(y, counts)
 
 
@@ -192,16 +192,16 @@ class TestClosedForms:
         assert etas[0] == 1.0  # clamped at very short horizons
 
     def test_parameter_validation(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidConfigError, match="need 1 <= a <= b < N, got a=0 b=3 N=5"):
             theorem1_bound(10.0, 5, 0, 3, 0.1)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidConfigError, match="need 1 <= a <= b < N, got a=1 b=5 N=5"):
             theorem1_bound(10.0, 5, 1, 5, 0.1)
         # a negative optimum used to give a negative ceiling
         for gmax in (-1e6, -1e-9, np.array([3.0, -1.0, 2.0])):
-            with pytest.raises(InvalidParameterError, match="gmax"):
+            with pytest.raises(InvalidConfigError, match="gmax"):
                 theorem1_bound(gmax, 10, 1, 3, 0.1)
         assert theorem1_bound(np.zeros(2), 10, 1, 3, 0.1).shape == (2,)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidConfigError, match="horizon must be >= 1, got 0"):
             corollary11_eta(5, 1, 2, 0)
 
 
@@ -275,7 +275,7 @@ class TestAttackerValue:
         "law", [_point(0), _point(5), _point(-1.0), _point(5.5), ((1, 5), (0.5, 0.5), 3.0)]
     )
     def test_rejects_counts_outside_zero_to_n(self, law):
-        with pytest.raises(InvalidParameterError, match="play counts"):
+        with pytest.raises(InvalidConfigError, match="play counts"):
             attacker_value(PayoffProfile.homogeneous(5), law)
 
 

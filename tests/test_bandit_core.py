@@ -9,12 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference import cap_threshold_scan, dep_round_many, learner_capped
 from vpbandit.bandit_core import cap_threshold, dep_round
-from vpbandit.errors import (
-    InvalidMarginalsError,
-    InvalidPlayCountError,
-    InvalidTargetError,
-    NumericPathologyError,
-)
+from vpbandit.errors import InvalidConfigError, NumericPathologyError
 from vpbandit.game import Exp3Attacker, Exp3MVPLearner
 
 
@@ -110,7 +105,7 @@ class TestCapThreshold:
             target = float(rng.uniform(1.0 / n, 1.0) if k % 3 else rng.uniform(0.001, 0.999))
             expected = cap_threshold_scan(w, target)
             if expected is None:
-                with pytest.raises(NumericPathologyError):
+                with pytest.raises(NumericPathologyError, match="no consistent cap size"):
                     cap_threshold(w, target)
                 continue
             kappa = cap_threshold(w, target)
@@ -119,9 +114,9 @@ class TestCapThreshold:
             assert capped.tolist() == expected[1].tolist()
 
     def test_rejects_bad_target(self):
-        with pytest.raises(InvalidTargetError):
+        with pytest.raises(InvalidConfigError, match=r"target must be in \(0, 1\), got 0.0"):
             cap_threshold(np.ones(3), 0.0)
-        with pytest.raises(InvalidTargetError):
+        with pytest.raises(InvalidConfigError, match=r"target must be in \(0, 1\), got 1.0"):
             cap_threshold(np.ones(3), 1.0)
 
 
@@ -155,9 +150,9 @@ class TestMarginals:
     def test_rejects_bad_play_count(self):
         learner = _learner(np.ones(4), 0.1)
         rng = np.random.default_rng(0)
-        with pytest.raises(InvalidPlayCountError):
+        with pytest.raises(InvalidConfigError, match="m must satisfy 1 <= m < 4, got 0"):
             learner.play(0, rng)
-        with pytest.raises(InvalidPlayCountError):
+        with pytest.raises(InvalidConfigError, match="m must satisfy 1 <= m < 4, got 4"):
             learner.play(4, rng)
 
     @settings(max_examples=200, deadline=None)
@@ -236,11 +231,11 @@ class TestDepRound:
 
     def test_rejects_inconsistent_marginals(self):
         rng = np.random.default_rng(4)
-        with pytest.raises(InvalidMarginalsError):
+        with pytest.raises(InvalidConfigError, match=r"marginals sum to .*1\.5.*, expected 2"):
             dep_round(2, np.array([0.5, 0.5, 0.5]), rng)
-        with pytest.raises(InvalidMarginalsError):
+        with pytest.raises(InvalidConfigError, match=r"marginals must lie in \[0, 1\]"):
             dep_round(1, np.array([1.2, -0.2]), rng)
-        with pytest.raises(InvalidPlayCountError):
+        with pytest.raises(InvalidConfigError, match="m must satisfy 1 <= m < 3, got 3"):
             dep_round(3, np.array([1.0, 1.0, 1.0]), rng)
 
     @settings(max_examples=200, deadline=None)
@@ -313,7 +308,7 @@ class TestDepRound:
         # the interval [0, 1.5) of arm 0 holds both points 0 and 1: the
         # duplicate is reported, not repaired
         p = np.array([1.5, 0.5, 0.0])
-        with pytest.raises(InvalidMarginalsError):
+        with pytest.raises(NumericPathologyError, match="did not draw 2 distinct arms"):
             dep_round(2, p, _FixedUniform(0.0), cumulative=p.cumsum())
 
     def test_one_draw_uses_one_double(self):

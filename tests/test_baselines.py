@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vpbandit.baselines import FrequentistState, epsilon_greedy_select, ucb1_select
-from vpbandit.errors import InvalidParameterError
+from vpbandit.errors import InvalidConfigError
 
 
 class TestUcb1:
@@ -71,5 +71,5 @@ class TestEpsilonGreedy:
         assert abs(freq - 0.91) <= 3 * sigma
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidConfigError, match=r"epsilon must be in \[0, 1\], got 1.5"):
             epsilon_greedy_select(FrequentistState(2), 1.5, np.random.default_rng(0))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from vpbandit import cli, environments
 from vpbandit.analysis import attacker_value
 from vpbandit.environments import BernoulliEnv, PayoffProfile
-from vpbandit.errors import ShapeError
+from vpbandit.errors import InvalidConfigError
 from vpbandit.game import SinglePlayerSpec, run_single_player
 from vpbandit.scaling import ScalingSpec
 
@@ -100,8 +100,10 @@ class TestSinglePlayer:
             parts = [float(v) for v in line.split(",")]
             m = parts[1]
             assert abs(sum(parts[2:]) - m) <= 1e-9
+        lines = (out / "summary.txt").read_text().splitlines()
+        summary = dict(line.split("=", 1) for line in lines)
+        assert float(summary["eta"]) == 0.1
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["eta_resolved"] == 0.1
         assert manifest["schema_version"] == 1
 
     def test_weight_rows_are_replica_zero(self, tmp_path):
@@ -450,7 +452,7 @@ class TestWriteCsv:
         assert len((tmp_path / "new.csv").read_bytes().splitlines()) == n + 1
 
     def test_rejects_columns_of_different_lengths(self, tmp_path):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidConfigError, match=r"columns of different lengths \[3, 4\]"):
             cli.write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3), np.arange(4)])
 
     def test_scan_sets_match_per_row_indices(self):
@@ -492,10 +494,16 @@ FULL_CONFIGS = {
         "scaling": {"kind": "uniform_discrete", "a": 1, "b": 2},
         "epsilon": 0.2, "fixed_m": 2,
     }),
-    "game": ("simulate-game", {
+    "game-exp3": ("simulate-game", {
         "n": 5, "horizon": 40,
         "scaling": {"kind": "truncated_gaussian", "a": 1, "b": 3, "mean": 2.0, "std": 0.8},
         "attacker": "exp3", "defender_eta": 0.1, "attacker_eta": 0.1,
+        "payoff": [1.0, 0.5, 0.5, 0.25, 1], "replicas": 1, "tail_fraction": 0.5,
+    }),
+    "game-greedy": ("simulate-game", {
+        "n": 5, "horizon": 40,
+        "scaling": {"kind": "truncated_gaussian", "a": 1, "b": 3, "mean": 2.0, "std": 0.8},
+        "attacker": "greedy", "defender_eta": 0.1,
         "payoff": [1.0, 0.5, 0.5, 0.25, 1], "scan_discount": 0.9, "replicas": 1,
         "tail_fraction": 0.5,
     }),
@@ -633,7 +641,7 @@ class TestSchema:
         ],
     )
     def test_bad_values_fail_before_any_output(self, tmp_path, sub, change):
-        case = {"simulate-game": "game", "simulate-single": "single_player-bernoulli",
+        case = {"simulate-game": "game-exp3", "simulate-single": "single_player-bernoulli",
                 "ingest": "ingest", "sweep": "sweep", "bounds": "bounds"}[sub]
         _, cfg = _full_config(case, _write_can_log(tmp_path / "log.csv"))
         cfg = {k: v for k, v in {**cfg, **change}.items() if v is not _DROP}
@@ -650,8 +658,13 @@ class TestSchema:
     @pytest.mark.parametrize(
         "case, change, message",
         [
-            ("game", {"defender_eta": 1.5}, "defender_eta must be in (0, 1), got 1.5"),
-            ("game", {"attacker_eta": 1.5}, "attacker_eta must be in (0, 1], got 1.5"),
+            ("game-exp3", {"defender_eta": 1.5}, "defender_eta must be in (0, 1), got 1.5"),
+            ("game-exp3", {"attacker_eta": 1.5}, "attacker_eta must be in (0, 1], got 1.5"),
+            # each attacker kind takes only its own key
+            ("game-greedy", {"attacker_eta": 0.1},
+             "attacker_eta applies only to the exp3 attacker"),
+            ("game-exp3", {"scan_discount": 0.9},
+             "scan_discount applies only to the greedy attacker"),
             ("single_player-bernoulli", {"eta": 0}, "eta must be in (0, 1), got 0.0"),
         ],
     )
@@ -664,7 +677,7 @@ class TestSchema:
     @pytest.mark.parametrize("mean, std", [(50, 0.1), (10, 1)])
     def test_gaussian_without_mass_fails_fast(self, tmp_path, mean, std):
         # both specs used to hang the play-count rejection sampler
-        sub, cfg = _full_config("game", "unused")
+        sub, cfg = _full_config("game-exp3", "unused")
         cfg["scaling"].update(mean=mean, std=std)
         _assert_one_error(*_run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out"))
 
@@ -811,7 +824,7 @@ for sub, cfg, out in json.loads(sys.argv[1]):
 def test_no_command_loads_scipy(tmp_path):
     log = _write_can_log(tmp_path / "log.csv")
     runs = []
-    for case in ["bounds", "sweep", "game", "ingest", "compare-trace_csv",
+    for case in ["bounds", "sweep", "game-exp3", "game-greedy", "ingest", "compare-trace_csv",
                  "single_player-bernoulli", "single_player-harmonic"]:
         sub, cfg = _full_config(case, log)
         (tmp_path / f"{case}.json").write_text(json.dumps(cfg))

@@ -18,13 +18,7 @@ from vpbandit.environments import (
     ingest_can_log,
     synthesize_intrusion_trace,
 )
-from vpbandit.errors import (
-    EmptyInputError,
-    InputEncodingError,
-    InvalidConfigError,
-    RowParseError,
-    SchemaError,
-)
+from vpbandit.errors import InputFileError, InvalidConfigError, RowParseError
 from vpbandit.game import play_round
 
 
@@ -55,13 +49,13 @@ class TestBernoulli:
         assert r1.bit_generator.state == r2.bit_generator.state
 
     def test_rejects_out_of_range_means(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match=r"Bernoulli means must lie in \[0, 1\]"):
             BernoulliEnv(means=np.array([0.5, 1.2]))
 
 
 class TestSyntheticTrace:
     def test_requires_attacked_arms(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match="attacked arm set must be nonempty"):
             synthesize_intrusion_trace(5, (), 100, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("window", [0.0, -0.25])
@@ -194,7 +188,7 @@ class TestIngest:
     def test_schema_and_row_errors(self, tmp_path):
         f = tmp_path / "bad.csv"
         _write_log(f, ["0.0,idA,T"], header="time,id,flag")
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputFileError, match=r"missing column 'Timestamp' \(for timestamp\)"):
             ingest_can_log(f)
         f2 = tmp_path / "badrow.csv"
         _write_log(f2, ["oops,idA,T"])
@@ -203,7 +197,7 @@ class TestIngest:
         assert exc.value.line_number == 2
         f3 = tmp_path / "empty.csv"
         _write_log(f3, [])
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputFileError, match="empty.csv contains no data rows"):
             ingest_can_log(f3)
 
     @pytest.mark.parametrize(
@@ -315,7 +309,7 @@ class TestIngest:
     def test_byte_order_mark_before_bytes_that_are_not_utf8(self, tmp_path):
         f = tmp_path / "log.csv"
         f.write_bytes(b"\xef\xbb\xbfTimestamp,CAN_ID,Flag\n0.0,id\xff,T\n")
-        with pytest.raises(InputEncodingError, match="is not UTF-8"):
+        with pytest.raises(InputFileError, match="is not UTF-8"):
             ingest_can_log(f)
 
     @pytest.mark.parametrize("window", [0.25, 1e-300])
@@ -768,7 +762,7 @@ class TestPayoffs:
         assert _round_payoffs(prof, 2, [0, 1]) == (pytest.approx(0.2), 0.0)
 
     def test_rejects_nonpositive_payoffs(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match=r"payoffs must lie in \(0, 1\]"):
             PayoffProfile(mu=np.array([0.5, 0.0]))
 
     @pytest.mark.parametrize("mu", [[0.5, 1e-320], [1e-307] * 1000])
@@ -781,7 +775,7 @@ class TestPayoffs:
 
 class TestIntrusionTrace:
     def test_validates_shape_and_labels(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match="arm_labels length must match"):
             IntrusionTrace(indicators=np.zeros((4, 2)), arm_labels=["a"])
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match="arm_labels must be distinct"):
             IntrusionTrace(indicators=np.zeros((4, 2)), arm_labels=["a", "a"])

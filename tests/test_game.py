@@ -8,8 +8,9 @@ import pytest
 from vpbandit import game
 from vpbandit.analysis import attacker_value, corollary11_eta
 from vpbandit.environments import BernoulliEnv, PayoffProfile, synthesize_intrusion_trace
-from vpbandit.errors import InvalidConfigError, InvalidParameterError, InvalidSpecError
+from vpbandit.errors import InvalidConfigError
 from vpbandit.game import (
+    DEFAULT_SCAN_DISCOUNT,
     ETA_CLAMP,
     Exp3Attacker,
     Exp3MVPLearner,
@@ -92,9 +93,9 @@ class TestCoupling:
 
 class TestExp3MVPLearner:
     def test_rejects_bad_eta(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match=r"eta must be in \(0, 1\), got 0.0"):
             Exp3MVPLearner(4, 0.0)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match=r"eta must be in \(0, 1\), got 1.0"):
             Exp3MVPLearner(4, 1.0)
 
 
@@ -214,20 +215,20 @@ class TestGameRuns:
 
     def test_replica_fan_out_rejects_bad_counts(self):
         config = GameConfig(n_arms=5, horizon=10, scaling=ScalingSpec.uniform(1, 2))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidConfigError, match="replicas must be an integer >= 1, got 0"):
             run_game_replicas(config, 0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidConfigError, match="replicas must be an integer >= 1, got -1"):
             run_game_replicas(config, -1)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidConfigError, match="workers must be >= 1, got 0"):
             map_replicas(run_game, np.random.default_rng(0), 2, 0, config)
 
     def test_config_validation(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match="unknown attacker kind 'nope'"):
             GameConfig(n_arms=5, horizon=10, scaling=ScalingSpec.uniform(1, 2),
                        attacker_kind="nope")
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidConfigError, match="b=3 must be < number of arms 3"):
             GameConfig(n_arms=3, horizon=10, scaling=ScalingSpec.uniform(1, 3))
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match="payoff profile size must match n_arms"):
             GameConfig(
                 n_arms=5,
                 horizon=10,
@@ -252,11 +253,12 @@ class TestGameRuns:
                            defender_eta=0.3, attacker_eta=0.7)
         assert (given.defender_eta, given.attacker_eta) == (0.3, 0.7)
 
-    @pytest.mark.parametrize("attacker_eta", [None, 0.7])
-    def test_greedy_game_has_no_attacker_rate(self, attacker_eta):
+    def test_greedy_game_has_no_attacker_rate(self):
         config = GameConfig(n_arms=5, horizon=10, scaling=ScalingSpec.uniform(1, 2),
-                            attacker_kind="greedy", attacker_eta=attacker_eta)
-        assert config.attacker_eta is None
+                            attacker_kind="greedy")
+        assert (config.attacker_eta, config.scan_discount) == (None, DEFAULT_SCAN_DISCOUNT)
+        config = GameConfig(n_arms=5, horizon=10, scaling=ScalingSpec.uniform(1, 2))
+        assert config.scan_discount is None
 
     @pytest.mark.parametrize(
         "rates, message",
@@ -265,6 +267,13 @@ class TestGameRuns:
             ({"defender_eta": 0.0}, r"defender_eta must be in \(0, 1\), got 0.0"),
             ({"attacker_eta": 1.5}, r"attacker_eta must be in \(0, 1\], got 1.5"),
             ({"attacker_eta": -0.1}, r"attacker_eta must be in \(0, 1\], got -0.1"),
+            # each attacker kind takes only its own key, even at a valid value
+            ({"attacker_kind": "greedy", "attacker_eta": 0.7},
+             "^attacker_eta applies only to the exp3 attacker$"),
+            ({"attacker_kind": "greedy", "attacker_eta": 5.0},
+             "^attacker_eta applies only to the exp3 attacker$"),
+            ({"scan_discount": DEFAULT_SCAN_DISCOUNT},
+             "^scan_discount applies only to the greedy attacker$"),
         ],
     )
     def test_bad_rate_is_rejected_at_construction(self, rates, message):
@@ -279,17 +288,17 @@ class TestGameRuns:
 
 class TestComparison:
     @pytest.mark.parametrize(
-        "change, error, replays",
+        "change, message, replays",
         [
             ({}, None, 2),
-            ({"epsilon": 1.5}, InvalidParameterError, 0),
-            ({"epsilon": -0.1}, InvalidParameterError, 0),
-            ({"fixed_m": 6}, InvalidSpecError, 0),  # the trace has 6 arms
-            ({"fixed_m": 0}, InvalidSpecError, 0),
+            ({"epsilon": 1.5}, r"epsilon must be in \[0, 1\], got 1.5", 0),
+            ({"epsilon": -0.1}, r"epsilon must be in \[0, 1\], got -0.1", 0),
+            ({"fixed_m": 6}, "b=6 must be < number of arms 6", 0),  # the trace has 6 arms
+            ({"fixed_m": 0}, "need 1 <= a <= b, got a=0 b=0", 0),
         ],
         ids=["valid", "epsilon-above-1", "epsilon-below-0", "fixed_m-equals-N", "fixed_m-0"],
     )
-    def test_bad_arguments_fail_before_any_replay(self, monkeypatch, change, error, replays):
+    def test_bad_arguments_fail_before_any_replay(self, monkeypatch, change, message, replays):
         calls = []
         replay = game.run_single_player
 
@@ -301,10 +310,10 @@ class TestComparison:
         trace = synthesize_intrusion_trace(
             6, attacked=(1,), horizon=50, n_bursts=4, rng=np.random.default_rng(0)
         )
-        if error is None:
+        if message is None:
             run_comparison(trace, np.random.default_rng(1), **change)
         else:
-            with pytest.raises(error):
+            with pytest.raises(InvalidConfigError, match=message):
                 run_comparison(trace, np.random.default_rng(1), **change)
         assert len(calls) == replays
 

@@ -2,7 +2,8 @@
 
 A change that is meant to keep every output bit (a faster learner round, a
 new writer) must keep these digests.  A change that alters a seeded stream
-on purpose updates them and says so in CHANGES.md.
+on purpose updates them and says so in CHANGES.md.  Each run's manifest,
+fed back to the same subcommand, must reproduce the run byte for byte.
 """
 
 import hashlib
@@ -83,27 +84,27 @@ CONFIGS = {
 DIGESTS = {
     "game-n10-exp3": {
         "curves.csv": "c51f0fc358f7f5b4b616ad5556e5ddefcbf7af263a0c616a9166f608e60726b3",
-        "manifest.json": "d6a12f076ce492d0e360d55cca41a09aa3517e0fe7254d1eaba6f92c523c4265",
+        "manifest.json": "cd4074fc93a8c5b0e63589dace27b4eaf9c489430b970f75f5f4d7366ede0dcf",
         "summary.txt": "3d0161c44715a59c30c2bb8908630863112b3d086f75b59abe4d7b72d16ecabe",
         "trace_000.csv": "f44f80e9053fece54b3e7e755f871410814659d393f15201940aec96ceceb57c",
         "trace_001.csv": "6b7dcefb10c3eaf6c5a38c0b6921cd251d8885b7aab4250f73ce00748ce2b970",
     },
     "game-n1000-greedy": {
         "curves.csv": "45cd40b4d9568e55ad1671f58f66b9434f2978a567ba1dab9b4a76263288abe1",
-        "manifest.json": "ef8aa4a070717c90ca67507d71c646ea328730a22d15fee3eb5930caf64a1468",
+        "manifest.json": "e35f2362e4a2cefbf6c5352869625fba8a45b0cd555d7017f396e7a387d873d1",
         "summary.txt": "f248919aab74aae812504a840af4b228138b50a78561c7e45925ea6f87274039",
         "trace_000.csv": "84ac30767a73b49f6da8052a5220ae815d2b2089d73246005d3d054f4608f797",
     },
     "game-n4-greedy-payoff": {
         "curves.csv": "8bf4e25c91ee0acbf9a16259f90fe977c07be920d4d9681a5ca05821e9ddf708",
-        "manifest.json": "b713d671c9123fe34fa6f9b964bebe4f0a0300eb25da8b6e72dd92e31fcf4f56",
+        "manifest.json": "8f317a0c3c4d52ad34d22e61326e6f19aa8e4438d50c42d1cffc5aa68b364006",
         "summary.txt": "62c29ed20390b9dec83704e34f50719cdaacace3563ad963a83c10e1309e76a6",
         "trace_000.csv": "87cb0530190c70942d42c1bd55e91d5df0f67ca858845afb357f4797a09775f5",
         "trace_001.csv": "5018ef657153640fdab25afed63d2b951c0b23f462fbcc2a46cb11ee073054b4",
     },
     "single-harmonic": {
         "curves.csv": "17114eb9fc370ac47c698476d7058d395425818e3cd74e2276b14bb30e0ab821",
-        "manifest.json": "5b0f32620e5086fe35065bc71d90ba35f35aa5f76eb88fdcdc1f91117b992308",
+        "manifest.json": "fe4b7259d61858ff58cf5e898fc35b802023c2b3d49b5f884debefb73008f321",
         "summary.txt": "a5ec6949a9e3882bb12c2cec4fdafa21b26111df143c56390054b78c968881e5",
         "weights.csv": "d468b036cd7d9553972ea2e4c0a0625ccdf1e581df2dcbb655f0bbf9a447cc71",
     },
@@ -112,7 +113,7 @@ DIGESTS = {
         "summary.txt": "728686b982b76a2a60cd750c30b7f96d5f9eed97a559f93fe1aeb55b597ef0b3",
     },
     "sweep": {
-        "manifest.json": "78d9495f41c431515baf227bcbeb9ccab2295afe3d1ad5ea70c7a045b5f86fef",
+        "manifest.json": "fbd110eea2978f532a6be2264a5830ec9df35643805661d558e7d4155473038c",
         "summary.txt": "1fb3ca250b862993c6d82232d0d17b134a081d76facc88767ecdd429e9b2e5f7",
         "sweep.csv": "06e577267738177310a12014dd2525a57d73944ec3d6eab7466e7fa74d3ca36d",
     },
@@ -124,7 +125,7 @@ DIGESTS = {
     },
     "compare-budget": {
         "compare.csv": "d07afccb92d3f60695745e9d599e9ad1cb4feaddd99a3aed58c2da067780964d",
-        "manifest.json": "a2ef1b3a1e128f2aaeb35e1ada937c75275f97595d4a2f6f5551e7f35a48eb19",
+        "manifest.json": "6c2e60631c1277c00bd872a50db06526e477dce59b83c0a78d62ef113b62ef17",
         "summary.txt": "ff7310be02a2631d0e683d07c0dba4635f6038a0e2203135453f540cdd88f686",
     },
 }
@@ -149,8 +150,8 @@ def _digests(out_dir):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_outputs_match_pinned_digests(tmp_path, monkeypatch, name):
+def _run(tmp_path, monkeypatch, name):
+    """The digests of the config's run, in ``tmp_path / "out"``."""
     command, cfg = CONFIGS[name]
     # the log path is relative, so the manifest and trace.meta bytes do not name tmp_path
     monkeypatch.chdir(tmp_path)
@@ -159,4 +160,19 @@ def test_outputs_match_pinned_digests(tmp_path, monkeypatch, name):
     config_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 0
-    assert _digests(out) == DIGESTS[name]
+    return _digests(out)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_match_pinned_digests(tmp_path, monkeypatch, name):
+    assert _run(tmp_path, monkeypatch, name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_manifest_reproduces_the_run(tmp_path, monkeypatch, name):
+    # the manifest is a config the same subcommand accepts, and rerunning it
+    # writes the same bytes, the manifest included
+    first = _run(tmp_path, monkeypatch, name)
+    manifest, again = tmp_path / "out" / "manifest.json", tmp_path / "again"
+    assert cli.main([CONFIGS[name][0], "--config", str(manifest), "--out", str(again)]) == 0
+    assert _digests(again) == first

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from vpbandit.errors import InvalidSpecError
+from vpbandit.errors import InvalidConfigError
 from vpbandit.scaling import (
     MIN_GAUSSIAN_MASS,
     MovingAverage,
@@ -45,11 +45,11 @@ class TestScalingSpec:
         assert (spec.a, spec.b, spec.m) == (3, 3, 3)
 
     def test_rejects_bad_bounds(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidConfigError, match="need 1 <= a <= b, got a=3 b=2"):
             ScalingSpec(kind="uniform_discrete", a=3, b=2)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidConfigError, match="truncated_gaussian needs mean and std > 0"):
             ScalingSpec(kind="truncated_gaussian", a=1, b=3, mean=2.0, std=0.0)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidConfigError, match="unknown scaling kind 'nope'"):
             ScalingSpec(kind="nope", a=1, b=2)
 
     @pytest.mark.parametrize(
@@ -58,7 +58,7 @@ class TestScalingSpec:
     )
     def test_rejects_gaussian_without_mass_on_the_range(self, mean, std, mass):
         # rejection sampling would loop (for ever, at mass 0) on these specs
-        with pytest.raises(InvalidSpecError, match="mass") as exc:
+        with pytest.raises(InvalidConfigError, match="mass") as exc:
             ScalingSpec.truncated_gaussian(1, 3, mean=mean, std=std)
         reported = float(str(exc.value).split("mass ")[1].split()[0])
         assert reported == pytest.approx(mass, rel=1e-3, abs=1e-300)
@@ -70,7 +70,7 @@ class TestScalingSpec:
         for mean in (6.5, -2.5):
             ScalingSpec.truncated_gaussian(1, 3, mean=mean, std=1.0)
         for mean in (6.6, -2.6):
-            with pytest.raises(InvalidSpecError):
+            with pytest.raises(InvalidConfigError, match="below 0.001"):
                 ScalingSpec.truncated_gaussian(1, 3, mean=mean, std=1.0)
 
     @pytest.mark.parametrize(
@@ -124,7 +124,7 @@ class TestScalingSpec:
     def test_validate_for_requires_b_below_n(self):
         spec = ScalingSpec.uniform(1, 3)
         spec.validate_for(10)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidConfigError, match="b=3 must be < number of arms 3"):
             spec.validate_for(3)
 
 
@@ -195,5 +195,5 @@ class TestSampling:
 
     def test_batch_rejects_stateful_kind(self):
         spec = ScalingSpec(kind="budget_threshold", a=1, b=3)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidConfigError, match="'budget_threshold' cannot be batch-sampled"):
             sample_arm_counts(spec, 10, np.random.default_rng(0))
