@@ -31,11 +31,12 @@ def ucb1_select(state):
 
     Each arm is pulled once first, in index order.
     """
-    unpulled = np.flatnonzero(state.counts == 0)
-    if unpulled.size:
-        return int(unpulled[0])
-    bonus = np.sqrt(2.0 * math.log(state.t) / state.counts)
-    return int(np.argmax(state.means + bonus))
+    counts = state.counts
+    first = int(counts.argmin())  # the lowest index of the smallest count
+    if counts[first] == 0:
+        return first
+    bonus = np.sqrt(2.0 * math.log(state.t) / counts)
+    return int((state.means + bonus).argmax())
 
 
 def epsilon_greedy_select(state, epsilon, rng):
@@ -44,4 +45,4 @@ def epsilon_greedy_select(state, epsilon, rng):
         raise InvalidConfigError(f"epsilon must be in [0, 1], got {epsilon}")
     if rng.random() < epsilon:
         return int(rng.integers(state.n_arms))
-    return int(np.argmax(state.means))
+    return int(state.means.argmax())

@@ -61,28 +61,29 @@ def bernoulli_rewards(env, rounds, rng):
 
 CSV_BLOCK = 256  # rows formatted per write by write_columns
 
-
-def _column_text(block):
-    """The CSV fields of one column block: bools as 1/0, floats at 17 digits."""
-    if not isinstance(block, np.ndarray):
-        return map(str, block)
-    if block.dtype.kind == "b":
-        block = block.view(np.uint8)
-    return map("{:.17g}".format if block.dtype.kind == "f" else str, block.tolist())
+# the field format of an array column by dtype kind: bools as 1/0, floats at 17 digits
+_FIELD_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
 
 def write_columns(f, columns, newline="\n"):
     """Write equal-length columns to the open text file ``f`` as CSV rows.
 
     A column is a 1-D array of bool, integer, float or str values, or a
-    list of str.  Rows are formatted and written ``CSV_BLOCK`` at a time.
+    list of str.  Each row is one ``%`` format, built once from the column
+    kinds; rows are written ``CSV_BLOCK`` at a time.
     """
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise InvalidConfigError(f"columns of different lengths {sorted(lengths)}")
+    formats = [
+        _FIELD_FORMATS.get(c.dtype.kind, "%s") if isinstance(c, np.ndarray) else "%s"
+        for c in columns
+    ]
+    row = ",".join(formats) + newline
     for lo in range(0, lengths.pop() if lengths else 0, CSV_BLOCK):
-        fields = [_column_text(c[lo : lo + CSV_BLOCK]) for c in columns]
-        f.write(newline.join(map(",".join, zip(*fields))) + newline)
+        blocks = (c[lo : lo + CSV_BLOCK] for c in columns)
+        fields = [b.tolist() if isinstance(b, np.ndarray) else b for b in blocks]
+        f.write("".join(map(row.__mod__, zip(*fields))))
 
 
 @dataclass

@@ -85,19 +85,19 @@ class Exp3MVPLearner:
             raise InvalidConfigError(f"m must satisfy 1 <= m < {n}, got {m}")
         eta = self.eta
         c = (1.0 / m - eta / n) / (1.0 - eta)
-        total = w.sum()
+        total = np.add.reduce(w)  # what ``w.sum()`` computes, without its Python wrapper
         capped = None
         if self._max >= c * total:
             kappa = cap_threshold(w, c)
             capped = w >= kappa
             w = np.minimum(w, kappa)
-            total = w.sum()
+            total = np.add.reduce(w)
         probs = w * (m * (1.0 - eta) / total)
         probs += m * eta / n
         if capped is not None:
             # algebraically exactly 1; pin it so downstream code can rely on it
             probs[capped] = 1.0
-        cumulative = probs.cumsum()
+        cumulative = np.add.accumulate(probs)
         probs.flags.writeable = False
         cumulative.flags.writeable = False
         plan = self._plans[m] = (probs, cumulative)
@@ -165,13 +165,13 @@ class Exp3Attacker:
         n = self.n_arms
         if rng.random() < self.eta:
             return int(rng.integers(n))
-        cs = self.weights.cumsum()
+        cs = np.add.accumulate(self.weights)
         # the weights are positive, so u * cs[-1] <= cs[-1] finds an arm below n
         return int(cs.searchsorted(rng.random() * cs[-1]))
 
     def selection_probability(self, arm):
-        total = float(self.weights.sum())
-        return (1.0 - self.eta) * self.weights[arm] / total + self.eta / self.n_arms
+        w = self.weights
+        return (1.0 - self.eta) * float(w[arm]) / float(np.add.reduce(w)) + self.eta / self.n_arms
 
     def update(self, arm, reward):
         if not reward:
@@ -201,11 +201,10 @@ class GreedyAttacker:
 
     def select(self, rng):
         v = self.values
-        ties = np.flatnonzero(v == v.min())
-        self._rho = 1.0 / ties.size
-        if ties.size == 1:
-            return int(ties[0])
-        return int(ties[rng.integers(ties.size)])
+        ties = (v == v[v.argmin()]).nonzero()[0]  # the arms at the minimum
+        k = ties.size
+        self._rho = 1.0 / k
+        return int(ties[0] if k == 1 else ties[rng.integers(k)])
 
     def update(self, arm, reward):
         # payoffs lie in (0, 1], so a reward of 0 means the location was scanned
@@ -431,18 +430,19 @@ def play_round(attacker, defender, m, payoff, attacker_rng, defender_rng):
     """One simultaneous round; mutates both learner states.
 
     Returns ``(attacker_arm, chosen, attacker_reward, defender_reward)``.
+    The defender is updated only on a catch: a miss scores 0 at every
+    scanned arm, an update that moves no weight.
     """
     i = attacker.select(attacker_rng)
     chosen, probs = defender.play(m, defender_rng)
-    chosen_list = chosen.tolist()
-    hit = i in chosen_list
     mu_i = float(payoff.mu[i])
-    r = 0.0 if hit else mu_i
-    s = mu_i if hit else 0.0
-    obs = [mu_i if j == i else 0.0 for j in chosen_list]
-    attacker.update(i, r)
-    defender.update(chosen_list, obs, probs)
-    return i, chosen, r, s
+    chosen_list = chosen.tolist()
+    if i not in chosen_list:
+        attacker.update(i, mu_i)
+        return i, chosen, mu_i, 0.0
+    attacker.update(i, 0.0)
+    defender.update(chosen_list, [mu_i if j == i else 0.0 for j in chosen_list], probs)
+    return i, chosen, 0.0, mu_i
 
 
 def run_game(config, rng=None):

@@ -143,7 +143,7 @@ def sample_arm_count(spec, ma):
     over ``BUDGET_WINDOW`` rounds, exceeds the threshold, clipped to
     [a, b]: b is the budget.
     """
-    hot = int(np.count_nonzero(ma.averages > spec.threshold))
+    hot = len((ma.averages > spec.threshold).nonzero()[0])
     return min(spec.b, max(spec.a, hot))
 
 

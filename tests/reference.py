@@ -62,6 +62,20 @@ def learner_capped(weights, eta, m):
     return None if w.max() < c * w.sum() else cap_threshold_scan(w, c)[1]
 
 
+def greedy_select(values, rng):
+    """The greedy attacker's pick by ``np.flatnonzero(v == v.min())``.
+
+    Returns ``(arm, rho)``: uniform over the arms at the smallest value,
+    with ``rho`` one over their number.  ``rng`` draws one integer, and
+    only when more than one arm ties.
+    """
+    v = np.asarray(values, dtype=float)
+    ties = np.flatnonzero(v == v.min())
+    if ties.size == 1:
+        return int(ties[0]), 1.0
+    return int(ties[rng.integers(ties.size)]), 1.0 / ties.size
+
+
 def g_max_curve(reward_matrix, play_counts):
     """The hindsight-optimum curve, one scipy assignment per round.
 

@@ -4,9 +4,12 @@
 callers look up.  A renamed or moved function would make it fail with a
 ``KeyError`` when the benchmark runs, so every name it patches is checked
 here, reading ``perfbench/`` without changing it.  The simulation loops must
-also still call the wrapped names: each round draws through ``game.dep_round``.
+also still call the wrapped names: each round draws through ``game.dep_round``,
+and a game calls ``game.play_round`` and the attacker's ``select`` once per
+round and the defender's ``update`` once per catch.
 """
 
+import collections
 import importlib.util
 import pathlib
 
@@ -77,3 +80,33 @@ def test_single_player_draws_through_dep_round_every_round(monkeypatch):
     )
     run = game.run_single_player(spec, np.random.default_rng(5))
     assert calls == run.play_counts.tolist()
+
+
+@pytest.mark.parametrize("kind", ["exp3", "greedy"])
+def test_game_calls_the_traced_spans_per_round(monkeypatch, kind):
+    # ``game.attacker_select`` and ``game.play_round`` count rounds, and
+    # ``game.defender_update`` counts catches: a round the attacker escapes
+    # calls no update
+    calls = collections.Counter()
+
+    def counting(owner, attr):
+        fn = vars(owner)[attr]
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    attacker = {"exp3": game.Exp3Attacker, "greedy": game.GreedyAttacker}[kind]
+    counting(game, "play_round")
+    counting(attacker, "select")
+    counting(game.Exp3MVPLearner, "update")
+    config = game.GameConfig(
+        n_arms=10, horizon=600, scaling=scaling.ScalingSpec.uniform(1, 4), attacker_kind=kind,
+        seed=3,
+    )
+    trace = game.run_game(config)
+    catches = int(np.count_nonzero(trace.defender_reward > 0))
+    assert 0 < catches < config.horizon
+    assert calls == {"play_round": config.horizon, "select": config.horizon, "update": catches}

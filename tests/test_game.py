@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from reference import greedy_select
 
 from vpbandit import game
 from vpbandit.analysis import attacker_value, corollary11_eta
@@ -56,6 +58,17 @@ class _FixedDefender:
         pass
 
 
+class _RecordingDefender(_FixedDefender):
+    """Fixed-set stub that records every update it is given."""
+
+    def __init__(self, chosen, n_arms):
+        super().__init__(chosen, n_arms)
+        self.updates = []
+
+    def update(self, chosen, rewards, probs):
+        self.updates.append((list(chosen), list(rewards)))
+
+
 class TestCoupling:
     def test_homogeneous_hit(self):
         payoff = PayoffProfile.homogeneous(4)
@@ -80,6 +93,38 @@ class TestCoupling:
             _FixedAttacker(1), _FixedDefender([1, 2], 3), 2, payoff, rng, rng
         )
         assert (r, s) == (0.0, pytest.approx(0.4))
+
+    def test_a_miss_calls_no_defender_update(self):
+        defender = _RecordingDefender([0, 2], 4)
+        rng = np.random.default_rng(0)
+        play_round(_FixedAttacker(1), defender, 2, PayoffProfile.homogeneous(4), rng, rng)
+        assert defender.updates == []
+
+    def test_a_hit_updates_the_defender_once_at_the_attacked_arm(self):
+        payoff = PayoffProfile(mu=np.array([0.9, 0.4, 0.2, 0.7]))
+        defender = _RecordingDefender([0, 1, 3], 4)
+        rng = np.random.default_rng(0)
+        play_round(_FixedAttacker(1), defender, 3, payoff, rng, rng)
+        assert defender.updates == [([0, 1, 3], [0.0, 0.4, 0.0])]
+
+    @pytest.mark.parametrize("kind", ["exp3", "greedy"])
+    def test_a_miss_leaves_the_defender_unchanged(self, kind):
+        config = GameConfig(
+            n_arms=6, horizon=400, scaling=ScalingSpec.uniform(1, 3), attacker_kind=kind, seed=4
+        )
+        attacker = make_attacker(config)
+        defender = Exp3MVPLearner(config.n_arms, config.defender_eta)
+        att_rng, def_rng = np.random.default_rng(1), np.random.default_rng(2)
+        misses = 0
+        for m in [1, 2, 3] * 100:
+            weights = defender.weights.tobytes()
+            plans = dict(defender._plans)
+            _, _, _, s = play_round(attacker, defender, m, config.payoff, att_rng, def_rng)
+            if s == 0.0:
+                misses += 1
+                assert defender.weights.tobytes() == weights
+                assert all(defender._plans[k] is plan for k, plan in plans.items())
+        assert 0 < misses < 300
 
     def test_homogeneous_rewards_sum_to_one_pointwise(self):
         config = GameConfig(
@@ -112,6 +157,24 @@ class TestGreedyAttacker:
         att = GreedyAttacker(3)
         att.values[:] = [0.9, 0.1, 0.5]
         assert att.select(np.random.default_rng(0)) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 0.25, 1.0]) | st.floats(0.0, 1.0),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_select_matches_the_flatnonzero_reference(self, values, seed):
+        # repeated values, zeros and subnormals: the same arm, the same
+        # tie share and the same generator state as the reference selector
+        att = GreedyAttacker(len(values))
+        att.values[:] = values
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (att.select(rng), att._rho) == greedy_select(values, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_beats_a_fixed_scanning_set(self):
         # defender always scans {0, 1} out of 10; the attacker's long-run
