@@ -6,11 +6,12 @@ selection marginal exceeds 1, and samples a subset of arms with exactly
 those marginals by systematic sampling (``dep_round``; the name comes from dependent
 rounding, which meets the same contract).
 
-All randomness comes from an explicitly passed ``numpy.random.Generator``;
-there is no global RNG use anywhere in this module.
+The module draws no random numbers: the sampler takes its one uniform as an
+argument, and the caller draws it from its own generator.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -70,45 +71,50 @@ def _checked(m, probs):
 
 
 def _systematic(m, c, u):
-    """Arms hit by the points ``(u + k) * total / m``, k = 0..m-1.
+    """Arms hit by the points ``(u + k) * total / m``, k = 0..m-1, as a list.
 
     Arm i owns the interval [c[i-1], c[i]) of the cumulative marginals c,
     and the points are spread over the actual total c[-1], so float drift in
     the marginal sum cannot move them.  The last arm with mass also owns the
     total itself, where the top point lands when ``u + m - 1`` rounds up to
-    m.  A draw that is not m distinct arms raises; it is never repaired.
+    m.  ``c`` is nondecreasing, so each bisection finds the index that
+    ``searchsorted`` would.  A draw that is not m distinct arms raises; it
+    is never repaired.
     """
-    total = float(c[-1])
+    n = len(c)
+    total = c[n - 1]
     step = total / m
-    points = [(u + k) * step for k in range(m)]
-    idx = c.searchsorted(points, side="right")
-    drawn = idx.tolist()
-    if drawn[-1] == c.size:  # the top point is on or past the total
-        last = c.searchsorted(total)  # the last arm with a nonempty interval
-        idx = c[:last].searchsorted(points, side="right")
-        drawn = idx.tolist()
+    drawn = []
+    for k in range(m):
+        drawn.append(bisect_right(c, (u + k) * step))
+    if drawn[-1] == n:  # the top point is on or past the total
+        last = bisect_left(c, total)  # the last arm with a nonempty interval
+        drawn = [bisect_right(c, (u + k) * step, 0, last) for k in range(m)]
     if len(set(drawn)) != m:
         raise NumericPathologyError(f"systematic sampling did not draw {m} distinct arms")
-    return idx
+    return drawn
 
 
-def dep_round(m, probs, rng, cumulative=None):
+def dep_round(m, probs, u, cumulative=None):
     """Sample exactly ``m`` distinct arm indices with the given marginals.
 
     Systematic sampling (Madow 1949; Tille, Sampling Algorithms, 2006,
-    ch. 7): one uniform ``u`` places m points a spacing of total / m apart,
-    and each point picks the arm whose cumulative-marginal interval holds
-    it.  ``probs`` must lie in [0, 1] and sum to ``m``, so no interval is
-    longer than the spacing: the m arms are distinct, each lands in the
-    output with probability exactly ``probs[i]``, an arm at 1 spans a whole
-    spacing and is always included, and an arm at 0 has an empty interval
-    and never is.  The draw uses exactly one double of ``rng`` and returns
-    the indices in increasing order.
+    ch. 7): one uniform ``u`` in [0, 1) places m points a spacing of
+    total / m apart, and each point picks the arm whose cumulative-marginal
+    interval holds it.  ``probs`` must lie in [0, 1] and sum to ``m``, so no
+    interval is longer than the spacing: the m arms are distinct, each lands
+    in the output with probability exactly ``probs[i]`` when ``u`` is
+    uniform, an arm at 1 spans a whole spacing and is always included, and
+    an arm at 0 has an empty interval and never is.  The caller draws ``u``;
+    the draw is a function of it alone.  Returns the indices as a list of
+    ints in increasing order.
 
-    ``cumulative`` is ``probs.cumsum()``, passed by a caller that built and
-    checked the marginals itself (the learner's cached plan); the input
-    checks and the sum are then skipped.  The output check always runs.
+    ``cumulative`` is ``probs.cumsum()`` or any sequence of the same
+    doubles, such as the read-only memoryview of the learner's cached plan,
+    passed by a caller that built and checked the marginals itself; the
+    input checks and the sum are then skipped.  The output check always
+    runs.
     """
     if cumulative is None:
-        cumulative = _checked(m, probs).cumsum()
-    return _systematic(m, cumulative, rng.random())
+        cumulative = memoryview(_checked(m, probs).cumsum())
+    return _systematic(m, cumulative, u)

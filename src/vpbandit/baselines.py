@@ -12,18 +12,26 @@ from .errors import InvalidConfigError
 
 
 class FrequentistState:
-    """Pull counts and incrementally updated empirical means."""
+    """Pull counts and incrementally updated empirical means.
+
+    ``update`` reads and writes the two arrays through memoryviews of them,
+    as Python ints and floats: the same IEEE operations as on numpy scalars.
+    """
 
     def __init__(self, n_arms):
         self.n_arms = n_arms
         self.counts = np.zeros(n_arms, dtype=int)
         self.means = np.zeros(n_arms)
+        self._counts = memoryview(self.counts)
+        self._means = memoryview(self.means)
         self.t = 0
 
     def update(self, arm, reward):
         self.t += 1
-        self.counts[arm] += 1
-        self.means[arm] += (reward - self.means[arm]) / self.counts[arm]
+        k = self._counts[arm] + 1
+        self._counts[arm] = k
+        mean = self._means[arm]
+        self._means[arm] = mean + (reward - mean) / k
 
 
 def ucb1_select(state):

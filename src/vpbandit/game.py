@@ -5,7 +5,11 @@ varying-size subset.  With homogeneous payoffs the round rewards couple as
 a constant-sum game: the attacker scores 1 exactly when its location is not
 scanned.  Both players see only their own bandit feedback; their actions
 are drawn from separate pre-committed random streams, so neither move can
-depend on the other's current choice.
+depend on the other's current choice.  The defender, and the learner of a
+single-player run, use one uniform per round; the loops draw them
+``UNIFORM_BLOCK`` at a time from the player's stream and pass each to
+``play``.  ``rng.random(k)`` gives the doubles of k calls of
+``rng.random()``, so no result depends on the block size.
 
 The learners mutate their weights in place.  ``Exp3MVPLearner`` is the
 package's one implementation of the variable-play learner; ``bandit_core``
@@ -13,15 +17,22 @@ supplies its capping and subset-sampling steps.
 
 The defender's weights move only in rounds where it catches the attacker,
 so the learner caches a plan per play count m: the marginals, exactly 1.0
-at the capped arms and only there, and the cumulative marginals that
-``dep_round`` takes as its ``cumulative`` argument.  A plan is built the
-first time m is played and dropped when the weights are assigned or an
-update moves a weight.  With play counts in [a, b] at most (b - a + 1)
-plans exist, each two read-only arrays of N floats.
+at the capped arms and only there, and a read-only memoryview of the
+cumulative marginals, which ``dep_round`` searches as its ``cumulative``
+argument.  A plan is built the first time m is played and dropped when the
+weights are assigned or an update moves a weight; the weights' total, which
+every uncapped plan divides by, is summed once per weight version.  With
+play counts in [a, b] at most (b - a + 1) plans exist, each two read-only
+arrays of N floats.
+
+The per-round records of a run are appended to ``array.array`` buffers of
+8-byte items and handed out as numpy arrays over the same memory.
 """
 
 import functools
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +46,7 @@ from .scaling import BUDGET_WINDOW, MovingAverage, ScalingSpec, sample_arm_count
 
 DEFAULT_SCAN_DISCOUNT = 0.01
 ETA_CLAMP = 1.0 - 1e-6  # tuned rates are clamped below 1, the learner's open bound
+UNIFORM_BLOCK = 1024  # uniforms a simulation loop draws from a player's stream at once
 
 
 def _eta(eta, n_arms, a, b, horizon):
@@ -43,6 +55,12 @@ def _eta(eta, n_arms, a, b, horizon):
     if eta is None or eta == "corollary_1_1":
         return min(corollary11_eta(n_arms, a, b, horizon)[0], ETA_CLAMP)
     return float(eta)
+
+
+def _uniforms(rng, count):
+    """The next ``count`` doubles of ``rng``, drawn ``UNIFORM_BLOCK`` at a time."""
+    for start in range(0, count, UNIFORM_BLOCK):
+        yield from rng.random(min(UNIFORM_BLOCK, count - start)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -75,17 +93,25 @@ class Exp3MVPLearner:
         # the running maximum that ``_plan`` and ``update`` read
         self._weights = w
         self._max = float(w.max())
+        self._drop_plans()
+
+    def _drop_plans(self):
         self._plans = {}
+        self._total = None  # the weights' sum, computed by the first plan that needs it
 
     def _plan(self, m):
-        """Build and cache ``(probs, cumulative)`` for play count m."""
+        """Build and cache ``(probs, cumulative)`` for play count m;
+        ``cumulative`` is a read-only memoryview of the cumulative marginals."""
         w = self._weights
         n = self.n_arms
         if not 1 <= m < n:
             raise InvalidConfigError(f"m must satisfy 1 <= m < {n}, got {m}")
         eta = self.eta
         c = (1.0 / m - eta / n) / (1.0 - eta)
-        total = np.add.reduce(w)  # what ``w.sum()`` computes, without its Python wrapper
+        total = self._total
+        if total is None:
+            # what ``w.sum()`` computes, without its Python wrapper
+            total = self._total = np.add.reduce(w)
         capped = None
         if self._max >= c * total:
             kappa = cap_threshold(w, c)
@@ -100,22 +126,21 @@ class Exp3MVPLearner:
         cumulative = np.add.accumulate(probs)
         probs.flags.writeable = False
         cumulative.flags.writeable = False
-        plan = self._plans[m] = (probs, cumulative)
+        plan = self._plans[m] = (probs, memoryview(cumulative))
         return plan
 
-    def play(self, m, rng):
+    def play(self, m, u):
         """Draw a scan set of ``m`` of the ``N`` arms; returns ``(chosen, probs)``.
 
         ``probs`` are the selection marginals: large weights are capped so
         every marginal stays at most 1, and the remaining mass is mixed with
         uniform exploration eta/N.  ``probs`` sums to ``m``, is exactly 1.0
         at the capped arms and only there, and is the cached plan's
-        read-only array.  ``chosen`` is the increasing arm indices drawn
-        from ``probs`` by ``dep_round``.
+        read-only array.  ``chosen`` is the list of increasing arm indices
+        that ``dep_round`` draws from ``probs`` with the uniform ``u``.
         """
         probs, cumulative = self._plans.get(m) or self._plan(m)
-        chosen = dep_round(m, probs, rng, cumulative=cumulative)
-        return chosen, probs
+        return dep_round(m, probs, u, cumulative=cumulative), probs
 
     def update(self, chosen, rewards, probs):
         """Importance-weighted multiplicative update, then rescale max to 1.
@@ -143,7 +168,7 @@ class Exp3MVPLearner:
         if moved:
             w /= top
             self._max = 1.0
-            self._plans = {}
+            self._drop_plans()
 
 
 class Exp3Attacker:
@@ -165,21 +190,21 @@ class Exp3Attacker:
         n = self.n_arms
         if rng.random() < self.eta:
             return int(rng.integers(n))
-        cs = np.add.accumulate(self.weights)
-        # the weights are positive, so u * cs[-1] <= cs[-1] finds an arm below n
-        return int(cs.searchsorted(rng.random() * cs[-1]))
-
-    def selection_probability(self, arm):
-        w = self.weights
-        return (1.0 - self.eta) * float(w[arm]) / float(np.add.reduce(w)) + self.eta / self.n_arms
+        cs = memoryview(np.add.accumulate(self.weights))
+        # the weights are positive, so u * cs[-1] <= cs[-1] finds an arm below n;
+        # on the increasing sums, bisect_left is searchsorted's left side
+        return bisect_left(cs, rng.random() * cs[n - 1])
 
     def update(self, arm, reward):
+        """Multiply the played arm's weight by exp((eta / N) * reward / p),
+        where p is the arm's selection probability before the update."""
         if not reward:
             return  # the factor is exp(0) = 1: no weight moves
-        p = self.selection_probability(arm)
-        xhat = (self.eta / self.n_arms) * reward / p
+        eta, n = self.eta, self.n_arms
         w = self.weights
-        v = float(w[arm]) * math.exp(xhat)
+        wa = float(w[arm])
+        p = (1.0 - eta) * wa / float(np.add.reduce(w)) + eta / n
+        v = wa * math.exp((eta / n) * reward / p)
         w[arm] = v
         if v > 1e100:  # no weight exceeds 1e100 after an update, so v is the maximum
             w /= v
@@ -271,29 +296,29 @@ def run_single_player(spec, rng, record_weights=False):
         rewards = spec.env.indicators[:horizon].astype(float)
     else:
         rewards = bernoulli_rewards(spec.env, horizon, env_rng)
-    play_counts = np.empty(horizon, dtype=int)
-    round_rewards = np.empty(horizon)
+    reward = memoryview(rewards)  # reward[t, j] is a Python float
+    play_counts = array("q")
+    round_rewards = array("d")
     margs = np.empty((horizon, n)) if record_weights else None
     counts = None if needs_ma else sample_arm_counts(spec.scaling, horizon, scale_rng).tolist()
-    for t in range(horizon):
+    for t, u in enumerate(_uniforms(learner_rng, horizon)):
         m = counts[t] if counts is not None else sample_arm_count(spec.scaling, ma)
-        y = rewards[t]
-        chosen, probs = learner.play(m, learner_rng)
-        obs = y[chosen]
-        obs_list = obs.tolist()
+        chosen, probs = learner.play(m, u)
+        obs = [reward[t, j] for j in chosen]
         if record_weights:
             margs[t] = probs
-        learner.update(chosen.tolist(), obs_list, probs)
-        play_counts[t] = m
-        round_rewards[t] = sum(obs_list)  # exact: the rewards are 0/1
+        learner.update(chosen, obs, probs)
+        play_counts.append(m)
+        round_rewards.append(sum(obs))  # exact: the rewards are 0/1
         if needs_ma:
             est = np.zeros(n)
-            est[chosen] = obs / probs[chosen]
+            for j, y in zip(chosen, obs):
+                est[j] = y / probs[j]
             ma.push(est)
     return SinglePlayerRun(
         reward_matrix=rewards,
-        play_counts=play_counts,
-        cumulative_reward=np.cumsum(round_rewards),
+        play_counts=np.frombuffer(play_counts, dtype=np.int64),
+        cumulative_reward=np.cumsum(np.frombuffer(round_rewards)),
         marginals=margs,
     )
 
@@ -327,6 +352,7 @@ def run_comparison(trace, rng, epsilon=0.1, vp_scaling=None, fixed_m=3, eta=None
         name: run_single_player(spec, rng.spawn(1)[0]).cumulative_reward / t_axis
         for name, spec in specs.items()
     }
+    indicator = memoryview(trace.indicators)
     # the functions and methods are looked up each round, where a profiler may wrap them
     for name, learner, pick in (
         ("exp3", Exp3Attacker(n, eta=_eta(eta, n, 1, 1, horizon)), lambda exp3, r: exp3.select(r)),
@@ -335,13 +361,13 @@ def run_comparison(trace, rng, epsilon=0.1, vp_scaling=None, fixed_m=3, eta=None
          lambda st, r: epsilon_greedy_select(st, epsilon, r)),
     ):
         rb = rng.spawn(1)[0]
-        rewards = np.empty(horizon)
+        rewards = array("d")
         for t in range(horizon):
             arm = pick(learner, rb)
-            x = float(trace.indicators[t, arm])
+            x = float(indicator[t, arm])
             learner.update(arm, x)
-            rewards[t] = x
-        curves[name] = np.cumsum(rewards) / t_axis
+            rewards.append(x)
+        curves[name] = np.cumsum(np.frombuffer(rewards)) / t_axis
     return curves
 
 
@@ -426,22 +452,23 @@ def make_attacker(config):
     return Exp3Attacker(config.n_arms, eta=config.attacker_eta)
 
 
-def play_round(attacker, defender, m, payoff, attacker_rng, defender_rng):
+def play_round(attacker, defender, m, mu, attacker_rng, u):
     """One simultaneous round; mutates both learner states.
 
-    Returns ``(attacker_arm, chosen, attacker_reward, defender_reward)``.
-    The defender is updated only on a catch: a miss scores 0 at every
-    scanned arm, an update that moves no weight.
+    ``mu`` is the payoff of each location as a list of floats
+    (``PayoffProfile.mu.tolist()``), and ``u`` the defender's uniform for
+    the round.  Returns ``(attacker_arm, chosen, attacker_reward,
+    defender_reward)``.  The defender is updated only on a catch: a miss
+    scores 0 at every scanned arm, an update that moves no weight.
     """
     i = attacker.select(attacker_rng)
-    chosen, probs = defender.play(m, defender_rng)
-    mu_i = float(payoff.mu[i])
-    chosen_list = chosen.tolist()
-    if i not in chosen_list:
+    chosen, probs = defender.play(m, u)
+    mu_i = mu[i]
+    if i not in chosen:
         attacker.update(i, mu_i)
         return i, chosen, mu_i, 0.0
     attacker.update(i, 0.0)
-    defender.update(chosen_list, [mu_i if j == i else 0.0 for j in chosen_list], probs)
+    defender.update(chosen, [mu_i if j == i else 0.0 for j in chosen], probs)
     return i, chosen, 0.0, mu_i
 
 
@@ -454,26 +481,23 @@ def run_game(config, rng=None):
     defender = Exp3MVPLearner(config.n_arms, config.defender_eta)
     horizon = config.horizon
     play_counts = sample_arm_counts(config.scaling, horizon, scale_rng)
-    attacker_arm = np.empty(horizon, dtype=int)
-    scanned = np.empty(int(play_counts.sum()), dtype=int)
-    r_arr = np.empty(horizon)
-    s_arr = np.empty(horizon)
-    lo = 0
-    for t, m in enumerate(play_counts.tolist()):
-        i, chosen, r, s = play_round(
-            attacker, defender, m, config.payoff, att_rng, def_rng
-        )
-        attacker_arm[t] = i
-        scanned[lo : lo + m] = chosen
-        lo += m
-        r_arr[t] = r
-        s_arr[t] = s
+    mu = config.payoff.mu.tolist()
+    attacker_arm = array("q")
+    scanned = array("q")
+    r_arr = array("d")
+    s_arr = array("d")
+    for m, u in zip(play_counts.tolist(), _uniforms(def_rng, horizon)):
+        i, chosen, r, s = play_round(attacker, defender, m, mu, att_rng, u)
+        attacker_arm.append(i)
+        scanned.extend(chosen)
+        r_arr.append(r)
+        s_arr.append(s)
     return GameTrace(
-        attacker_arm=attacker_arm,
+        attacker_arm=np.frombuffer(attacker_arm, dtype=np.int64),
         play_counts=play_counts,
-        scanned=scanned,
-        attacker_reward=r_arr,
-        defender_reward=s_arr,
+        scanned=np.frombuffer(scanned, dtype=np.int64),
+        attacker_reward=np.frombuffer(r_arr),
+        defender_reward=np.frombuffer(s_arr),
     )
 
 

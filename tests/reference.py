@@ -9,23 +9,51 @@ import math
 
 import numpy as np
 
+from vpbandit.environments import IntrusionTrace, bernoulli_rewards
+from vpbandit.errors import NumericPathologyError
+from vpbandit.game import Exp3MVPLearner, make_attacker, play_round
+from vpbandit.scaling import BUDGET_WINDOW, MovingAverage, sample_arm_count, sample_arm_counts
 
-def dep_round_many(m, p, draws, rng):
-    """``draws`` systematic-sampling draws as a (draws, N) 0/1 matrix.
 
-    The vectorized rule: row k places the points ``(u_k + j) * total / m``,
+def systematic_draw(m, c, u):
+    """One systematic-sampling draw by numpy's sorted search.
+
+    The points ``(u + k) * c[-1] / m``, k = 0..m-1, each pick the arm whose
+    interval of the cumulative marginals ``c`` (an array) holds them, found
+    by ``searchsorted(side="right")``; a top point on or past the total is
+    searched again over the arms up to the last one with mass.  Returns the
+    arms as a list, or raises ``NumericPathologyError`` when they are not m
+    distinct arms, as ``bandit_core.dep_round`` must.
+    """
+    total = float(c[-1])
+    step = total / m
+    points = [(u + k) * step for k in range(m)]
+    idx = c.searchsorted(points, side="right")
+    if idx[-1] == c.size:
+        last = c.searchsorted(total)
+        idx = c[:last].searchsorted(points, side="right")
+    drawn = idx.tolist()
+    if len(set(drawn)) != m:
+        raise NumericPathologyError(f"systematic sampling did not draw {m} distinct arms")
+    return drawn
+
+
+def dep_round_many(m, p, u):
+    """One systematic-sampling draw per uniform in ``u``, as a (len(u), N)
+    0/1 matrix.
+
+    The vectorized rule: row k places the points ``(u[k] + j) * total / m``,
     j = 0..m-1, on the cumulative marginals, searched over the arms up to
-    the last one with mass.  It takes one double of ``rng`` per row, in row
-    order, so row k is the k-th of ``draws`` sequential ``dep_round`` calls.
+    the last one with mass, so row k is ``dep_round(m, p, u[k])``.
     """
     p = np.asarray(p, dtype=float)
     c = np.cumsum(p)
     total = c[-1]
     last = np.searchsorted(c, total)  # the last arm with a nonempty interval
-    u = rng.random((draws, 1))
+    u = np.asarray(u, dtype=float).reshape(-1, 1)
     idx = np.searchsorted(c[:last], (u + np.arange(m)) * (total / m), side="right")
     assert not (idx[:, 1:] == idx[:, :-1]).any(), "a draw repeated an arm"
-    out = np.zeros((draws, p.size))
+    out = np.zeros((u.shape[0], p.size))
     np.put_along_axis(out, idx, 1.0, axis=1)
     return out
 
@@ -129,3 +157,63 @@ def attacker_value_lp(mu, counts, probs):
     )
     assert res.status == 0, res.message
     return -res.fun
+
+
+def game_one_draw_per_round(config, rng):
+    """``run_game``'s rounds with the defender's uniform drawn by one
+    ``rng.random()`` call per round, and the records kept as numpy arrays.
+
+    Returns ``(attacker_arm, scanned, attacker_reward, defender_reward)``.
+    """
+    att_rng, def_rng, scale_rng = rng.spawn(3)
+    attacker = make_attacker(config)
+    defender = Exp3MVPLearner(config.n_arms, config.defender_eta)
+    play_counts = sample_arm_counts(config.scaling, config.horizon, scale_rng)
+    mu = config.payoff.mu.tolist()
+    rounds = [
+        play_round(attacker, defender, int(m), mu, att_rng, def_rng.random())
+        for m in play_counts
+    ]
+    arms, chosen, r, s = zip(*rounds)
+    return np.array(arms), np.concatenate(chosen), np.array(r), np.array(s)
+
+
+def single_player_one_draw_per_round(spec, rng):
+    """``run_single_player``'s rounds with the learner's uniform drawn by one
+    ``rng.random()`` call per round, and the rewards and budget estimates
+    gathered by numpy fancy indexing.
+
+    Returns ``(play_counts, cumulative_reward)``.
+    """
+    n, horizon = spec.n_arms, spec.horizon
+    env_rng, scale_rng, learner_rng = rng.spawn(3)
+    learner = Exp3MVPLearner(n, spec.eta)
+    needs_ma = spec.scaling.kind == "budget_threshold"
+    ma = MovingAverage(n, BUDGET_WINDOW) if needs_ma else None
+    if isinstance(spec.env, IntrusionTrace):
+        rewards = spec.env.indicators[:horizon].astype(float)
+    else:
+        rewards = bernoulli_rewards(spec.env, horizon, env_rng)
+    counts = None if needs_ma else sample_arm_counts(spec.scaling, horizon, scale_rng)
+    play_counts = np.empty(horizon, dtype=int)
+    round_rewards = np.empty(horizon)
+    for t in range(horizon):
+        m = int(counts[t]) if counts is not None else sample_arm_count(spec.scaling, ma)
+        chosen, probs = learner.play(m, learner_rng.random())
+        idx = np.array(chosen)
+        obs = rewards[t, idx]
+        learner.update(chosen, obs.tolist(), probs)
+        play_counts[t] = m
+        round_rewards[t] = obs.sum()
+        if needs_ma:
+            est = np.zeros(n)
+            est[idx] = obs / probs[idx]
+            ma.push(est)
+    return play_counts, np.cumsum(round_rewards)
+
+
+def exp3_probabilities(weights, eta):
+    """The exp3 attacker's selection distribution: the weights' share,
+    mixed with uniform exploration at rate ``eta``."""
+    w = np.asarray(weights, dtype=float)
+    return (1.0 - eta) * w / w.sum() + eta / w.size

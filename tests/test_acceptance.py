@@ -126,7 +126,7 @@ def test_variable_play_matches_fixed_play_on_a_trace():
 def _marginals(weights, eta, m):
     learner = Exp3MVPLearner(weights.size, eta)
     learner.weights = weights
-    _, probs = learner.play(m, np.random.default_rng(0))
+    _, probs = learner.play(m, 0.5)
     return probs, learner_capped(weights, eta, m)
 
 
@@ -139,7 +139,7 @@ def test_dependent_rounding_marginals_match():
         weights = rng.uniform(0.05, 5.0, size=n)
         eta = float(rng.uniform(0.0, 0.5))
         p, _ = _marginals(weights, eta, m)
-        sets = dep_round_many(m, p, draws, rng)
+        sets = dep_round_many(m, p, rng.random(draws))
         assert np.all(sets.sum(axis=1) == m)
         freq = sets.mean(axis=0)
         sigma = np.sqrt(p * (1.0 - p) / draws)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import cap_threshold_scan, dep_round_many, learner_capped
+from reference import (
+    cap_threshold_scan,
+    dep_round_many,
+    exp3_probabilities,
+    learner_capped,
+    systematic_draw,
+)
 from vpbandit.bandit_core import cap_threshold, dep_round
 from vpbandit.errors import InvalidConfigError, NumericPathologyError
 from vpbandit.game import Exp3Attacker, Exp3MVPLearner
@@ -20,16 +26,15 @@ def _learner(weights, eta):
 
 
 def _marginals(learner, m):
-    """``(probs, capped)`` of one ``play(m)``, drawn with a throwaway
-    generator; ``capped`` is the reference scan's capped arms (None when
-    nothing is capped)."""
-    _, probs = learner.play(m, np.random.default_rng(0))
+    """``(probs, capped)`` of one ``play(m)``; ``capped`` is the reference
+    scan's capped arms (None when nothing is capped)."""
+    _, probs = learner.play(m, 0.5)
     return probs, learner_capped(learner.weights, learner.eta, m)
 
 
 class _FixedUniform:
-    """Stands in for a generator whose uniforms are ``us`` in turn, the last
-    one repeated."""
+    """Stands in for an attacker's generator whose uniforms are ``us`` in
+    turn, the last one repeated."""
 
     def __init__(self, *us):
         self.us = list(us)
@@ -149,11 +154,10 @@ class TestMarginals:
 
     def test_rejects_bad_play_count(self):
         learner = _learner(np.ones(4), 0.1)
-        rng = np.random.default_rng(0)
         with pytest.raises(InvalidConfigError, match="m must satisfy 1 <= m < 4, got 0"):
-            learner.play(0, rng)
+            learner.play(0, 0.5)
         with pytest.raises(InvalidConfigError, match="m must satisfy 1 <= m < 4, got 4"):
-            learner.play(4, rng)
+            learner.play(4, 0.5)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -189,15 +193,15 @@ class TestDepRound:
     def test_integral_marginals_are_fixed(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert dep_round(2, np.array([1.0, 1.0, 0.0, 0.0]), rng).tolist() == [0, 1]
+            assert dep_round(2, np.array([1.0, 1.0, 0.0, 0.0]), rng.random()) == [0, 1]
 
     def test_certain_arm_and_fractional_pair(self):
         rng = np.random.default_rng(1)
         hits = np.zeros(3)
         draws = 100_000
         for _ in range(draws):
-            chosen = dep_round(2, np.array([1.0, 0.3, 0.7]), rng)
-            assert chosen.size == 2
+            chosen = dep_round(2, np.array([1.0, 0.3, 0.7]), rng.random())
+            assert len(chosen) == 2
             assert 0 in chosen
             hits[chosen] += 1
         freq = hits / draws
@@ -210,7 +214,7 @@ class TestDepRound:
         rng = np.random.default_rng(2)
         p = np.full(4, 0.5)
         draws = 100_000
-        freq = dep_round_many(2, p, draws, rng).mean(axis=0)
+        freq = dep_round_many(2, p, rng.random(draws)).mean(axis=0)
         sigma = math.sqrt(0.25 / draws)
         assert np.all(np.abs(freq - 0.5) <= 3 * sigma)
 
@@ -223,20 +227,18 @@ class TestDepRound:
             m = int(rng.integers(1, n))
             learner = _learner(rng.uniform(0.05, 5.0, size=n), float(rng.uniform(0.0, 0.5)))
             p, _ = _marginals(learner, m)
-            r1, r2 = np.random.default_rng(case), np.random.default_rng(case)
-            batch = dep_round_many(m, p, 500, r1)
-            for k in range(500):
-                idx = dep_round(m, p, r2)
-                assert np.flatnonzero(batch[k] == 1.0).tolist() == idx.tolist()
+            us = np.random.default_rng(case).random(500)
+            batch = dep_round_many(m, p, us)
+            for k, u in enumerate(us.tolist()):
+                assert np.flatnonzero(batch[k] == 1.0).tolist() == dep_round(m, p, u)
 
     def test_rejects_inconsistent_marginals(self):
-        rng = np.random.default_rng(4)
         with pytest.raises(InvalidConfigError, match=r"marginals sum to .*1\.5.*, expected 2"):
-            dep_round(2, np.array([0.5, 0.5, 0.5]), rng)
+            dep_round(2, np.array([0.5, 0.5, 0.5]), 0.5)
         with pytest.raises(InvalidConfigError, match=r"marginals must lie in \[0, 1\]"):
-            dep_round(1, np.array([1.2, -0.2]), rng)
+            dep_round(1, np.array([1.2, -0.2]), 0.5)
         with pytest.raises(InvalidConfigError, match="m must satisfy 1 <= m < 3, got 3"):
-            dep_round(3, np.array([1.0, 1.0, 1.0]), rng)
+            dep_round(3, np.array([1.0, 1.0, 1.0]), 0.5)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -260,20 +262,18 @@ class TestDepRound:
             if abs(p.sum() - m) > 1e-9 or p.max() > 1.0:
                 return
         seed = data.draw(st.integers(0, 2**32 - 1))
-        chosen = dep_round(m, p, np.random.default_rng(seed))
-        assert chosen.size == m
+        chosen = dep_round(m, p, np.random.default_rng(seed).random())
+        assert len(chosen) == m
         assert np.all(p[chosen] > 0.0)
 
     def test_exact_draw_from_the_rule(self):
         # cumulative marginals [0.5, 1, 1.5, 2], spacing 2 / 2 = 1: the points
         # 0.25 and 1.25 fall in [0, 0.5) and [1, 1.5), arms 0 and 2
-        chosen = dep_round(2, np.full(4, 0.5), _FixedUniform(0.25))
-        assert chosen.tolist() == [0, 2]
+        assert dep_round(2, np.full(4, 0.5), 0.25) == [0, 2]
         # the points are spread over the actual total, so the same marginals
         # at a quarter of the scale draw the same arms
         p = np.full(4, 0.125)
-        chosen = dep_round(2, p, _FixedUniform(0.25), cumulative=p.cumsum())
-        assert chosen.tolist() == [0, 2]
+        assert dep_round(2, p, 0.25, cumulative=p.cumsum()) == [0, 2]
 
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
     @pytest.mark.parametrize("drift", [1e-10, -1e-10])
@@ -285,9 +285,9 @@ class TestDepRound:
         q = np.random.default_rng(m).uniform(-1.0, 1.0, size=n)
         p = base + 0.5 * min(base, 1.0 - base) * (q - q.mean())
         assert p.max() < 1.0 and abs(p.sum() - (m + drift)) < 1e-12
-        chosen = dep_round(m, p, _FixedUniform(u))
-        assert chosen.size == m and np.unique(chosen).size == m
-        assert chosen.min() >= 0 and chosen.max() < n
+        chosen = dep_round(m, p, u)
+        assert len(chosen) == m and len(set(chosen)) == m
+        assert min(chosen) >= 0 and max(chosen) < n
 
     @pytest.mark.parametrize("weights", [[10.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 10.0]])
     def test_learner_marginals_with_capped_and_zero_arms(self, weights):
@@ -300,8 +300,8 @@ class TestDepRound:
         assert never.tolist() == [0, 3, 6]
         rng = np.random.default_rng(8)
         hits = np.zeros(p.size)
-        for _ in range(20_000):
-            hits[dep_round(2, p, rng)] += 1
+        for u in rng.random(20_000).tolist():
+            hits[dep_round(2, p, u)] += 1
         assert hits[sure].tolist() == [20_000] and not hits[never].any()
 
     def test_unchecked_marginal_above_one_raises(self):
@@ -309,22 +309,46 @@ class TestDepRound:
         # duplicate is reported, not repaired
         p = np.array([1.5, 0.5, 0.0])
         with pytest.raises(NumericPathologyError, match="did not draw 2 distinct arms"):
-            dep_round(2, p, _FixedUniform(0.0), cumulative=p.cumsum())
+            dep_round(2, p, 0.0, cumulative=p.cumsum())
 
-    def test_one_draw_uses_one_double(self):
-        r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
-        dep_round(3, np.full(7, 3 / 7), r1)
-        r2.random()
-        assert r1.bit_generator.state == r2.bit_generator.state
-        assert r1.random() == r2.random()
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_bisection_matches_the_sorted_search_reference(self, data):
+        # fractional arms with runs of zero-mass arms first, in the middle and
+        # last, arms at exactly 1.0, and a sum off by up to 1e-10: the same
+        # draw as numpy's searchsorted, or the same error.  The marginals go
+        # in unchecked, so a fractional arm may exceed 1 and repeat a point.
+        k = data.draw(st.integers(1, 8))
+        raw = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+        f = data.draw(st.integers(1, k))
+        drift = data.draw(st.sampled_from([0.0, 1e-10, -1e-10]))
+        frac = raw / raw.sum() * (f + drift)
+        runs = [np.zeros(data.draw(st.integers(0, 3))) for _ in range(3)]
+        ones = np.ones(data.draw(st.integers(0, 3)))
+        head, tail = frac[: k // 2], frac[k // 2 :]
+        p = np.concatenate([runs[0], head, ones, runs[1], tail, runs[2]])
+        m = f + ones.size
+        if m >= p.size:
+            return
+        extreme = st.sampled_from([0.0, 1.0 - 2.0**-53])
+        u = data.draw(extreme | st.floats(0.0, 1.0, exclude_max=True))
+        c = p.cumsum()
+        try:
+            expected = systematic_draw(m, c, u)
+        except NumericPathologyError:
+            with pytest.raises(NumericPathologyError, match=f"did not draw {m} distinct arms"):
+                dep_round(m, p, u, cumulative=memoryview(c))
+            return
+        assert dep_round(m, p, u, cumulative=memoryview(c)) == expected
+        if p.max() <= 1.0:
+            assert dep_round(m, p, u) == expected  # the checked path
 
 
 class TestMultiPlayRound:
     def test_zero_rewards_leave_weights_unchanged(self):
         learner = _learner(np.ones(4), 0.5)
-        rng = np.random.default_rng(0)
-        chosen, probs = learner.play(2, rng)
-        learner.update(chosen, np.zeros(chosen.size), probs)
+        chosen, probs = learner.play(2, 0.3)
+        learner.update(chosen, [0.0] * len(chosen), probs)
         np.testing.assert_array_equal(learner.weights, np.ones(4))
         np.testing.assert_allclose(_marginals(learner, 2)[0], 0.5)
 
@@ -337,10 +361,10 @@ class TestMultiPlayRound:
         rng = np.random.default_rng(1)
         for _ in range(20):
             learner = _learner(w0, 0.2)
-            chosen, probs = learner.play(2, rng)
+            chosen, probs = learner.play(2, rng.random())
             assert 0 in chosen
             assert np.flatnonzero(probs == 1.0).tolist() == [0]
-            learner.update(chosen, np.ones(chosen.size), probs)
+            learner.update(chosen, [1.0] * len(chosen), probs)
             expected = w0.copy()
             for j in chosen:
                 if j != 0:
@@ -358,8 +382,8 @@ class TestMultiPlayRound:
         rng = np.random.default_rng(5)
         draws = 40_000
         acc = np.zeros(4)
-        for _ in range(draws):
-            chosen, probs = learner.play(2, rng)
+        for u in rng.random(draws).tolist():
+            chosen, probs = learner.play(2, u)
             acc[chosen] += y[chosen] / probs[chosen]
         mean = acc / draws
         for i in range(4):
@@ -391,8 +415,8 @@ class TestPlanCache:
             assert _bits(probs) == _bits(fresh_probs)
             pinned = np.flatnonzero(probs == 1.0)
             assert pinned.tolist() == ([] if fresh_capped is None else fresh_capped.tolist())
-            assert _bits(cumulative) == _bits(fresh_probs.cumsum())
-            assert not probs.flags.writeable and not cumulative.flags.writeable
+            assert _bits(np.asarray(cumulative)) == _bits(fresh_probs.cumsum())
+            assert not probs.flags.writeable and cumulative.readonly
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -409,23 +433,22 @@ class TestPlanCache:
                 assert not learner._plans
             elif step == "play":
                 fresh_probs, _ = _marginals(_learner(learner.weights.copy(), eta), m)
-                twin = np.random.default_rng()
-                twin.bit_generator.state = rng.bit_generator.state
-                chosen, probs = learner.play(m, rng)
-                assert chosen.tolist() == dep_round(m, fresh_probs, twin).tolist()
+                u = rng.random()
+                chosen, probs = learner.play(m, u)
+                assert chosen == dep_round(m, fresh_probs, u)
                 # the cached plan's array, which _check_plans compares
                 assert probs is learner._plans[m][0]
                 assert not probs.flags.writeable
             else:
-                chosen, probs = learner.play(m, rng)
+                chosen, probs = learner.play(m, rng.random())
                 rewards = data.draw(
                     st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=m, max_size=m)
                 )
                 _, capped = _marginals(_learner(learner.weights.copy(), eta), m)
                 frozen = set() if capped is None else set(capped.tolist())
-                moving = any(y and j not in frozen for j, y in zip(chosen.tolist(), rewards))
+                moving = any(y and j not in frozen for j, y in zip(chosen, rewards))
                 before = list(learner._plans.values())
-                learner.update(chosen.tolist(), rewards, probs)
+                learner.update(chosen, rewards, probs)
                 after = list(learner._plans.values())
                 if moving:
                     assert not after  # no plan survives a moving update
@@ -444,7 +467,7 @@ class TestPlanCache:
         m = data.draw(st.integers(1, n - 1))
         w = _weight_vector(data, n)
         learner = _learner(w.copy(), eta)
-        _, probs = learner.play(m, np.random.default_rng(0))
+        _, probs = learner.play(m, 0.5)
         c = (1.0 / m - eta / n) / (1.0 - eta)
         capped = w >= cap_threshold(w, c) if w.max() >= c * w.sum() else np.zeros(n, bool)
         assert np.array_equal(probs == 1.0, capped)
@@ -456,10 +479,10 @@ class TestPlanCache:
 
     def test_plan_arrays_reject_writes(self):
         learner = _learner([10.0, 1.0, 1.0, 1.0], 0.2)
-        _, probs = learner.play(2, np.random.default_rng(0))
+        _, probs = learner.play(2, 0.5)
         with pytest.raises(ValueError):
             probs[0] = 0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the cumulative marginals' read-only view
             learner._plans[2][1][0] = 0.0
 
 
@@ -469,9 +492,7 @@ class TestHedge:
 
     def test_zero_cumulative_is_uniform(self):
         att = Exp3Attacker(5, eta=0.5)
-        np.testing.assert_allclose(
-            [att.selection_probability(a) for a in range(5)], 0.2
-        )
+        np.testing.assert_allclose(exp3_probabilities(att.weights, att.eta), 0.2)
 
     def test_simple_two_arm_case(self):
         # at eta = 1 the estimate equals the reward, so one unit reward on
@@ -493,8 +514,8 @@ class TestHedge:
         for _ in range(19_900):
             att.update(0, 1.0)
         assert np.all(np.isfinite(att.weights)) and att.weights.max() <= 1e100
-        probs = [att.selection_probability(a) for a in range(2)]
-        assert np.all(np.isfinite(probs)) and sum(probs) == pytest.approx(1.0)
+        probs = exp3_probabilities(att.weights, att.eta)
+        assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0)
 
     def test_zero_reward_is_a_no_op(self):
         att = Exp3Attacker(3, eta=0.5)
@@ -525,7 +546,7 @@ class TestSinglePlayRound:
         att = Exp3Attacker(2, eta=0.5)
         rng = np.random.default_rng(3)
         arm = att.select(rng)
-        assert att.selection_probability(arm) == pytest.approx(0.5)
+        assert exp3_probabilities(att.weights, att.eta)[arm] == pytest.approx(0.5)
         att.update(arm, 1.0)
         assert att.weights[arm] == math.exp(0.5)
         assert att.weights[1 - arm] == 1.0

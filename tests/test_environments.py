@@ -740,9 +740,9 @@ def _round_payoffs(prof, arm, chosen):
     """(attacker, defender) payoffs of one round with both moves fixed."""
     chosen = np.asarray(chosen)
     attacker = SimpleNamespace(select=lambda rng: arm, update=lambda *a: None)
-    defender = SimpleNamespace(play=lambda m, rng: (chosen, None), update=lambda *a: None)
+    defender = SimpleNamespace(play=lambda m, u: (chosen, None), update=lambda *a: None)
     rng = np.random.default_rng(0)
-    _, _, r, s = play_round(attacker, defender, chosen.size, prof, rng, rng)
+    _, _, r, s = play_round(attacker, defender, chosen.size, prof.mu.tolist(), rng, 0.5)
     return r, s
 
 

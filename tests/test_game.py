@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import greedy_select
+from reference import game_one_draw_per_round, greedy_select, single_player_one_draw_per_round
 
 from vpbandit import game
 from vpbandit.analysis import attacker_value, corollary11_eta
@@ -51,7 +51,7 @@ class _FixedDefender:
         self._probs = np.zeros(n_arms)
         self._probs[self._chosen] = 1.0
 
-    def play(self, m, rng):
+    def play(self, m, u):
         return self._chosen, self._probs
 
     def update(self, chosen, rewards, probs):
@@ -71,40 +71,40 @@ class _RecordingDefender(_FixedDefender):
 
 class TestCoupling:
     def test_homogeneous_hit(self):
-        payoff = PayoffProfile.homogeneous(4)
+        mu = PayoffProfile.homogeneous(4).mu.tolist()
         rng = np.random.default_rng(0)
         i, chosen, r, s = play_round(
-            _FixedAttacker(2), _FixedDefender([0, 2], 4), 2, payoff, rng, rng
+            _FixedAttacker(2), _FixedDefender([0, 2], 4), 2, mu, rng, 0.5
         )
         assert (i, r, s) == (2, 0.0, 1.0)
 
     def test_homogeneous_miss(self):
-        payoff = PayoffProfile.homogeneous(4)
+        mu = PayoffProfile.homogeneous(4).mu.tolist()
         rng = np.random.default_rng(0)
         i, chosen, r, s = play_round(
-            _FixedAttacker(1), _FixedDefender([0, 2], 4), 2, payoff, rng, rng
+            _FixedAttacker(1), _FixedDefender([0, 2], 4), 2, mu, rng, 0.5
         )
         assert (i, r, s) == (1, 1.0, 0.0)
 
     def test_heterogeneous_hit_scores_the_hit_location(self):
-        payoff = PayoffProfile(mu=np.array([0.9, 0.4, 0.2]))
+        mu = PayoffProfile(mu=np.array([0.9, 0.4, 0.2])).mu.tolist()
         rng = np.random.default_rng(0)
         i, chosen, r, s = play_round(
-            _FixedAttacker(1), _FixedDefender([1, 2], 3), 2, payoff, rng, rng
+            _FixedAttacker(1), _FixedDefender([1, 2], 3), 2, mu, rng, 0.5
         )
         assert (r, s) == (0.0, pytest.approx(0.4))
 
     def test_a_miss_calls_no_defender_update(self):
         defender = _RecordingDefender([0, 2], 4)
         rng = np.random.default_rng(0)
-        play_round(_FixedAttacker(1), defender, 2, PayoffProfile.homogeneous(4), rng, rng)
+        play_round(_FixedAttacker(1), defender, 2, [1.0] * 4, rng, 0.5)
         assert defender.updates == []
 
     def test_a_hit_updates_the_defender_once_at_the_attacked_arm(self):
-        payoff = PayoffProfile(mu=np.array([0.9, 0.4, 0.2, 0.7]))
+        mu = PayoffProfile(mu=np.array([0.9, 0.4, 0.2, 0.7])).mu.tolist()
         defender = _RecordingDefender([0, 1, 3], 4)
         rng = np.random.default_rng(0)
-        play_round(_FixedAttacker(1), defender, 3, payoff, rng, rng)
+        play_round(_FixedAttacker(1), defender, 3, mu, rng, 0.5)
         assert defender.updates == [([0, 1, 3], [0.0, 0.4, 0.0])]
 
     @pytest.mark.parametrize("kind", ["exp3", "greedy"])
@@ -115,11 +115,12 @@ class TestCoupling:
         attacker = make_attacker(config)
         defender = Exp3MVPLearner(config.n_arms, config.defender_eta)
         att_rng, def_rng = np.random.default_rng(1), np.random.default_rng(2)
+        mu = config.payoff.mu.tolist()
         misses = 0
         for m in [1, 2, 3] * 100:
             weights = defender.weights.tobytes()
             plans = dict(defender._plans)
-            _, _, _, s = play_round(attacker, defender, m, config.payoff, att_rng, def_rng)
+            _, _, _, s = play_round(attacker, defender, m, mu, att_rng, def_rng.random())
             if s == 0.0:
                 misses += 1
                 assert defender.weights.tobytes() == weights
@@ -182,12 +183,12 @@ class TestGreedyAttacker:
         n = 10
         att = GreedyAttacker(n)
         defender = _FixedDefender([0, 1], n)
-        payoff = PayoffProfile.homogeneous(n)
+        mu = PayoffProfile.homogeneous(n).mu.tolist()
         rng = np.random.default_rng(1)
         horizon = 2000
         total = 0.0
         for _ in range(horizon):
-            _, _, r, _ = play_round(att, defender, 2, payoff, rng, rng)
+            _, _, r, _ = play_round(att, defender, 2, mu, rng, 0.5)
             total += r
         assert total / horizon >= 0.8
 
@@ -430,8 +431,8 @@ class TestSinglePlayer:
         normalized = []
         play = Exp3MVPLearner.play
 
-        def recording(self, m, rng):
-            out = play(self, m, rng)
+        def recording(self, m, u):
+            out = play(self, m, u)
             normalized.append(self.weights / self.weights.sum())
             return out
 
@@ -478,7 +479,58 @@ class TestSinglePlayer:
         learner.weights = np.array([0.5, 3.0, 0.25, 1.0])
         assert learner._max == 3.0
         # arm 1 holds the maximum and is not moved
-        _, probs = learner.play(2, np.random.default_rng(0))
+        _, probs = learner.play(2, 0.5)
         learner.update([0, 2], [1.0, 1.0], probs)
         assert learner._max == learner.weights.max() == 1.0
         assert learner.weights[1] == 1.0
+
+
+class TestUniformBlocks:
+    """The loops draw the defender's or learner's uniforms UNIFORM_BLOCK at a
+    time; every record equals a loop that calls ``rng.random()`` once per
+    round, whatever the block size.  The horizons span several blocks of
+    every size tried, the last one partial."""
+
+    @pytest.fixture(params=[1, 7, game.UNIFORM_BLOCK])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(game, "UNIFORM_BLOCK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("kind", ["exp3", "greedy"])
+    def test_game_records(self, block, kind):
+        config = GameConfig(
+            n_arms=8, horizon=2500, scaling=ScalingSpec.uniform(1, 4), attacker_kind=kind,
+            payoff=PayoffProfile(mu=np.linspace(1.0, 0.3, 8)), seed=31,
+        )
+        trace = run_game(config)
+        arms, scanned, r, s = game_one_draw_per_round(config, np.random.default_rng(31))
+        for got, want in zip(
+            (trace.attacker_arm, trace.scanned, trace.attacker_reward, trace.defender_reward),
+            (arms, scanned, r, s),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("env", ["bernoulli", "trace"])
+    @pytest.mark.parametrize("kind", ["truncated_gaussian", "budget_threshold"])
+    def test_single_player_records(self, block, env, kind):
+        n, horizon = 8, 2500
+        if env == "trace":
+            env = synthesize_intrusion_trace(
+                n, attacked=(1, 5), horizon=horizon, n_bursts=40, rng=np.random.default_rng(4)
+            )
+        else:
+            env = BernoulliEnv.harmonic(n)
+        if kind == "budget_threshold":
+            scaling = ScalingSpec(kind=kind, a=1, b=3, threshold=0.2)
+        else:
+            scaling = ScalingSpec.truncated_gaussian(1, 3, mean=2.0, std=0.8)
+        spec = SinglePlayerSpec(env=env, scaling=scaling, horizon=horizon)
+        run = run_single_player(spec, np.random.default_rng(8))
+        play_counts, cumulative = single_player_one_draw_per_round(
+            spec, np.random.default_rng(8)
+        )
+        assert run.play_counts.dtype == play_counts.dtype
+        assert run.play_counts.tobytes() == play_counts.tobytes()
+        assert run.cumulative_reward.tobytes() == cumulative.tobytes()
+        if kind == "budget_threshold":
+            assert len(set(play_counts.tolist())) > 1  # the budget moved the play count
