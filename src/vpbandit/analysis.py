@@ -10,7 +10,20 @@ for every prefix of the horizon at once:
 * Prefix gains.  The rank-gain matrices of successive rounds are one
   cumulative sum, built in chunks of rounds so that at most
   ``_CHUNK_ELEMENTS`` of them are held at any T and N.
-* Exchange lemma.  Some optimal assignment gives every rank j an arm among
+* Certificate (``_solve``).  Let D_l = G_l - G_{l+1} for the rank-gain rows
+  G_0..G_{b-1}, with D_{b-1} = G_{b-1}: D_l is each arm's reward over the
+  rounds with M_t = l + 1.  The greedy chain gives rank l the best arm of
+  D_l among the arms not yet ranked, the first on ties.  Proof that it is
+  optimal wherever each top-(l+1) set S_l of the chain is a top set of D_l:
+  (1) a ranking's value is sum_j G_j[a_j] = sum_l D_l(S_l), as G_j is the
+  sum of D_l over l >= j; (2) D_l(S) is at most the sum of the l + 1 largest
+  entries of D_l for any set S of l + 1 arms, so no ranking beats the sum of
+  those top sums, the per-count comparator (Exp3.M's, Uchiya et al. 2010,
+  summed over the counts); (3) the chain attains it.  Each S_l is a top set
+  when the smallest D_l on it is no less than the largest D_l off it.  The
+  chain stops once no round of a chunk is still certified.
+* Exchange lemma.  The uncertified rounds go to the assignment solver
+  (``_assign``).  Some optimal assignment gives every rank j an arm among
   the b largest entries of row j: were rank j on an arm outside them, one of
   those b arms would be unused, and moving rank j to it loses nothing.  So
   only the union of the rows' top b arms is kept, distinct arms first, in
@@ -19,15 +32,16 @@ for every prefix of the horizon at once:
   method behind scipy's ``linear_sum_assignment``) place one rank at a time;
   the Dijkstra searches of all rounds in a chunk run in lockstep until each
   reaches a free column, taking a free column first among equal distances.
-  A round's value is its chosen gains summed in rank order.
 
-On integer rewards the curve equals one ``linear_sum_assignment`` per round
-bit for bit, and on real rewards to 1e-12 relative (``tests/test_analysis.py``
-holds it to that loop).  It beats that loop at b = 3 and N <= 100 and loses
-at larger N or b, where the lockstep search pays numpy's per-call cost at
-every step of the slowest round in a chunk; README.md tables the
-microseconds per round.  Every ``simulate-single`` configuration in the
-tests and the benchmark has b <= 3.
+Either way a round's value is its chosen gains summed in rank order.  On
+integer rewards the curve equals one ``linear_sum_assignment`` per round bit
+for bit, and on real rewards to 1e-12 relative (``tests/test_analysis.py``
+holds it to that loop).  On Bernoulli rewards with fixed means the counts'
+best sets nest after the first few hundred rounds, so nearly every round is
+certified; where they do not nest, as at large b with uniform counts, the
+solver runs on almost every round and the chain costs about 1% more.
+README.md tables the microseconds per round.  Every ``simulate-single``
+configuration in the tests and the benchmark has b <= 3.
 """
 
 import math
@@ -160,8 +174,44 @@ def _assign(gains):
             j[live] = col4row[live, i]
             col4row[live, i] = col
             live = live[i != cur]
-    value = np.take_along_axis(gains, col4row[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-    return value, np.take_along_axis(arms, col4row, axis=1)
+    return _value(gains, col4row), np.take_along_axis(arms, col4row, axis=1)
+
+
+def _value(gains, arms):
+    """Each round's gains at its (R, b) arms by rank, summed in rank order."""
+    return np.take_along_axis(gains, arms[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+
+
+def _solve(gains):
+    """Each round's optimal value and (R, b) arms by rank, as ``_assign``.
+
+    The greedy chain (module docstring) solves every round where each of its
+    top sets S_l is a top set of D_l: the smallest D_l on S_l is no less
+    than the largest off it.  Only the other rounds go to ``_assign``, and
+    the whole chunk does, ungathered, once none is still certified.
+    """
+    rounds, b, n = gains.shape
+    arms = np.empty((rounds, b), dtype=np.intp)
+    ranked = np.zeros((rounds, n), dtype=bool)
+    every = np.arange(rounds)
+    sure = np.ones(rounds, dtype=bool)
+    for rank in range(b):
+        d = gains[:, rank] - (gains[:, rank + 1] if rank + 1 < b else 0.0)
+        if rank:
+            floor = np.min(d, axis=1, where=ranked, initial=np.inf)
+            np.copyto(d, -np.inf, where=ranked)
+        best = d.argmax(axis=1)
+        arms[:, rank] = best
+        ranked[every, best] = True
+        if rank:
+            d[every, best] = -np.inf
+            sure &= floor >= d.max(axis=1)
+            if not sure.any():
+                return _assign(gains)
+    value = _value(gains, arms)
+    if not sure.all():
+        value[~sure], arms[~sure] = _assign(gains[~sure])
+    return value, arms
 
 
 def g_max(reward_matrix, play_counts):
@@ -176,14 +226,14 @@ def g_max(reward_matrix, play_counts):
     """
     y, m = _checked(reward_matrix, play_counts)
     *_, gains = _prefix_gains(y, m)
-    value, ranking = _assign(gains[-1:])
+    value, ranking = _solve(gains[-1:])
     return float(value[0]), ranking[0]
 
 
 def g_max_curve(reward_matrix, play_counts):
     """``g_max`` of the reward prefix ending at each round (length-T curve)."""
     y, m = _checked(reward_matrix, play_counts)
-    return np.concatenate([_assign(gains)[0] for gains in _prefix_gains(y, m)])
+    return np.concatenate([_solve(gains)[0] for gains in _prefix_gains(y, m)])
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +244,16 @@ def theorem1_bound(gmax, n, a, b, eta):
     """Regret ceiling of the variable-play learner for a realized optimum.
 
     ``gmax`` may be an array of optima; the ceiling is then taken elementwise.
-    An optimum is a sum of rewards in [0, 1], so a negative one is rejected.
+    An optimum is a finite sum of rewards in [0, 1], so a negative, infinite
+    or NaN one is rejected.
     """
     check_nab(n, a, b)
     if not 0.0 < eta <= 1.0:
         raise InvalidConfigError(f"eta must be in (0, 1], got {eta}")
     if np.any(np.less(gmax, 0)):
-        raise InvalidConfigError(f"gmax must be >= 0, got {np.min(gmax)}")
+        raise InvalidConfigError(f"gmax must be >= 0, got {np.nanmin(gmax)}")
+    if not np.isfinite(gmax).all():
+        raise InvalidConfigError(f"gmax must be finite, got {np.max(gmax)}")
     return (1.0 + E_MINUS_2 * b / a) * eta * gmax + (n / eta) * math.log(n / b)
 
 
@@ -213,6 +266,8 @@ def corollary11_eta(n, a, b, horizon):
     check_nab(n, a, b)
     if horizon < 1:
         raise InvalidConfigError(f"horizon must be >= 1, got {horizon}")
+    if not math.isfinite(horizon):
+        raise InvalidConfigError(f"horizon must be finite, got {horizon}")
     eta = min(
         1.0,
         math.sqrt(n * a * math.log(n / b) / ((a + E_MINUS_2 * b) * b * horizon)),

@@ -124,6 +124,23 @@ def g_max_curve(reward_matrix, play_counts):
     return out
 
 
+def per_count_bound(reward_matrix, play_counts):
+    """The per-count comparator at every prefix, by a plain loop.
+
+    For each play count c, the best c-set's reward over the rounds with
+    M_t = c (Exp3.M's comparator for that count), summed over c.  No nested
+    family beats it, so it bounds ``g_max_curve`` from above, and the two
+    agree when the counts' best sets nest.
+    """
+    y = np.asarray(reward_matrix, dtype=float)
+    totals = {}  # play count -> each arm's reward over the rounds with that count
+    out = np.empty(y.shape[0])
+    for t, m in enumerate(play_counts):
+        totals[int(m)] = totals.get(int(m), 0.0) + y[t]
+        out[t] = sum(sum(sorted(g.tolist(), reverse=True)[:c]) for c, g in totals.items())
+    return out
+
+
 def attacker_value_lp(mu, counts, probs):
     """The attacker's value of the mixed game, as one scipy ``linprog`` (HiGHS).
 

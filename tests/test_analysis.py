@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference import g_max_curve as scipy_g_max_curve
+from reference import per_count_bound
+from vpbandit import analysis
 from vpbandit.analysis import (
     _CHUNK_ELEMENTS,
     attacker_value,
@@ -16,10 +19,10 @@ from vpbandit.analysis import (
     pseudo_regret,
     theorem1_bound,
 )
-from vpbandit.environments import BernoulliEnv, PayoffProfile
+from vpbandit.environments import BernoulliEnv, PayoffProfile, bernoulli_rewards
 from vpbandit.errors import InvalidConfigError
 from vpbandit.game import SinglePlayerSpec
-from vpbandit.scaling import ScalingSpec
+from vpbandit.scaling import ScalingSpec, sample_arm_counts
 
 
 def _gmax_brute_force(reward_matrix, play_counts):
@@ -159,6 +162,104 @@ class TestAgainstScipy:
         self._check(y, m, exact=rewards != "real")
 
 
+def _tolerance(y):
+    """Float rounding of sums of ``y``: 0 on integers, else a few ulps of the total."""
+    return 0.0 if np.array_equal(y, np.round(y)) else 1e-12 * (1.0 + np.abs(y).sum())
+
+
+class TestCertificate:
+    """The greedy chain certified by per-count top sums, and its fallback."""
+
+    @pytest.fixture
+    def assigned(self, monkeypatch):
+        """Rounds that reach the assignment solver, one entry per call."""
+        calls = []
+        solver = analysis._assign
+
+        def counting(gains):
+            calls.append(gains.shape[0])
+            return solver(gains)
+
+        monkeypatch.setattr(analysis, "_assign", counting)
+        return calls
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_scipy_on_ties_and_reals(self, data):
+        n = data.draw(st.integers(1, 8))
+        b = data.draw(st.integers(1, n))
+        horizon = data.draw(st.integers(1, 12))
+        integer = data.draw(st.booleans())
+        reward = st.integers(-2, 3) if integer else st.floats(-3.0, 3.0)
+        y = np.array(data.draw(st.lists(reward, min_size=horizon * n, max_size=horizon * n)))
+        y = y.astype(float).reshape(horizon, n)
+        m = np.array(data.draw(st.lists(st.integers(1, b), min_size=horizon, max_size=horizon)))
+        curve = g_max_curve(y, m)
+        expected = scipy_g_max_curve(y, m)
+        if integer:
+            np.testing.assert_array_equal(curve.view(np.int64), expected.view(np.int64))
+        else:
+            np.testing.assert_allclose(curve, expected, rtol=1e-12, atol=1e-12)
+        value, ranking = g_max(y, m)
+        assert value == curve[-1]
+        assert len(set(ranking.tolist())) == ranking.size == m.max()
+        attained = sum(y[t, ranking[: m[t]]].sum() for t in range(horizon))
+        assert attained == pytest.approx(value, rel=1e-12, abs=1e-12)
+        assert np.all(curve <= per_count_bound(y, m) + _tolerance(y))
+
+    @pytest.mark.parametrize(
+        "rows, counts, calls",
+        [
+            # M = 1 rounds pay arm 0, M = 2 rounds pay arms 1 and 2: the best
+            # 1-set is not in the best 2-set, so rounds 1 and 2 go to the solver
+            ([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0]], [1, 2, 2], [2]),
+            # round 0 fails too (rank 0 takes arm 0 of the tied zeros), so the
+            # whole chunk goes to the solver in one call
+            ([[0, 1, 1, 0], [1, 0, 0, 0], [0, 1, 1, 0]], [2, 1, 2], [3]),
+            # nested best sets: no round reaches the solver
+            ([[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0]], [1, 2, 2], []),
+        ],
+    )
+    def test_unnested_counts_reach_the_solver(self, assigned, rows, counts, calls):
+        y, m = np.array(rows, dtype=float), np.array(counts)
+        curve = g_max_curve(y, m)
+        assert assigned == calls
+        expected = [_gmax_brute_force(y[: t + 1], m[: t + 1]) for t in range(len(m))]
+        np.testing.assert_array_equal(curve, expected)
+        # where the counts' best sets do not nest, the optimum is below the bound
+        assert curve[-1] < per_count_bound(y, m)[-1] or not calls
+
+    def test_harmonic_instance_rarely_reaches_the_solver(self, assigned):
+        # the regret-harmonic benchmark's shape: Bernoulli rewards of the
+        # harmonic N = 10 arms, play counts from the truncated Gaussian on
+        # [1, 3].  The rounds that fail the certificate are early ones, where
+        # the counts' best sets are not nested yet: 0-0.6% of the 8000 rounds
+        # at seeds 0-19, 0.15% at seed 0
+        rng = np.random.default_rng(0)
+        y = bernoulli_rewards(BernoulliEnv.harmonic(10), 8000, rng)
+        law = ScalingSpec.truncated_gaussian(1, 3, mean=2.0, std=0.8)
+        m = sample_arm_counts(law, 8000, rng)
+        curve = g_max_curve(y, m)
+        assert sum(assigned) < 0.01 * len(m)
+        bound = per_count_bound(y, m)
+        assert np.all(curve <= bound)
+        assert np.mean(curve == bound) >= 0.99
+
+    @pytest.mark.parametrize("rewards", ["integer", "negative", "real"])
+    def test_curve_is_below_the_per_count_bound(self, rewards):
+        rng = np.random.default_rng(len(rewards))
+        for n, b in [(2, 1), (5, 2), (8, 4), (12, 3), (6, 6)]:
+            m = rng.integers(1, b + 1, size=60)
+            if rewards == "integer":
+                y = rng.integers(0, 4, size=(60, n)).astype(float)
+            elif rewards == "negative":
+                y = rng.integers(-3, 2, size=(60, n)).astype(float)
+            else:
+                y = rng.normal(0.0, 1.0, size=(60, n))
+            curve = g_max_curve(y, m)
+            assert np.all(curve <= per_count_bound(y, m) + _tolerance(y))
+
+
 class TestClosedForms:
     def test_bound_with_zero_gmax(self):
         assert theorem1_bound(0.0, 10, 1, 3, 0.1) == pytest.approx(
@@ -203,6 +304,28 @@ class TestClosedForms:
         assert theorem1_bound(np.zeros(2), 10, 1, 3, 0.1).shape == (2,)
         with pytest.raises(InvalidConfigError, match="horizon must be >= 1, got 0"):
             corollary11_eta(5, 1, 2, 0)
+
+    @pytest.mark.parametrize(
+        "gmax, shown",
+        [(math.nan, "nan"), (math.inf, "inf"), (np.array([3.0, math.nan, 2.0]), "nan")],
+    )
+    def test_bound_rejects_a_non_finite_optimum(self, gmax, shown):
+        # these used to give a NaN or infinite ceiling
+        with pytest.raises(InvalidConfigError, match=f"gmax must be finite, got {shown}"):
+            theorem1_bound(gmax, 10, 1, 3, 0.1)
+
+    @pytest.mark.parametrize(
+        "gmax, shown", [(-math.inf, "-inf"), (np.array([math.nan, -1.0]), "-1.0")]
+    )
+    def test_bound_keeps_the_negative_message(self, gmax, shown):
+        with pytest.raises(InvalidConfigError, match=f"gmax must be >= 0, got {shown}"):
+            theorem1_bound(gmax, 10, 1, 3, 0.1)
+
+    @pytest.mark.parametrize("horizon, shown", [(math.inf, "inf"), (math.nan, "nan")])
+    def test_tuned_eta_rejects_a_non_finite_horizon(self, horizon, shown):
+        # an infinite horizon used to give eta = 0.0, a NaN one eta = 1.0
+        with pytest.raises(InvalidConfigError, match=f"horizon must be finite, got {shown}"):
+            corollary11_eta(10, 1, 3, horizon)
 
 
 def _point(c):
