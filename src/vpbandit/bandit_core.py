@@ -32,17 +32,22 @@ def cap_threshold(weights, target):
     decreasing weight order and accepts the unique consistent size m, the
     one with exactly m weights at or above kappa, so the capped arms are
     ``weights >= kappa``.
+
+    One ascending sort and its running sums give both: the m-th largest
+    weight is ``s[n - 1 - m]`` and the sum of all but the m largest is
+    ``acc[n - 1 - m]``, the same doubles, added in the same order, as a
+    descending sort's reversed cumulative sum.
     """
     if not (0.0 < target < 1.0):
         raise InvalidConfigError(f"target must be in (0, 1), got {target}")
-    w = np.asarray(weights, dtype=float)
-    order = (-w).argsort(kind="stable")
-    ws = w[order]
-    n = ws.size
+    s = np.sort(np.asarray(weights, dtype=float))
+    acc = np.add.accumulate(s)
+    n = s.size
     # the scan stops before m * target >= 1, so it never reads past index top
     top = n if 1.0 / target >= n else math.ceil(1.0 / target)
-    head = ws[: top + 1].tolist() + [-math.inf]
-    suffix = ws[::-1].cumsum()[::-1][: top + 1].tolist() + [0.0]  # suffix[m] = sum of ws[m:]
+    lo = max(n - 1 - top, 0)
+    head = s[lo:][::-1].tolist() + [-math.inf]  # head[m] = the (m + 1)-th largest weight
+    suffix = acc[lo:][::-1].tolist() + [0.0]  # suffix[m] = the sum of all but the m largest
     for m in range(1, top + 1):
         if m * target >= 1.0:
             break
@@ -109,12 +114,16 @@ def dep_round(m, probs, u, cumulative=None):
     the draw is a function of it alone.  Returns the indices as a list of
     ints in increasing order.
 
+    Without ``cumulative``, the inputs are checked: ``u`` must lie in
+    [0, 1) and ``probs`` as above, or ``InvalidConfigError`` is raised.
     ``cumulative`` is ``probs.cumsum()`` or any sequence of the same
-    doubles, such as the read-only memoryview of the learner's cached plan,
-    passed by a caller that built and checked the marginals itself; the
-    input checks and the sum are then skipped.  The output check always
-    runs.
+    doubles, such as the learner's cached plan (a tuple of floats or a
+    read-only memoryview), passed by a caller that built and checked the
+    marginals itself; the input checks and the sum are then skipped.  The
+    output check always runs.
     """
     if cumulative is None:
+        if not 0.0 <= u < 1.0:
+            raise InvalidConfigError(f"u must be in [0, 1), got {u!r}")
         cumulative = memoryview(_checked(m, probs).cumsum())
     return _systematic(m, cumulative, u)

@@ -92,8 +92,7 @@ def _write_summary(path, items):
 
 def _write_manifest(out_dir, resolved):
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(resolved, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

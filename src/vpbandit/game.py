@@ -17,13 +17,18 @@ supplies its capping and subset-sampling steps.
 
 The defender's weights move only in rounds where it catches the attacker,
 so the learner caches a plan per play count m: the marginals, exactly 1.0
-at the capped arms and only there, and a read-only memoryview of the
-cumulative marginals, which ``dep_round`` searches as its ``cumulative``
-argument.  A plan is built the first time m is played and dropped when the
-weights are assigned or an update moves a weight; the weights' total, which
-every uncapped plan divides by, is summed once per weight version.  With
-play counts in [a, b] at most (b - a + 1) plans exist, each two read-only
-arrays of N floats.
+at the capped arms and only there, and their running sums, which
+``dep_round`` searches as its ``cumulative`` argument.  A plan is a pair of
+read-only sequences of N floats, built by a rule on N alone: up to
+``SMALL_PLAN_ARMS`` arms two tuples of Python floats, built per element,
+where numpy's fixed cost per call would dominate; above it a read-only
+array and a read-only memoryview of its running sums, built by numpy.  Both
+builders do the same IEEE operations in the same order (a multiply, an add,
+then a sequential running sum), so the two plans hold the same doubles.  A
+plan is built the first time m is played and dropped when the weights are
+assigned or an update moves a weight; the weights' total, which every
+uncapped plan divides by, is summed once per weight version.  With play
+counts in [a, b] at most (b - a + 1) plans exist.
 
 The per-round records of a run are appended to ``array.array`` buffers of
 8-byte items and handed out as numpy arrays over the same memory.
@@ -34,6 +39,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -47,6 +53,9 @@ from .scaling import BUDGET_WINDOW, MovingAverage, ScalingSpec, sample_arm_count
 DEFAULT_SCAN_DISCOUNT = 0.01
 ETA_CLAMP = 1.0 - 1e-6  # tuned rates are clamped below 1, the learner's open bound
 UNIFORM_BLOCK = 1024  # uniforms a simulation loop draws from a player's stream at once
+# up to this many arms the learner builds its plans on Python floats, above it
+# with numpy; the crossover of the two builders' cost (README)
+SMALL_PLAN_ARMS = 32
 
 
 def _eta(eta, n_arms, a, b, horizon):
@@ -90,8 +99,10 @@ class Exp3MVPLearner:
 
     @weights.setter
     def weights(self, w):
-        # the running maximum that ``_plan`` and ``update`` read
+        # the running maximum that ``_plan`` and ``update`` read, and the view
+        # through which ``update`` reads and writes single weights as floats
         self._weights = w
+        self._view = memoryview(w)
         self._max = float(w.max())
         self._drop_plans()
 
@@ -100,8 +111,9 @@ class Exp3MVPLearner:
         self._total = None  # the weights' sum, computed by the first plan that needs it
 
     def _plan(self, m):
-        """Build and cache ``(probs, cumulative)`` for play count m;
-        ``cumulative`` is a read-only memoryview of the cumulative marginals."""
+        """Build and cache ``(probs, cumulative)`` for play count m: two
+        tuples of floats up to SMALL_PLAN_ARMS arms, else a read-only array
+        and a read-only memoryview of its running sums."""
         w = self._weights
         n = self.n_arms
         if not 1 <= m < n:
@@ -111,18 +123,30 @@ class Exp3MVPLearner:
         total = self._total
         if total is None:
             # what ``w.sum()`` computes, without its Python wrapper
-            total = self._total = np.add.reduce(w)
-        capped = None
+            total = self._total = float(np.add.reduce(w))
+        kappa = None
         if self._max >= c * total:
             kappa = cap_threshold(w, c)
-            capped = w >= kappa
-            w = np.minimum(w, kappa)
-            total = np.add.reduce(w)
-        probs = w * (m * (1.0 - eta) / total)
-        probs += m * eta / n
-        if capped is not None:
-            # algebraically exactly 1; pin it so downstream code can rely on it
-            probs[capped] = 1.0
+            clipped = np.minimum(w, kappa)
+            total = float(np.add.reduce(clipped))
+        scale = m * (1.0 - eta) / total
+        floor = m * eta / n
+        # the capped arms' marginals are algebraically exactly 1; they are
+        # pinned so downstream code can rely on it
+        if n <= SMALL_PLAN_ARMS:
+            if kappa is None:
+                probs = tuple([x * scale + floor for x in w.tolist()])
+            else:
+                probs = tuple([1.0 if x >= kappa else x * scale + floor for x in w.tolist()])
+            plan = self._plans[m] = (probs, tuple(accumulate(probs)))
+            return plan
+        if kappa is None:
+            probs = w * scale
+            probs += floor
+        else:
+            probs = clipped * scale
+            probs += floor
+            probs[w >= kappa] = 1.0
         cumulative = np.add.accumulate(probs)
         probs.flags.writeable = False
         cumulative.flags.writeable = False
@@ -136,8 +160,10 @@ class Exp3MVPLearner:
         every marginal stays at most 1, and the remaining mass is mixed with
         uniform exploration eta/N.  ``probs`` sums to ``m``, is exactly 1.0
         at the capped arms and only there, and is the cached plan's
-        read-only array.  ``chosen`` is the list of increasing arm indices
-        that ``dep_round`` draws from ``probs`` with the uniform ``u``.
+        read-only sequence of floats: a tuple up to ``SMALL_PLAN_ARMS``
+        arms, else a read-only array (see the module docstring).  ``chosen``
+        is the list of increasing arm indices that ``dep_round`` draws from
+        ``probs`` with the uniform ``u``.
         """
         probs, cumulative = self._plans.get(m) or self._plan(m)
         return dep_round(m, probs, u, cumulative=cumulative), probs
@@ -145,13 +171,17 @@ class Exp3MVPLearner:
     def update(self, chosen, rewards, probs):
         """Importance-weighted multiplicative update, then rescale max to 1.
 
+        ``probs`` is the plan ``play`` returned, either kind of sequence.
         An arm at marginal 1.0 is capped and keeps its weight.  Rewards are
         nonnegative, so a moved weight only grows and the new maximum is
         the larger of the running maximum and the moved weights; dividing by
-        it leaves the maximum at exactly 1.0.  The rescale is skipped, and
-        the cached plans kept, when no weight moved.
+        it leaves the maximum at exactly 1.0.  Single weights are read and
+        written through a memoryview, as Python floats.  The rescale is
+        skipped when the new maximum is already exactly 1.0, since dividing
+        by 1.0 changes no weight, and skipped with the cached plans kept
+        when no weight moved.
         """
-        w = self._weights
+        w = self._view
         coef = len(chosen) * self.eta / self.n_arms
         top = self._max
         moved = False
@@ -166,7 +196,8 @@ class Exp3MVPLearner:
                     top = v
                 moved = True
         if moved:
-            w /= top
+            if top != 1.0:  # dividing by 1.0 changes no weight
+                self._weights /= top
             self._max = 1.0
             self._drop_plans()
 

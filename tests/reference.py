@@ -58,6 +58,30 @@ def dep_round_many(m, p, u):
     return out
 
 
+def cap_threshold_argsort(weights, target):
+    """The capping scan as it read the sorted weights before the one-sort
+    form: a stable argsort of ``-w`` in descending order, and each cap
+    size's rest sum from the reversed cumulative sum.
+
+    ``bandit_core.cap_threshold`` must return the same kappa bits, or raise
+    ``NumericPathologyError`` where this does.
+    """
+    w = np.asarray(weights, dtype=float)
+    order = (-w).argsort(kind="stable")
+    ws = w[order]
+    n = ws.size
+    top = n if 1.0 / target >= n else math.ceil(1.0 / target)
+    head = ws[: top + 1].tolist() + [-math.inf]
+    suffix = ws[::-1].cumsum()[::-1][: top + 1].tolist() + [0.0]  # suffix[m] = sum of ws[m:]
+    for m in range(1, top + 1):
+        if m * target >= 1.0:
+            break
+        kappa = target * suffix[m] / (1.0 - m * target)
+        if head[m - 1] >= kappa > head[m]:
+            return kappa
+    raise NumericPathologyError("no consistent cap size found")
+
+
 def cap_threshold_scan(weights, target):
     """The capping scan over every cap-set size, on numpy scalars.
 
@@ -224,7 +248,7 @@ def single_player_one_draw_per_round(spec, rng):
         round_rewards[t] = obs.sum()
         if needs_ma:
             est = np.zeros(n)
-            est[idx] = obs / probs[idx]
+            est[idx] = obs / np.asarray(probs)[idx]
             ma.push(est)
     return play_counts, np.cumsum(round_rewards)
 

@@ -127,7 +127,7 @@ def _marginals(weights, eta, m):
     learner = Exp3MVPLearner(weights.size, eta)
     learner.weights = weights
     _, probs = learner.play(m, 0.5)
-    return probs, learner_capped(weights, eta, m)
+    return np.asarray(probs), learner_capped(weights, eta, m)
 
 
 def test_dependent_rounding_marginals_match():

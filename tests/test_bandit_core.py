@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import (
+    cap_threshold_argsort,
     cap_threshold_scan,
     dep_round_many,
     exp3_probabilities,
     learner_capped,
     systematic_draw,
 )
+from vpbandit import game
 from vpbandit.bandit_core import cap_threshold, dep_round
 from vpbandit.errors import InvalidConfigError, NumericPathologyError
 from vpbandit.game import Exp3Attacker, Exp3MVPLearner
@@ -29,7 +31,7 @@ def _marginals(learner, m):
     """``(probs, capped)`` of one ``play(m)``; ``capped`` is the reference
     scan's capped arms (None when nothing is capped)."""
     _, probs = learner.play(m, 0.5)
-    return probs, learner_capped(learner.weights, learner.eta, m)
+    return np.asarray(probs), learner_capped(learner.weights, learner.eta, m)
 
 
 class _FixedUniform:
@@ -117,6 +119,22 @@ class TestCapThreshold:
             capped = np.flatnonzero(w >= kappa)
             assert float(kappa).hex() == float(expected[0]).hex()
             assert capped.tolist() == expected[1].tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_sort_matches_the_argsort_scan(self, data):
+        # ties, weights over 1e-300..1, and targets across (0, 1)
+        n = data.draw(st.integers(2, 40))
+        pool = data.draw(st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=n))
+        w = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        target = data.draw(st.floats(1e-3, 1.0, exclude_max=True))
+        try:
+            expected = cap_threshold_argsort(w, target)
+        except NumericPathologyError:
+            with pytest.raises(NumericPathologyError):
+                cap_threshold(w, target)
+            return
+        assert cap_threshold(w, target).hex() == expected.hex()
 
     def test_rejects_bad_target(self):
         with pytest.raises(InvalidConfigError, match=r"target must be in \(0, 1\), got 0.0"):
@@ -239,6 +257,11 @@ class TestDepRound:
             dep_round(1, np.array([1.2, -0.2]), 0.5)
         with pytest.raises(InvalidConfigError, match="m must satisfy 1 <= m < 3, got 3"):
             dep_round(3, np.array([1.0, 1.0, 1.0]), 0.5)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, 1.0, 1.7, -0.3])
+    def test_rejects_a_uniform_outside_the_unit_interval(self, u):
+        with pytest.raises(InvalidConfigError, match=r"u must be in \[0, 1\), got "):
+            dep_round(1, [0.2, 0.3, 0.5], u)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -363,7 +386,7 @@ class TestMultiPlayRound:
             learner = _learner(w0, 0.2)
             chosen, probs = learner.play(2, rng.random())
             assert 0 in chosen
-            assert np.flatnonzero(probs == 1.0).tolist() == [0]
+            assert np.flatnonzero(np.asarray(probs) == 1.0).tolist() == [0]
             learner.update(chosen, [1.0] * len(chosen), probs)
             expected = w0.copy()
             for j in chosen:
@@ -384,7 +407,7 @@ class TestMultiPlayRound:
         acc = np.zeros(4)
         for u in rng.random(draws).tolist():
             chosen, probs = learner.play(2, u)
-            acc[chosen] += y[chosen] / probs[chosen]
+            acc[chosen] += y[chosen] / np.asarray(probs)[chosen]
         mean = acc / draws
         for i in range(4):
             p = marg[i]
@@ -406,17 +429,33 @@ def _bits(a):
     return None if a is None else (a.dtype.str, a.shape, a.tobytes())
 
 
+def _draw_or_error(learner, m, u):
+    """``learner.play(m, u)``'s scan set, or the message of the error it raises."""
+    try:
+        return learner.play(m, u)[0]
+    except NumericPathologyError as exc:
+        return str(exc)
+
+
+def _read_only(seq):
+    """Whether a plan's sequence refuses writes: a tuple, a read-only array
+    or a read-only memoryview."""
+    if isinstance(seq, np.ndarray):
+        return not seq.flags.writeable
+    return isinstance(seq, tuple) or seq.readonly
+
+
 class TestPlanCache:
     """The learner's cached per-play-count plans against a fresh learner."""
 
     def _check_plans(self, learner, eta):
         for m, (probs, cumulative) in learner._plans.items():
             fresh_probs, fresh_capped = _marginals(_learner(learner.weights.copy(), eta), m)
-            assert _bits(probs) == _bits(fresh_probs)
-            pinned = np.flatnonzero(probs == 1.0)
+            assert _bits(np.asarray(probs)) == _bits(fresh_probs)
+            pinned = np.flatnonzero(np.asarray(probs) == 1.0)
             assert pinned.tolist() == ([] if fresh_capped is None else fresh_capped.tolist())
             assert _bits(np.asarray(cumulative)) == _bits(fresh_probs.cumsum())
-            assert not probs.flags.writeable and cumulative.readonly
+            assert _read_only(probs) and _read_only(cumulative)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -438,7 +477,7 @@ class TestPlanCache:
                 assert chosen == dep_round(m, fresh_probs, u)
                 # the cached plan's array, which _check_plans compares
                 assert probs is learner._plans[m][0]
-                assert not probs.flags.writeable
+                assert _read_only(probs)
             else:
                 chosen, probs = learner.play(m, rng.random())
                 rewards = data.draw(
@@ -468,6 +507,7 @@ class TestPlanCache:
         w = _weight_vector(data, n)
         learner = _learner(w.copy(), eta)
         _, probs = learner.play(m, 0.5)
+        probs = np.asarray(probs)
         c = (1.0 / m - eta / n) / (1.0 - eta)
         capped = w >= cap_threshold(w, c) if w.max() >= c * w.sum() else np.zeros(n, bool)
         assert np.array_equal(probs == 1.0, capped)
@@ -477,12 +517,46 @@ class TestPlanCache:
         moved = np.where(capped, w, w * np.exp(eta / probs))
         np.testing.assert_allclose(learner.weights, moved / moved.max(), rtol=1e-12)
 
-    def test_plan_arrays_reject_writes(self):
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_both_builders_agree_bit_for_bit(self, data):
+        # the same state on the tuple builder (bound n) and the numpy builder
+        # (bound n - 1): k arms tied at the maximum 1.0, the rest spanning
+        # 1e-300..1, so 0..k arms are capped as m varies over [1, N)
+        n = data.draw(st.integers(2, 40))
+        k = data.draw(st.integers(1, n - 1))
+        rest = data.draw(st.lists(st.floats(1e-300, 1.0), min_size=n - k, max_size=n - k))
+        shrink = data.draw(st.sampled_from([1.0, 1e-2, 1e-6]))
+        w = np.array([1.0] * k + [x * shrink for x in rest])
+        w = w[np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(n)]
+        eta = data.draw(st.floats(0.01, 0.9))
+        us = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))
+        for m in range(1, n):
+            plans = []
+            for bound in (n, n - 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(game, "SMALL_PLAN_ARMS", bound)
+                    learner = _learner(w, eta)
+                    probs, cumulative = learner._plan(m)
+                    draws = [_draw_or_error(learner, m, u) for u in us]
+                plans.append((probs, cumulative, draws))
+            (small_p, small_c, small_d), (big_p, big_c, big_d) = plans
+            assert type(small_p) is tuple and type(small_c) is tuple
+            assert isinstance(big_p, np.ndarray) and isinstance(big_c, memoryview)
+            assert _bits(np.array(small_p)) == _bits(big_p)
+            assert _bits(np.array(small_c)) == _bits(np.asarray(big_c))
+            assert small_d == big_d
+
+    @pytest.mark.parametrize("bound, error", [(0, ValueError), (game.SMALL_PLAN_ARMS, TypeError)])
+    def test_plan_arrays_reject_writes(self, monkeypatch, bound, error):
+        # bound 0 builds the plan with numpy: a read-only array and the
+        # cumulative marginals' read-only view; else two tuples
+        monkeypatch.setattr(game, "SMALL_PLAN_ARMS", bound)
         learner = _learner([10.0, 1.0, 1.0, 1.0], 0.2)
         _, probs = learner.play(2, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             probs[0] = 0.5
-        with pytest.raises(TypeError):  # the cumulative marginals' read-only view
+        with pytest.raises(TypeError):
             learner._plans[2][1][0] = 0.0
 
 

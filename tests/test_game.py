@@ -463,7 +463,7 @@ class TestSinglePlayer:
             update(self, chosen, rewards, probs)
             assert self._max == self.weights.max()
             seen["rounds"] += 1
-            seen["capped"] += bool((probs == 1.0).any())
+            seen["capped"] += bool((np.asarray(probs) == 1.0).any())
 
         monkeypatch.setattr(Exp3MVPLearner, "update", checked)
         spec = SinglePlayerSpec(

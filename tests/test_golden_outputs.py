@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from vpbandit import cli
+from vpbandit import cli, game
 
 CONFIGS = {
     "game-n10-exp3": (
@@ -46,6 +46,17 @@ CONFIGS = {
             "environment": {"type": "harmonic_bernoulli", "n_arms": 10},
             "scaling": {"kind": "truncated_gaussian", "a": 1, "b": 3, "mean": 2.0, "std": 0.8},
             "horizon": 1500, "replicas": 2, "record_weights": True,
+        },
+    ),
+    # N above game.SMALL_PLAN_ARMS, so the learner's plans are numpy arrays,
+    # and a large eta concentrates the weights until capping fires
+    "single-harmonic-n80-capped": (
+        "simulate-single",
+        {
+            "schema_version": 1, "kind": "single_player", "seed": 14,
+            "environment": {"type": "harmonic_bernoulli", "n_arms": 80},
+            "scaling": {"kind": "uniform_discrete", "a": 2, "b": 4}, "eta": 0.3,
+            "horizon": 1000, "replicas": 2, "record_weights": True,
         },
     ),
     "bounds-all-keys": (
@@ -108,6 +119,12 @@ DIGESTS = {
         "summary.txt": "a5ec6949a9e3882bb12c2cec4fdafa21b26111df143c56390054b78c968881e5",
         "weights.csv": "d468b036cd7d9553972ea2e4c0a0625ccdf1e581df2dcbb655f0bbf9a447cc71",
     },
+    "single-harmonic-n80-capped": {
+        "curves.csv": "11a896ee16a45da73ccd9182d3d915ee694c2ff1b99c5435109beeebc426e224",
+        "manifest.json": "ea97dae06e6af31bcef7257fd914bd0001d3d1acf2db2dfdfd95cc8b45a411ce",
+        "summary.txt": "820803b60a2278d4b7746797bab83751da0ad4bd573fbebcf28703751a470846",
+        "weights.csv": "11c72ec1584c3d41b7a596d89575778947cc82eb830170edc88e4051ba0d53a4",
+    },
     "bounds-all-keys": {
         "manifest.json": "7ff041ccd4c748c1081fe9f4da25256dc34cfb856c401022286ac9d4c6745095",
         "summary.txt": "728686b982b76a2a60cd750c30b7f96d5f9eed97a559f93fe1aeb55b597ef0b3",
@@ -166,6 +183,23 @@ def _run(tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_pinned_digests(tmp_path, monkeypatch, name):
     assert _run(tmp_path, monkeypatch, name) == DIGESTS[name]
+
+
+def test_large_n_case_builds_capped_numpy_plans(tmp_path, monkeypatch):
+    # the one pinned learner run above the small-plan bound: multi-play, with
+    # capping firing, so the numpy builder's capped branch is pinned too
+    _, cfg = CONFIGS["single-harmonic-n80-capped"]
+    assert cfg["environment"]["n_arms"] > game.SMALL_PLAN_ARMS and cfg["scaling"]["b"] >= 2
+    calls = []
+    cap_threshold = game.cap_threshold
+
+    def counted(weights, target):
+        calls.append(len(weights))
+        return cap_threshold(weights, target)
+
+    monkeypatch.setattr(game, "cap_threshold", counted)
+    _run(tmp_path, monkeypatch, "single-harmonic-n80-capped")
+    assert len(calls) > 100 and set(calls) == {80}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
