@@ -201,14 +201,15 @@ def ingest_can_log(path, column_map=None, round_window=DEFAULT_ROUND_WINDOW):
 
     The file is read as UTF-8, after a byte-order mark if it starts with
     one, by numpy passes over blocks of about ``INGEST_BLOCK`` bytes, so
-    memory does not grow with the file.  A log that this byte parser
-    declines (a quote, bytes that are not UTF-8, a bad row, or a row of over
-    ``csv.field_size_limit()`` bytes) is read again by ``csv.reader``.  A
-    row that is short of a mapped column, that holds an oversized field or
-    whose timestamp is not a finite number raises ``RowParseError`` with
-    the physical line on which the first such row starts; bytes that are
-    not UTF-8 raise ``InputFileError``, and a trace of over
-    ``MAX_TRACE_CELLS`` rounds × arms ``InvalidConfigError``.
+    memory does not grow with the file; a field of a block is gathered as
+    a (width, rows) byte matrix, one contiguous array per byte column.  A
+    log that this byte parser declines (a quote, bytes that are not UTF-8,
+    a bad row, or a row of over ``csv.field_size_limit()`` bytes) is read
+    again by ``csv.reader``.  A row that is short of a mapped column, that
+    holds an oversized field or whose timestamp is not a finite number
+    raises ``RowParseError`` with the physical line on which the first such
+    row starts; bytes that are not UTF-8 raise ``InputFileError``, and a
+    trace of over ``MAX_TRACE_CELLS`` rounds × arms ``InvalidConfigError``.
     """
     if not round_window > 0:
         raise InvalidConfigError(f"round_window must be positive, got {round_window!r}")
@@ -345,9 +346,16 @@ def _distinct(x):
     return x[new]
 
 
-def _gather(a, lo, width):
-    """The (len(lo), width) byte matrix of ``a[s:s + width]`` for each start s in ``lo``."""
-    return np.lib.stride_tricks.sliding_window_view(a, width)[lo]
+def _groups(key):
+    """(value, its rows) for each distinct value of ``key``; ``slice(None)`` if all share one."""
+    if key.size and (key == key[0]).all():
+        return [(key[0].item(), slice(None))]
+    return [(k, np.flatnonzero(key == k)) for k in _distinct(key).tolist()]
+
+
+def _fields(a, lo, width):
+    """The ``width`` bytes from each start in ``lo``, as raw ``V`` scalars: one copy per field."""
+    return np.ndarray((a.size - width + 1,), f"V{width}", buffer=a, strides=(1,))[lo]
 
 
 def _parse_block(block, columns, need, flag, ids):
@@ -373,8 +381,7 @@ def _parse_block(block, columns, need, flag, ids):
     sep[1:-1] |= a == 10
     sep[1:-1] |= a == 13
     sep[0], sep[-1] = True, block[-1] not in b"\r\n"
-    bounds = np.flatnonzero(sep)
-    bounds -= 1
+    bounds = np.flatnonzero(sep) - 1
     del sep
     e = np.append(np.flatnonzero(a[bounds[1:-1]] != 44) + 1, bounds.size - 1)
     s = np.concatenate(([0], e[:-1]))
@@ -384,57 +391,49 @@ def _parse_block(block, columns, need, flag, ids):
     # csv counts the limit in characters, of which a row has at most as many as bytes
     if (e - s < need).any() or (length[full] > csv.field_size_limit()).any():
         return None
-
-    def field(k):
-        return bounds[s + k] + 1, bounds[s + k + 1]
-
-    i_ts, i_id, i_flag = columns
-    ts = _decimals(block, a, *field(i_ts))
+    if s.size > 1 and (np.diff(s) == s[1] - s[0]).all():  # rows of one layout: slices, not gathers
+        s = slice(s[0], s[-1] + 1, s[1] - s[0])
+    stamps, idents, (lo, hi) = [(bounds[k:][s] + 1, bounds[k + 1 :][s]) for k in columns]
+    ts = _decimals(block, a, *stamps)
     if ts is None or not np.isfinite(ts).all():
         return None
-    lo, hi = field(i_flag)
     hit = hi - lo == flag.size
-    rows = np.flatnonzero(hit)
-    for j, byte in enumerate(flag.tolist()):
-        hit[rows] &= a[lo[rows] + j] == byte
-    return ts, ts[hit], _identities(block, a, *field(i_id), ids, hit)
+    for j, byte in enumerate(flag.tolist()):  # clipped: a narrower field may end the block
+        hit &= np.take(a, lo + j, mode="clip") == byte
+    return ts, ts[hit], _identities(a, *idents, ids, hit)
 
 
 def _decimals(block, a, lo, hi):
     """``float`` of each field ``block[lo:hi]``; None if one is not a number.
 
     A field of 1 to 19 digits and at most one point, whose digits read as
-    an integer mantissa of at most 2**53, is mantissa / 10**k for k
-    fraction digits: both are exact doubles, so the one rounding of the
-    division is float()'s correctly rounded result (Clinger's fast path).
-    Such fields are grouped by width and point position, and each group's
-    mantissas are summed a digit column at a time; every other field goes
-    through ``float``.
+    an integer mantissa of at most 2**53, is mantissa / 10**k for k fraction
+    digits: both are exact doubles, so the one rounding of the division is
+    float()'s correctly rounded result (Clinger's fast path).  The fields of
+    a width are gathered as a (width, rows) matrix, one contiguous array per
+    byte column, grouped by the row of their first point, and a group's
+    digit rows are joined pairwise.  Every other field goes through ``float``.
     """
-    width = hi - lo
-    dots = np.append(np.flatnonzero(a == 46), a.size)
-    point = np.minimum(dots[dots.searchsorted(lo)] - lo, width)  # width: no point
-    digits = width - (point < width)
-    key = np.where((digits >= 1) & (digits <= 19), width * 32 + point, 0)
-    out = np.empty(width.size)
-    slow = key == 0
-    for k in _distinct(key[~slow]).tolist():
-        rows = np.flatnonzero(key == k)
-        w, p = divmod(k, 32)
-        d = _gather(a, lo[rows], w) - 48  # a byte that is not a digit wraps to 10 or more
-        mantissa = np.zeros(rows.size, np.uint64)
-        for j in range(w):
-            if j != p:
-                mantissa *= 10
-                mantissa += d[:, j]
-        if p < w:
-            d[:, p] = 0  # the point
-        valid = d < 10
-        good = mantissa <= 2**53
-        if not valid.all():
-            good &= valid.all(axis=1)
-        out[rows] = mantissa / float(10 ** (w - 1 - p if p < w else 0))
-        slow[rows] = ~good
+    width, out, slow = hi - lo, np.empty(lo.size), np.ones(lo.size, bool)
+    for w, rows in _groups(width):
+        if not 1 <= w <= 20:  # no digit, or over 19 beside a point
+            continue
+        d = np.ascontiguousarray(_fields(a, lo[rows], w).view(np.uint8).reshape(-1, w).T)
+        d -= 48  # a byte that is not a digit wraps to 10 or more, and the point to 254
+        # w - j at a point in row j: the largest marks the first point, and none gives w
+        point = w - ((d == 254) * np.arange(w, 0, -1, dtype=np.uint8)[:, None]).max(axis=0)
+        for p, sub in _groups(point):
+            digits = w - (p < w)
+            if not 1 <= digits <= 19:
+                continue
+            pad = np.zeros(((1 << (digits - 1).bit_length()) - digits, d[0, sub].size), np.uint8)
+            z = np.concatenate((pad, d[:p, sub], d[p + 1 :, sub]))  # a power of two of digit rows
+            bad = z.max(axis=0) >= 10
+            for scale, t in (10, "u1"), (100, "u2"), (10**4, "u4"), (10**8, "u8"), (10**16, "u8"):
+                z = z[0::2].astype(t) * scale + z[1::2] if len(z) > 1 else z  # 2, 4, 8... digits
+            mantissa, both = z[0], sub if isinstance(rows, slice) else rows[sub]
+            out[both] = mantissa / float(10 ** (digits - p if p < w else 0))
+            slow[both] = bad | (mantissa > 2**53)
     for r in np.flatnonzero(slow).tolist():
         try:
             out[r] = float(block[lo[r] : hi[r]].decode())
@@ -443,28 +442,29 @@ def _decimals(block, a, lo, hi):
     return out
 
 
-def _identities(block, a, lo, hi, ids, hit):
-    """The id in ``ids`` of each field ``block[lo:hi]`` of a ``hit`` row.
+def _identities(a, lo, hi, ids, hit):
+    """The id in ``ids`` of each field ``a[lo:hi]`` of a ``hit`` row.
 
     ``ids`` maps identity bytes to ids and gains those of every row.  Fields
-    are told apart within each width: up to 8 bytes as one uint64 key,
-    wider ones as raw ``V`` scalars.  Both keep NUL bytes, which the ``S``
-    dtype would drop from the end.
+    are told apart within each width: up to 8 bytes by a uint64 key with
+    byte column j in bits 8j to 8j + 7, wider ones as raw ``V`` scalars.
+    Both keep NUL bytes, which the ``S`` dtype would drop from the end.
     """
-    width = hi - lo
-    out = np.empty(width.size, np.intp)
-    for w in _distinct(width).tolist():
-        rows = np.flatnonzero(width == w)
-        if w <= 8:
-            keys = np.zeros((rows.size, 8), np.uint8)
-            keys[:, :w] = _gather(a, lo[rows], w) if w else 0
-            keys = keys.view(np.uint64).ravel()
+    width, out = hi - lo, np.empty(lo.size, np.intp)
+    for w, rows in _groups(width):
+        starts = lo[rows]
+        if w > 8:
+            keys = _fields(a, starts, w)
         else:
-            keys = np.ascontiguousarray(_gather(a, lo[rows], w)).view(f"V{w}").ravel()
+            keys = np.zeros(starts.size, np.uint64)
+            for j in range(w):
+                keys |= a[starts + j].astype(np.uint64) << (8 * j)
         distinct = _distinct(keys)
-        new = np.array([ids.setdefault(k.tobytes()[:w], len(ids)) for k in distinct])
-        mine = hit[rows]
-        out[rows[mine]] = new[distinct.searchsorted(keys[mine])]
+        raw = (distinct.astype("<u8") if w <= 8 else distinct).tobytes()
+        new = [ids.setdefault(raw[i : i + w], len(ids)) for i in range(0, len(raw), keys.itemsize)]
+        mine = np.flatnonzero(hit[rows])
+        at = mine if isinstance(rows, slice) else rows[mine]
+        out[at] = np.array(new)[distinct.searchsorted(keys[mine])]
     return out[hit]
 
 

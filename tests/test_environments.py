@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vpbandit import environments
 from vpbandit.environments import (
@@ -720,6 +721,117 @@ def test_decimal_kernel_matches_float_bit_for_bit():
     # most fields take the fast path: at most 19 digits, a mantissa of at most 2**53
     fast = sum(len(d) <= 19 and int(d) <= 2**53 for d in (t.replace(".", "") for t in texts))
     assert fast > n // 2
+
+
+_STRAY = " +-eE_x/:٣"  # bytes float() reads (signs, spaces, exponents, underscores) and others
+
+
+@st.composite
+def _decimal_field(draw, digits):
+    """A timestamp-like field of ``digits``.
+
+    Its point is leading, trailing, inner, doubled or absent; or a stray
+    byte is put among the digits; or the field is empty.
+    """
+    digits = draw(digits)
+    cut = draw(st.integers(0, len(digits)))
+    shape = draw(st.sampled_from(["none", "leading", "trailing", "inner", "two", "stray", "empty"]))
+    if shape == "two":
+        again = draw(st.integers(cut, len(digits)))
+        return digits[:cut] + "." + digits[cut:again] + "." + digits[again:]
+    if shape == "stray":
+        return digits[:cut] + draw(st.sampled_from(_STRAY)) + digits[cut:]
+    point = {"none": None, "leading": 0, "trailing": len(digits), "inner": cut, "empty": 0}[shape]
+    text = digits if point is None else digits[:point] + "." + digits[point:]
+    return "" if shape == "empty" else text
+
+
+@st.composite
+def _decimal_fields(draw):
+    """Fields of a few digit counts, so that one width holds several point positions.
+
+    The special digit strings straddle the fast path's bounds: a mantissa of
+    2**53, and 19 digits (2**64 has 20).
+    """
+    counts = st.sampled_from(draw(st.lists(st.integers(1, 21), min_size=1, max_size=3)))
+    digits = st.one_of(
+        counts.flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n)),
+        st.sampled_from([str(2**53 - 1), str(2**53), str(2**53 + 1), "9" * 19, "0" * 19,
+                         str(2**64)]),
+    )
+    return draw(st.lists(_decimal_field(digits), min_size=1, max_size=40))
+
+
+def _float_or_none(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+# the log file is rewritten by each example, so sharing tmp_path between them is safe
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    fields=_decimal_fields(),
+    ends=st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=40, max_size=40),
+)
+def test_mixed_shape_blocks_match_float(tmp_path, fields, ends):
+    # one block of the kernel's input, then a log with these timestamps
+    ends = ends[: len(fields)]
+    block = "".join(t + end for t, end in zip(fields, ends)).encode()
+    sizes = [len(t.encode()) for t in fields]
+    lo = np.cumsum([0] + [n + len(end) for n, end in zip(sizes, ends)])[:-1]
+    hi = lo + sizes
+    a = np.frombuffer(block, np.uint8)
+    want = [_float_or_none(t) for t in fields]
+    assert (environments._decimals(block, a, lo, hi) is None) == (None in want)
+    ok = [k for k, value in enumerate(want) if value is not None]  # read together, among the rest
+    got = environments._decimals(block, a, lo[ok], hi[ok])
+    want_ok = np.array([want[k] for k in ok])
+    np.testing.assert_array_equal(got.view(np.int64), want_ok.view(np.int64))
+    for k, value in enumerate(want):  # it declines a field exactly where float() raises
+        one = environments._decimals(block, a, lo[k : k + 1], hi[k : k + 1])
+        assert (one is None) == (value is None)
+        if value is not None:
+            assert one.view(np.int64)[0] == np.float64(value).view(np.int64)
+
+    f = tmp_path / "log.csv"
+    rows = [f"{t},id{k % 3},{'T' if k % 4 == 0 else 'R'}" for k, t in enumerate(fields)]
+    f.write_bytes(("Timestamp,CAN_ID,Flag\n" + "".join(map(str.__add__, rows, ends))).encode())
+    cmap = dict(environments.CAR_HACKING_COLUMNS)
+    parsed = None not in want and all(map(math.isfinite, want))
+    assert (environments._scan_bytes(f, cmap) is not None) == parsed
+    window = 4 * max(abs(v) for v in want) + 1 if parsed else 0.25  # a trace of few rounds
+    expected = _outcome(f, environments._scan_rows, cmap, window)
+    assert _outcome(f, environments._scan_bytes, cmap, window) == expected
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_benchmark_shaped_log_stays_on_the_fast_path(tmp_path, monkeypatch, end):
+    # epoch timestamps in microseconds and four-hex-digit identities, over several blocks
+    rng = np.random.default_rng(17)
+    n_rows = 3 * environments.INGEST_BLOCK // 24
+    stamps = 1_478_198_376_000_000 + np.cumsum(rng.integers(0, 2000, n_rows))
+    rows = [f"{s // 1_000_000}.{s % 1_000_000:06d},{int(rng.integers(0x800)):04x},"
+            f"{'T' if rng.random() < 0.05 else 'R'}" for s in stamps.tolist()]
+    f = tmp_path / "log.csv"
+    f.write_bytes(end.join(["Timestamp,CAN_ID,Flag"] + rows + [""]).encode())
+    assert len(_block_rows(f)) >= 3
+    cmap = dict(environments.CAR_HACKING_COLUMNS)
+    expected = _outcome(f, environments._scan_rows, cmap)
+    parsed = []  # fields that reach the per-field float() loop
+
+    def spy(x=0.0):
+        if isinstance(x, str):
+            parsed.append(x)
+        return float(x)
+
+    monkeypatch.setattr(environments, "float", spy, raising=False)
+    monkeypatch.setattr(environments, "_scan_rows", lambda *args: pytest.fail("csv.reader path"))
+    assert _outcome(f, environments._scan_bytes, cmap) == expected
+    assert expected[3]["n_rows"] == n_rows
+    assert parsed == []
 
 
 def test_save_matches_csv_writer(tmp_path):
