@@ -374,7 +374,14 @@ def _replica_curves(spec, record_weights, index, child):
 
 
 def pseudo_regret(spec, replicas, rng, workers=1, record_weights=False):
-    """Run independent replicas of a single-player experiment.
+    """Run independent replicas of a single-player experiment; their realized regret.
+
+    Despite the name, each replica's curve is realized regret, G_max(t) -
+    G^J(t) against the realized nested optimum of that replica's own
+    rewards; it is not pseudo-regret, the sum over rounds of the M_t largest
+    means less the learner's expected reward.  For rewards drawn
+    independently of the learner it still checks Theorem 1 in expectation.
+    The name stays because ``perfbench/tracing.py`` times the function by it.
 
     ``spec`` is a ``vpbandit.game.SinglePlayerSpec``; the import lives in
     that module to keep this one free of simulation code.  Replica seeds are

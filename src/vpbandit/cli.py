@@ -4,7 +4,10 @@ Every run takes a JSON config (schema version 1), resolves all defaults,
 and writes into the output directory:
 
 * ``manifest.json`` — the config with every default filled in and no other
-  key; fed back to the same subcommand, it reproduces the run byte for byte
+  key; fed back to the same subcommand, it reproduces the run byte for byte.
+  A log ``path`` (``ingest``, the ``trace_csv`` environment) is kept as
+  given, so a relative one reproduces the run only from the first run's
+  working directory
 * ``summary.txt`` — final metrics and applicable theoretical values, one
   ``key=value`` per line
 * plot-ready CSV curves depending on the experiment kind

@@ -411,7 +411,7 @@ def _decimals(block, a, lo, hi):
     digits: both are exact doubles, so the one rounding of the division is
     float()'s correctly rounded result (Clinger's fast path).  The fields of
     a width are gathered as a (width, rows) matrix, one contiguous array per
-    byte column, grouped by the row of their first point, and a group's
+    byte column, and grouped by the position of their first point; a group's
     digit rows are joined pairwise.  Every other field goes through ``float``.
     """
     width, out, slow = hi - lo, np.empty(lo.size), np.ones(lo.size, bool)
