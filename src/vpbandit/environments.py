@@ -391,8 +391,6 @@ def _parse_block(block, columns, need, flag, ids):
     # csv counts the limit in characters, of which a row has at most as many as bytes
     if (e - s < need).any() or (length[full] > csv.field_size_limit()).any():
         return None
-    if s.size > 1 and (np.diff(s) == s[1] - s[0]).all():  # rows of one layout: slices, not gathers
-        s = slice(s[0], s[-1] + 1, s[1] - s[0])
     stamps, idents, (lo, hi) = [(bounds[k:][s] + 1, bounds[k + 1 :][s]) for k in columns]
     ts = _decimals(block, a, *stamps)
     if ts is None or not np.isfinite(ts).all():
@@ -422,18 +420,19 @@ def _decimals(block, a, lo, hi):
         d -= 48  # a byte that is not a digit wraps to 10 or more, and the point to 254
         # w - j at a point in row j: the largest marks the first point, and none gives w
         point = w - ((d == 254) * np.arange(w, 0, -1, dtype=np.uint8)[:, None]).max(axis=0)
+        val, bad = np.empty(point.size), np.ones(point.size, bool)
         for p, sub in _groups(point):
             digits = w - (p < w)
             if not 1 <= digits <= 19:
                 continue
             pad = np.zeros(((1 << (digits - 1).bit_length()) - digits, d[0, sub].size), np.uint8)
             z = np.concatenate((pad, d[:p, sub], d[p + 1 :, sub]))  # a power of two of digit rows
-            bad = z.max(axis=0) >= 10
+            bad[sub] = z.max(axis=0) >= 10
             for scale, t in (10, "u1"), (100, "u2"), (10**4, "u4"), (10**8, "u8"), (10**16, "u8"):
                 z = z[0::2].astype(t) * scale + z[1::2] if len(z) > 1 else z  # 2, 4, 8... digits
-            mantissa, both = z[0], sub if isinstance(rows, slice) else rows[sub]
-            out[both] = mantissa / float(10 ** (digits - p if p < w else 0))
-            slow[both] = bad | (mantissa > 2**53)
+            val[sub] = z[0] / float(10 ** (digits - p if p < w else 0))
+            bad[sub] |= z[0] > 2**53
+        out[rows], slow[rows] = val, bad
     for r in np.flatnonzero(slow).tolist():
         try:
             out[r] = float(block[lo[r] : hi[r]].decode())
@@ -462,9 +461,7 @@ def _identities(a, lo, hi, ids, hit):
         distinct = _distinct(keys)
         raw = (distinct.astype("<u8") if w <= 8 else distinct).tobytes()
         new = [ids.setdefault(raw[i : i + w], len(ids)) for i in range(0, len(raw), keys.itemsize)]
-        mine = np.flatnonzero(hit[rows])
-        at = mine if isinstance(rows, slice) else rows[mine]
-        out[at] = np.array(new)[distinct.searchsorted(keys[mine])]
+        out[hit & (width == w)] = np.array(new)[distinct.searchsorted(keys[hit[rows]])]
     return out[hit]
 
 

@@ -2,17 +2,16 @@
 
 Run from a checkout, at the repository root::
 
-    python3 tools/bench_snapshot.py --seed 2601 --seconds 20
+    python3 tools/bench_snapshot.py
 
-It runs ``perfbench/run.py --workload all`` unchanged and keeps, per
-workload, the result line's end-to-end and per-layer metrics, and from
+It runs ``perfbench/run.py --workload all`` unchanged, at seed ``SEED``
+and ``BENCHMARK.json``'s ``run_seconds``, and keeps, per workload, the
+result line's end-to-end and per-layer metrics, and from
 ``perfbench/out/results/`` the environment and the calibration kernel's
 median of each run, with ``git rev-parse HEAD``.  ``n`` is one more than
-the highest ``BENCH_<n>.json`` at the top level.  Compare two files only
-if they were written at the same seed and seconds.
+the highest ``BENCH_<n>.json`` at the top level.
 """
 
-import argparse
 import json
 import os
 import re
@@ -20,15 +19,14 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 2601  # the seed of every BENCH_<n>.json, so that any two compare
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20)
-    args = parser.parse_args(argv)
-    run = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(args.seed),
-           "--seconds", str(args.seconds)]
+def main():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        seconds = json.load(f)["run_seconds"]
+    run = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
+           "--seconds", str(seconds)]
     proc = subprocess.run(run, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     print(proc.stdout, end="")
     if proc.returncode:
@@ -37,7 +35,7 @@ def main(argv=None):
     for name, layers in workloads.items():
         for trace, layer in enumerate(("end_to_end", "per_layer")):
             with open(os.path.join(ROOT, "perfbench", "out", "results",
-                                   f"{name}-seed{args.seed}-trace{trace}.json")) as f:
+                                   f"{name}-seed{SEED}-trace{trace}.json")) as f:
                 report = json.load(f)
             layers[f"{layer}_kernel_median_s"] = report["kernel_s"]
         layers["environment"] = report["environment"]
@@ -46,7 +44,7 @@ def main(argv=None):
     names = map(re.compile(r"BENCH_(\d+)\.json").fullmatch, os.listdir(ROOT))
     taken = [int(m[1]) for m in names if m]
     path = os.path.join(ROOT, f"BENCH_{max(taken, default=0) + 1}.json")
-    snapshot = {"git_head": head, "seed": args.seed, "seconds": args.seconds}
+    snapshot = {"git_head": head, "seed": SEED, "seconds": float(seconds)}
     with open(path, "w") as f:
         f.write(json.dumps({**snapshot, "workloads": workloads}, indent=2, sort_keys=True) + "\n")
     print(f"wrote {os.path.relpath(path, ROOT)}", file=sys.stderr)
