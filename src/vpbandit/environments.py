@@ -347,7 +347,7 @@ def _distinct(x):
 
 
 def _groups(key):
-    """(value, its rows) for each distinct value of ``key``; ``slice(None)`` if all share one."""
+    """(value, its rows) per distinct value of ``key``; rows ``slice(None)`` if all share one."""
     if key.size and (key == key[0]).all():
         return [(key[0].item(), slice(None))]
     return [(k, np.flatnonzero(key == k)) for k in _distinct(key).tolist()]
