@@ -100,30 +100,44 @@ def _systematic(m, c, u):
     return drawn
 
 
-def dep_round(m, probs, u, cumulative=None):
+def dep_round(m, probs, u, cumulative=None, capped=()):
     """Sample exactly ``m`` distinct arm indices with the given marginals.
 
     Systematic sampling (Madow 1949; Tille, Sampling Algorithms, 2006,
-    ch. 7): one uniform ``u`` in [0, 1) places m points a spacing of
+    ch. 7): one uniform ``u`` in [0, 1) places points a spacing of
     total / m apart, and each point picks the arm whose cumulative-marginal
     interval holds it.  ``probs`` must lie in [0, 1] and sum to ``m``, so no
     interval is longer than the spacing: the m arms are distinct, each lands
     in the output with probability exactly ``probs[i]`` when ``u`` is
-    uniform, an arm at 1 spans a whole spacing and is always included, and
-    an arm at 0 has an empty interval and never is.  The caller draws ``u``;
-    the draw is a function of it alone.  Returns the indices as a list of
-    ints in increasing order.
+    uniform, and an arm at 0 has an empty interval and never is.  The k
+    arms at exactly 1.0 are certainty units, taken outright (Tille, ch. 7;
+    Cochran, Sampling Techniques, 1977, ch. 9A); the other m - k points are
+    placed over the running sums with those arms counted as 0.  An arm at
+    1.0 spans a whole spacing, so over every arm's running sums rounding
+    could put a point on its boundary and draw it twice or not at all; away
+    from such boundaries the two rules draw the same arms.  The caller draws
+    ``u``; the draw is a function of it alone.  Returns the indices as a
+    list of ints in increasing order.
 
     Without ``cumulative``, the inputs are checked: ``u`` must lie in
     [0, 1) and ``probs`` as above, or ``InvalidConfigError`` is raised.
-    ``cumulative`` is ``probs.cumsum()`` or any sequence of the same
+    ``cumulative`` is those running sums, or any sequence of the same
     doubles, such as the learner's cached plan (a tuple of floats or a
-    read-only memoryview), passed by a caller that built and checked the
-    marginals itself; the input checks and the sum are then skipped.  The
-    output check always runs.
+    read-only memoryview), and ``capped`` the arms at 1.0 in increasing
+    order, passed by a caller that built and checked the marginals itself;
+    the input checks and the sums are then skipped.  The output check
+    always runs.
     """
     if cumulative is None:
         if not 0.0 <= u < 1.0:
             raise InvalidConfigError(f"u must be in [0, 1), got {u!r}")
-        cumulative = memoryview(_checked(m, probs).cumsum())
-    return _systematic(m, cumulative, u)
+        p = _checked(m, probs)
+        sure = p == 1.0
+        capped = sure.nonzero()[0].tolist()
+        cumulative = memoryview(np.where(sure, 0.0, p).cumsum())
+    if not capped:
+        return _systematic(m, cumulative, u)
+    drawn = _systematic(m - len(capped), cumulative, u) if len(capped) < m else []
+    drawn += capped
+    drawn.sort()
+    return drawn

@@ -36,7 +36,7 @@ class BernoulliEnv:
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float)
-        if np.any(self.means < 0) or np.any(self.means > 1):
+        if not np.all((0 <= self.means) & (self.means <= 1)):  # NaN fails too
             raise InvalidConfigError("Bernoulli means must lie in [0, 1]")
 
     @property
@@ -505,7 +505,7 @@ class PayoffProfile:
 
     def __post_init__(self):
         mu = self.mu = np.asarray(self.mu, dtype=float)
-        if np.any(mu <= 0) or np.any(mu > 1):
+        if not np.all((0 < mu) & (mu <= 1)):  # NaN fails too
             raise InvalidConfigError("payoffs must lie in (0, 1]")
         with np.errstate(over="ignore"):  # the game value sums reciprocal payoffs
             if not np.isfinite(np.sum(1.0 / mu)):

@@ -3,13 +3,24 @@
 One attacker picks a single location per round; the defender scans a
 varying-size subset.  With homogeneous payoffs the round rewards couple as
 a constant-sum game: the attacker scores 1 exactly when its location is not
-scanned.  Both players see only their own bandit feedback; their actions
+scanned.
+
+A single-player run and a game play the same round, in one loop
+(``_rounds``): the variable-play learner draws a scan set, the run's reward
+source observes it, and the learner is updated with the observations at
+the scanned arms.  A single-player run's source reads a row of a fixed
+reward matrix.  A game's source is the attacker, through ``play_round``: it
+selects from its own stream, scores the scan set and updates.  A round the
+attacker escapes scores 0 at every scanned arm, an update that moves no
+weight, so the source returns no observations and the defender is not
+updated.  Both players see only their own bandit feedback; their actions
 are drawn from separate pre-committed random streams, so neither move can
-depend on the other's current choice.  The defender, and the learner of a
-single-player run, use one uniform per round; the loops draw them
-``UNIFORM_BLOCK`` at a time from the player's stream and pass each to
-``play``.  ``rng.random(k)`` gives the doubles of k calls of
-``rng.random()``, so no result depends on the block size.
+depend on the other's current choice.  The learner uses one uniform per
+round; the loop draws them ``UNIFORM_BLOCK`` at a time from the learner's
+stream and passes each to ``play``.  ``rng.random(k)`` gives the doubles of
+k calls of ``rng.random()``, so no result depends on the block size.  The
+single-play learners of ``run_comparison`` (exp3, UCB1, epsilon-greedy)
+replay their trace in a loop of their own.
 
 The learners mutate their weights in place.  ``Exp3MVPLearner`` is the
 package's one implementation of the variable-play learner; ``bandit_core``
@@ -17,12 +28,13 @@ supplies its capping and subset-sampling steps.
 
 The defender's weights move only in rounds where it catches the attacker,
 so the learner caches a plan per play count m: the marginals, exactly 1.0
-at the capped arms and only there, and their running sums, which
-``dep_round`` searches as its ``cumulative`` argument.  A plan is a pair of
-read-only sequences of N floats, built by a rule on N alone: up to
+at the capped arms and only there; their running sums with the capped arms
+counted as 0, which ``dep_round`` searches as its ``cumulative`` argument;
+and the capped arms, which it takes outright.  The first two are read-only
+sequences of N floats, built by a rule on N alone: up to
 ``SMALL_PLAN_ARMS`` arms two tuples of Python floats, built per element,
 where numpy's fixed cost per call would dominate; above it a read-only
-array and a read-only memoryview of its running sums, built by numpy.  Both
+array and a read-only memoryview of the running sums, built by numpy.  Both
 builders do the same IEEE operations in the same order (a multiply, an add,
 then a sequential running sum), so the two plans hold the same doubles.  A
 plan is built the first time m is played and dropped when the weights are
@@ -39,7 +51,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count
 
 import numpy as np
 
@@ -66,10 +78,21 @@ def _eta(eta, n_arms, a, b, horizon):
     return float(eta)
 
 
-def _uniforms(rng, count):
-    """The next ``count`` doubles of ``rng``, drawn ``UNIFORM_BLOCK`` at a time."""
-    for start in range(0, count, UNIFORM_BLOCK):
-        yield from rng.random(min(UNIFORM_BLOCK, count - start)).tolist()
+def _rounds(learner, counts, rng, observe):
+    """Play a round per count in ``counts``, read lazily, on ``rng``'s uniforms drawn
+    ``UNIFORM_BLOCK`` at a time; ``observe(t, chosen, probs)`` gives the rewards at the
+    chosen arms, which update the learner, or ``None``, which scores 0 and moves no
+    weight.  Returns the rounds' play counts and rewards."""
+    play_counts, round_rewards = array("q"), array("d")
+    uniforms = (u for _ in count() for u in rng.random(UNIFORM_BLOCK).tolist())
+    for t, (m, u) in enumerate(zip(counts, uniforms)):
+        chosen, probs = learner.play(m, u)
+        obs = observe(t, chosen, probs)
+        if obs is not None:
+            learner.update(chosen, obs, probs)
+        play_counts.append(m)
+        round_rewards.append(sum(obs) if obs else 0.0)  # exact: 0/1 or one nonzero reward
+    return np.frombuffer(play_counts, dtype=np.int64), np.frombuffer(round_rewards)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +134,10 @@ class Exp3MVPLearner:
         self._total = None  # the weights' sum, computed by the first plan that needs it
 
     def _plan(self, m):
-        """Build and cache ``(probs, cumulative)`` for play count m: two
-        tuples of floats up to SMALL_PLAN_ARMS arms, else a read-only array
-        and a read-only memoryview of its running sums."""
+        """Build and cache ``(probs, cumulative, capped)`` for play count m:
+        ``probs`` and ``cumulative`` are two tuples of floats up to
+        SMALL_PLAN_ARMS arms, else a read-only array and a read-only
+        memoryview; ``capped`` is a tuple of the arms at 1.0."""
         w = self._weights
         n = self.n_arms
         if not 1 <= m < n:
@@ -136,21 +160,34 @@ class Exp3MVPLearner:
         if n <= SMALL_PLAN_ARMS:
             if kappa is None:
                 probs = tuple([x * scale + floor for x in w.tolist()])
-            else:
-                probs = tuple([1.0 if x >= kappa else x * scale + floor for x in w.tolist()])
-            plan = self._plans[m] = (probs, tuple(accumulate(probs)))
+                plan = self._plans[m] = (probs, tuple(accumulate(probs)), ())
+                return plan
+            ws = w.tolist()
+            capped = tuple([i for i, x in enumerate(ws) if x >= kappa])
+            probs = [x * scale + floor for x in ws]
+            for i in capped:
+                probs[i] = 0.0  # the capped arms add nothing to the running sums
+            cumulative = tuple(accumulate(probs))
+            for i in capped:
+                probs[i] = 1.0
+            plan = self._plans[m] = (tuple(probs), cumulative, capped)
             return plan
         if kappa is None:
             probs = w * scale
             probs += floor
+            cumulative = np.add.accumulate(probs)
+            capped = ()
         else:
             probs = clipped * scale
             probs += floor
-            probs[w >= kappa] = 1.0
-        cumulative = np.add.accumulate(probs)
+            sure = w >= kappa
+            probs[sure] = 0.0
+            cumulative = np.add.accumulate(probs)
+            probs[sure] = 1.0
+            capped = tuple(sure.nonzero()[0].tolist())
         probs.flags.writeable = False
         cumulative.flags.writeable = False
-        plan = self._plans[m] = (probs, memoryview(cumulative))
+        plan = self._plans[m] = (probs, memoryview(cumulative), capped)
         return plan
 
     def play(self, m, u):
@@ -165,8 +202,8 @@ class Exp3MVPLearner:
         is the list of increasing arm indices that ``dep_round`` draws from
         ``probs`` with the uniform ``u``.
         """
-        probs, cumulative = self._plans.get(m) or self._plan(m)
-        return dep_round(m, probs, u, cumulative=cumulative), probs
+        probs, cumulative, capped = self._plans.get(m) or self._plan(m)
+        return dep_round(m, probs, u, cumulative, capped), probs
 
     def update(self, chosen, rewards, probs):
         """Importance-weighted multiplicative update, then rescale max to 1.
@@ -320,36 +357,35 @@ def run_single_player(spec, rng, record_weights=False):
     n = spec.n_arms
     horizon = spec.horizon
     env_rng, scale_rng, learner_rng = rng.spawn(3)
-    learner = Exp3MVPLearner(n, spec.eta)
-    needs_ma = spec.scaling.kind == "budget_threshold"
-    ma = MovingAverage(n, BUDGET_WINDOW) if needs_ma else None
     if isinstance(spec.env, IntrusionTrace):
         rewards = spec.env.indicators[:horizon].astype(float)
     else:
         rewards = bernoulli_rewards(spec.env, horizon, env_rng)
     reward = memoryview(rewards)  # reward[t, j] is a Python float
-    play_counts = array("q")
-    round_rewards = array("d")
     margs = np.empty((horizon, n)) if record_weights else None
-    counts = None if needs_ma else sample_arm_counts(spec.scaling, horizon, scale_rng).tolist()
-    for t, u in enumerate(_uniforms(learner_rng, horizon)):
-        m = counts[t] if counts is not None else sample_arm_count(spec.scaling, ma)
-        chosen, probs = learner.play(m, u)
+    ma = MovingAverage(n, BUDGET_WINDOW) if spec.scaling.kind == "budget_threshold" else None
+    if ma is None:
+        counts = sample_arm_counts(spec.scaling, horizon, scale_rng).tolist()
+    else:  # lazy: each count reads the estimates of the rounds before it
+        counts = (sample_arm_count(spec.scaling, ma) for _ in range(horizon))
+
+    def observe(t, chosen, probs):
         obs = [reward[t, j] for j in chosen]
         if record_weights:
             margs[t] = probs
-        learner.update(chosen, obs, probs)
-        play_counts.append(m)
-        round_rewards.append(sum(obs))  # exact: the rewards are 0/1
-        if needs_ma:
+        if ma is not None:
             est = np.zeros(n)
             for j, y in zip(chosen, obs):
                 est[j] = y / probs[j]
             ma.push(est)
+        return obs
+
+    learner = Exp3MVPLearner(n, spec.eta)
+    play_counts, round_rewards = _rounds(learner, counts, learner_rng, observe)
     return SinglePlayerRun(
         reward_matrix=rewards,
-        play_counts=np.frombuffer(play_counts, dtype=np.int64),
-        cumulative_reward=np.cumsum(np.frombuffer(round_rewards)),
+        play_counts=play_counts,
+        cumulative_reward=np.cumsum(round_rewards),
         marginals=margs,
     )
 
@@ -483,24 +519,19 @@ def make_attacker(config):
     return Exp3Attacker(config.n_arms, eta=config.attacker_eta)
 
 
-def play_round(attacker, defender, m, mu, attacker_rng, u):
-    """One simultaneous round; mutates both learner states.
-
-    ``mu`` is the payoff of each location as a list of floats
-    (``PayoffProfile.mu.tolist()``), and ``u`` the defender's uniform for
-    the round.  Returns ``(attacker_arm, chosen, attacker_reward,
-    defender_reward)``.  The defender is updated only on a catch: a miss
-    scores 0 at every scanned arm, an update that moves no weight.
-    """
+def play_round(attacker, chosen, mu, attacker_rng):
+    """The attacker's round against the scan set ``chosen``: it selects a
+    location i, scores its payoff ``mu[i]`` unless caught, and updates.  Returns
+    ``(i, observations)``: on a catch the defender's rewards at ``chosen``,
+    ``mu[i]`` at i and 0 elsewhere; on a miss, which scores 0 at every scanned
+    arm, ``None``."""
     i = attacker.select(attacker_rng)
-    chosen, probs = defender.play(m, u)
     mu_i = mu[i]
     if i not in chosen:
         attacker.update(i, mu_i)
-        return i, chosen, mu_i, 0.0
+        return i, None
     attacker.update(i, 0.0)
-    defender.update(chosen, [mu_i if j == i else 0.0 for j in chosen], probs)
-    return i, chosen, 0.0, mu_i
+    return i, [mu_i if j == i else 0.0 for j in chosen]
 
 
 def run_game(config, rng=None):
@@ -510,25 +541,24 @@ def run_game(config, rng=None):
     att_rng, def_rng, scale_rng = rng.spawn(3)
     attacker = make_attacker(config)
     defender = Exp3MVPLearner(config.n_arms, config.defender_eta)
-    horizon = config.horizon
-    play_counts = sample_arm_counts(config.scaling, horizon, scale_rng)
+    counts = sample_arm_counts(config.scaling, config.horizon, scale_rng).tolist()
     mu = config.payoff.mu.tolist()
     attacker_arm = array("q")
     scanned = array("q")
-    r_arr = array("d")
-    s_arr = array("d")
-    for m, u in zip(play_counts.tolist(), _uniforms(def_rng, horizon)):
-        i, chosen, r, s = play_round(attacker, defender, m, mu, att_rng, u)
+
+    def observe(t, chosen, probs):
+        i, obs = play_round(attacker, chosen, mu, att_rng)
         attacker_arm.append(i)
         scanned.extend(chosen)
-        r_arr.append(r)
-        s_arr.append(s)
+        return obs
+
+    play_counts, s = _rounds(defender, counts, def_rng, observe)
     return GameTrace(
         attacker_arm=np.frombuffer(attacker_arm, dtype=np.int64),
         play_counts=play_counts,
         scanned=np.frombuffer(scanned, dtype=np.int64),
-        attacker_reward=np.frombuffer(r_arr),
-        defender_reward=np.frombuffer(s_arr),
+        attacker_reward=config.payoff.mu[attacker_arm] - s,  # what the defender did not catch
+        defender_reward=s,
     )
 
 

@@ -2,7 +2,8 @@
 
 Each one is a plain or vectorized form of a library step, kept here so the
 library has one implementation and the tests an independent one to compare
-it with, draw for draw or bit for bit.
+it with, draw for draw or bit for bit.  The two simulations write out their
+own rounds rather than calling the library's round loop or ``play_round``.
 """
 
 import math
@@ -11,7 +12,7 @@ import numpy as np
 
 from vpbandit.environments import IntrusionTrace, bernoulli_rewards
 from vpbandit.errors import NumericPathologyError
-from vpbandit.game import Exp3MVPLearner, make_attacker, play_round
+from vpbandit.game import Exp3MVPLearner, make_attacker
 from vpbandit.scaling import BUDGET_WINDOW, MovingAverage, sample_arm_count, sample_arm_counts
 
 
@@ -36,6 +37,18 @@ def systematic_draw(m, c, u):
     if len(set(drawn)) != m:
         raise NumericPathologyError(f"systematic sampling did not draw {m} distinct arms")
     return drawn
+
+
+def certainty_draw(m, p, u):
+    """The checked ``dep_round`` draw, written with numpy: the arms at
+    exactly 1.0 outright, and ``systematic_draw`` of the other m - k arms
+    over the running sums with those arms counted as 0.  Returns the arms in
+    increasing order."""
+    p = np.asarray(p, dtype=float)
+    sure = p == 1.0
+    rest = m - int(sure.sum())
+    drawn = systematic_draw(rest, np.where(sure, 0.0, p).cumsum(), u) if rest else []
+    return sorted(np.flatnonzero(sure).tolist() + drawn)
 
 
 def dep_round_many(m, p, u):
@@ -201,8 +214,10 @@ def attacker_value_lp(mu, counts, probs):
 
 
 def game_one_draw_per_round(config, rng):
-    """``run_game``'s rounds with the defender's uniform drawn by one
-    ``rng.random()`` call per round, and the records kept as numpy arrays.
+    """``run_game``'s rounds, written out on their own: each round the
+    attacker selects, the defender plays on one ``rng.random()`` call, the
+    round is scored, and the attacker is updated, the defender only on a
+    catch.  The records are kept as numpy arrays.
 
     Returns ``(attacker_arm, scanned, attacker_reward, defender_reward)``.
     """
@@ -211,17 +226,25 @@ def game_one_draw_per_round(config, rng):
     defender = Exp3MVPLearner(config.n_arms, config.defender_eta)
     play_counts = sample_arm_counts(config.scaling, config.horizon, scale_rng)
     mu = config.payoff.mu.tolist()
-    rounds = [
-        play_round(attacker, defender, int(m), mu, att_rng, def_rng.random())
-        for m in play_counts
-    ]
-    arms, chosen, r, s = zip(*rounds)
-    return np.array(arms), np.concatenate(chosen), np.array(r), np.array(s)
+    arms, scans, r, s = [], [], [], []
+    for m in play_counts.tolist():
+        i = attacker.select(att_rng)
+        chosen, probs = defender.play(m, def_rng.random())
+        caught = i in chosen
+        attacker.update(i, 0.0 if caught else mu[i])
+        if caught:
+            defender.update(chosen, np.where(np.array(chosen) == i, mu[i], 0.0).tolist(), probs)
+        arms.append(i)
+        scans.append(chosen)
+        r.append(0.0 if caught else mu[i])
+        s.append(mu[i] if caught else 0.0)
+    return np.array(arms), np.concatenate(scans), np.array(r), np.array(s)
 
 
 def single_player_one_draw_per_round(spec, rng):
-    """``run_single_player``'s rounds with the learner's uniform drawn by one
-    ``rng.random()`` call per round, and the rewards and budget estimates
+    """``run_single_player``'s rounds, written out on their own: the learner
+    plays on one ``rng.random()`` call per round and is updated with the
+    rewards at its scan set, and the rewards and budget estimates are
     gathered by numpy fancy indexing.
 
     Returns ``(play_counts, cumulative_reward)``.

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from reference import (
     cap_threshold_argsort,
     cap_threshold_scan,
+    certainty_draw,
     dep_round_many,
     exp3_probabilities,
     learner_capped,
@@ -356,6 +357,14 @@ class TestDepRound:
         extreme = st.sampled_from([0.0, 1.0 - 2.0**-53])
         u = data.draw(extreme | st.floats(0.0, 1.0, exclude_max=True))
         c = p.cumsum()
+        if p.max() <= 1.0:  # the checked path takes the arms at 1.0 outright
+            try:
+                expected = certainty_draw(m, p, u)
+            except NumericPathologyError:
+                with pytest.raises(NumericPathologyError, match="distinct arms"):
+                    dep_round(m, p, u)
+            else:
+                assert dep_round(m, p, u) == expected
         try:
             expected = systematic_draw(m, c, u)
         except NumericPathologyError:
@@ -363,8 +372,6 @@ class TestDepRound:
                 dep_round(m, p, u, cumulative=memoryview(c))
             return
         assert dep_round(m, p, u, cumulative=memoryview(c)) == expected
-        if p.max() <= 1.0:
-            assert dep_round(m, p, u) == expected  # the checked path
 
 
 class TestMultiPlayRound:
@@ -445,17 +452,73 @@ def _read_only(seq):
     return isinstance(seq, tuple) or seq.readonly
 
 
+class TestCertaintyArms:
+    """An arm at exactly 1.0 is drawn outright and the other m - k points are
+    placed over the running sums of the rest, so that no valid learner state
+    stops a run: over all arms, rounding can put a point on a capped arm's
+    boundary and give it zero points or two."""
+
+    EDGES = (0.0, 2.0**-53, 1.0 - 2.0**-53)
+
+    def test_the_boundary_state_draws(self):
+        learner = _learner([3.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0], 0.48046875)
+        probs, _, capped = learner._plan(6)
+        assert capped == (0,)
+        # the running sums over every arm end at 6 - 2**-50, and the draw at
+        # u = 0 hits arm 0 twice
+        with pytest.raises(NumericPathologyError):
+            systematic_draw(6, np.cumsum(probs), 0.0)
+        assert learner.play(6, 0.0)[0] == dep_round(6, probs, 0.0) == [0, 1, 2, 3, 4, 5]
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        eta=st.floats(0.01, 0.95),
+        raw=st.lists(st.integers(1, 4).map(float) | _WEIGHT, min_size=40, max_size=40),
+        data=st.data(),
+    )
+    def test_learner_draws_never_raise(self, n, eta, raw, data):
+        # small integer weights tie the marginals and cap the top ones, as in
+        # the state above; N spans both plan builders
+        m = data.draw(st.integers(1, n - 1))
+        u = data.draw(st.sampled_from(self.EDGES) | st.floats(0.0, 1.0, exclude_max=True))
+        learner = _learner(raw[:n], eta)
+        chosen, probs = learner.play(m, u)
+        assert len(chosen) == m and chosen == sorted(set(chosen))
+        assert set(np.flatnonzero(np.asarray(probs) == 1.0).tolist()) <= set(chosen)
+        assert dep_round(m, probs, u) == chosen  # the checked path has the same rule
+
+    def test_random_uniforms_draw_what_the_full_running_sums_draw(self):
+        # on a random u the certainty rule draws the arms that systematic
+        # sampling over every arm's running sums draws
+        rng = np.random.default_rng(2027)
+        capped_states = 0
+        for case in range(2000):
+            n = int(rng.integers(3, 40))
+            w = rng.integers(1, 4, n).astype(float) if case % 2 else np.exp(rng.normal(0, 2, n))
+            learner = _learner(w, float(rng.uniform(0.01, 0.95)))
+            m = int(rng.integers(1, n))
+            probs, _, capped = learner._plan(m)
+            capped_states += bool(capped)
+            for u in rng.random(4).tolist():
+                assert learner.play(m, u)[0] == systematic_draw(m, np.cumsum(probs), u)
+        assert capped_states > 100
+
+
 class TestPlanCache:
     """The learner's cached per-play-count plans against a fresh learner."""
 
     def _check_plans(self, learner, eta):
-        for m, (probs, cumulative) in learner._plans.items():
+        for m, (probs, cumulative, capped) in learner._plans.items():
             fresh_probs, fresh_capped = _marginals(_learner(learner.weights.copy(), eta), m)
             assert _bits(np.asarray(probs)) == _bits(fresh_probs)
             pinned = np.flatnonzero(np.asarray(probs) == 1.0)
             assert pinned.tolist() == ([] if fresh_capped is None else fresh_capped.tolist())
-            assert _bits(np.asarray(cumulative)) == _bits(fresh_probs.cumsum())
-            assert _read_only(probs) and _read_only(cumulative)
+            assert capped == tuple(pinned.tolist())
+            # the capped arms add 0 to the running sums
+            free = np.where(fresh_probs == 1.0, 0.0, fresh_probs)
+            assert _bits(np.asarray(cumulative)) == _bits(free.cumsum())
+            assert _read_only(probs) and _read_only(cumulative) and type(capped) is tuple
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -537,14 +600,15 @@ class TestPlanCache:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(game, "SMALL_PLAN_ARMS", bound)
                     learner = _learner(w, eta)
-                    probs, cumulative = learner._plan(m)
+                    probs, cumulative, capped = learner._plan(m)
                     draws = [_draw_or_error(learner, m, u) for u in us]
-                plans.append((probs, cumulative, draws))
-            (small_p, small_c, small_d), (big_p, big_c, big_d) = plans
+                plans.append((probs, cumulative, capped, draws))
+            (small_p, small_c, small_k, small_d), (big_p, big_c, big_k, big_d) = plans
             assert type(small_p) is tuple and type(small_c) is tuple
             assert isinstance(big_p, np.ndarray) and isinstance(big_c, memoryview)
             assert _bits(np.array(small_p)) == _bits(big_p)
             assert _bits(np.array(small_c)) == _bits(np.asarray(big_c))
+            assert small_k == big_k
             assert small_d == big_d
 
     @pytest.mark.parametrize("bound, error", [(0, ValueError), (game.SMALL_PLAN_ARMS, TypeError)])

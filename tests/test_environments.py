@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vpbandit import environments
+from vpbandit import environments, game
 from vpbandit.environments import (
     BernoulliEnv,
     IntrusionTrace,
@@ -49,9 +49,11 @@ class TestBernoulli:
         assert block.tolist() == np.array(rows).tolist()
         assert r1.bit_generator.state == r2.bit_generator.state
 
-    def test_rejects_out_of_range_means(self):
+    @pytest.mark.parametrize("means", [[0.5, 1.2], [0.5, -0.1], [0.5, math.nan, 0.2]])
+    def test_rejects_out_of_range_means(self, means):
+        # a NaN mean would make its arm silently never pay
         with pytest.raises(InvalidConfigError, match=r"Bernoulli means must lie in \[0, 1\]"):
-            BernoulliEnv(means=np.array([0.5, 1.2]))
+            BernoulliEnv(means=np.array(means))
 
 
 class TestSyntheticTrace:
@@ -849,13 +851,18 @@ def test_save_matches_csv_writer(tmp_path):
 
 
 def _round_payoffs(prof, arm, chosen):
-    """(attacker, defender) payoffs of one round with both moves fixed."""
-    chosen = np.asarray(chosen)
-    attacker = SimpleNamespace(select=lambda rng: arm, update=lambda *a: None)
+    """(attacker, defender) payoffs of one round with both moves fixed, through
+    the game's round loop: the reward the attacker's update receives and the
+    defender's round reward."""
+    rewards = []
+    attacker = SimpleNamespace(select=lambda rng: arm, update=lambda i, r: rewards.append(r))
     defender = SimpleNamespace(play=lambda m, u: (chosen, None), update=lambda *a: None)
-    rng = np.random.default_rng(0)
-    _, _, r, s = play_round(attacker, defender, chosen.size, prof.mu.tolist(), rng, 0.5)
-    return r, s
+    mu = prof.mu.tolist()
+    _, s = game._rounds(
+        defender, [len(chosen)], np.random.default_rng(0),
+        lambda t, scan, probs: play_round(attacker, scan, mu, None)[1],
+    )
+    return rewards[0], float(s[0])
 
 
 class TestPayoffs:
@@ -873,9 +880,10 @@ class TestPayoffs:
         assert _round_payoffs(prof, 1, [0, 1]) == (0.0, pytest.approx(0.4))
         assert _round_payoffs(prof, 2, [0, 1]) == (pytest.approx(0.2), 0.0)
 
-    def test_rejects_nonpositive_payoffs(self):
+    @pytest.mark.parametrize("mu", [[0.5, 0.0], [0.5, 1.5], [0.5, math.nan]])
+    def test_rejects_payoffs_outside_the_range(self, mu):
         with pytest.raises(InvalidConfigError, match=r"payoffs must lie in \(0, 1\]"):
-            PayoffProfile(mu=np.array([0.5, 0.0]))
+            PayoffProfile(mu=np.array(mu))
 
     @pytest.mark.parametrize("mu", [[0.5, 1e-320], [1e-307] * 1000])
     def test_rejects_payoffs_whose_reciprocal_sum_overflows(self, mu):

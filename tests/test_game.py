@@ -31,23 +31,25 @@ from vpbandit.scaling import ScalingSpec
 
 
 class _FixedAttacker:
-    """Stub that always hides in one location."""
+    """Stub that always hides in one location and records the rewards its
+    updates receive."""
 
     def __init__(self, arm):
         self.arm = arm
+        self.rewards = []
 
     def select(self, rng):
         return self.arm
 
     def update(self, arm, reward):
-        pass
+        self.rewards.append(reward)
 
 
 class _FixedDefender:
     """Stub that always scans one fixed set."""
 
     def __init__(self, chosen, n_arms):
-        self._chosen = np.asarray(chosen)
+        self._chosen = list(chosen)
         self._probs = np.zeros(n_arms)
         self._probs[self._chosen] = 1.0
 
@@ -69,42 +71,56 @@ class _RecordingDefender(_FixedDefender):
         self.updates.append((list(chosen), list(rewards)))
 
 
+def _game_rounds(attacker, defender, counts, mu, rng):
+    """Game rounds through the round loop with ``play_round`` as the reward
+    source, both players drawing from ``rng``; returns the attacker's arms,
+    each round's scan set, and the defender's round rewards."""
+    arms, scans = [], []
+
+    def observe(t, chosen, probs):
+        i, obs = play_round(attacker, chosen, mu, rng)
+        arms.append(i)
+        scans.append(list(chosen))
+        return obs
+
+    _, s = game._rounds(defender, counts, rng, observe)
+    return arms, scans, s.tolist()
+
+
+def _one_round(attacker_arm, scan, n_arms, mu):
+    """``(attacker_arm, attacker_reward, defender_reward)`` of one round with
+    both moves fixed; the attacker's reward is the one its update receives."""
+    attacker = _FixedAttacker(attacker_arm)
+    arms, _, s = _game_rounds(
+        attacker, _FixedDefender(scan, n_arms), [len(scan)], mu, np.random.default_rng(0)
+    )
+    (r,) = attacker.rewards
+    return arms[0], r, s[0]
+
+
 class TestCoupling:
     def test_homogeneous_hit(self):
         mu = PayoffProfile.homogeneous(4).mu.tolist()
-        rng = np.random.default_rng(0)
-        i, chosen, r, s = play_round(
-            _FixedAttacker(2), _FixedDefender([0, 2], 4), 2, mu, rng, 0.5
-        )
-        assert (i, r, s) == (2, 0.0, 1.0)
+        assert _one_round(2, [0, 2], 4, mu) == (2, 0.0, 1.0)
 
     def test_homogeneous_miss(self):
         mu = PayoffProfile.homogeneous(4).mu.tolist()
-        rng = np.random.default_rng(0)
-        i, chosen, r, s = play_round(
-            _FixedAttacker(1), _FixedDefender([0, 2], 4), 2, mu, rng, 0.5
-        )
-        assert (i, r, s) == (1, 1.0, 0.0)
+        assert _one_round(1, [0, 2], 4, mu) == (1, 1.0, 0.0)
 
     def test_heterogeneous_hit_scores_the_hit_location(self):
         mu = PayoffProfile(mu=np.array([0.9, 0.4, 0.2])).mu.tolist()
-        rng = np.random.default_rng(0)
-        i, chosen, r, s = play_round(
-            _FixedAttacker(1), _FixedDefender([1, 2], 3), 2, mu, rng, 0.5
-        )
+        _, r, s = _one_round(1, [1, 2], 3, mu)
         assert (r, s) == (0.0, pytest.approx(0.4))
 
     def test_a_miss_calls_no_defender_update(self):
         defender = _RecordingDefender([0, 2], 4)
-        rng = np.random.default_rng(0)
-        play_round(_FixedAttacker(1), defender, 2, [1.0] * 4, rng, 0.5)
+        _game_rounds(_FixedAttacker(1), defender, [2], [1.0] * 4, np.random.default_rng(0))
         assert defender.updates == []
 
     def test_a_hit_updates_the_defender_once_at_the_attacked_arm(self):
         mu = PayoffProfile(mu=np.array([0.9, 0.4, 0.2, 0.7])).mu.tolist()
         defender = _RecordingDefender([0, 1, 3], 4)
-        rng = np.random.default_rng(0)
-        play_round(_FixedAttacker(1), defender, 3, mu, rng, 0.5)
+        _game_rounds(_FixedAttacker(1), defender, [3], mu, np.random.default_rng(0))
         assert defender.updates == [([0, 1, 3], [0.0, 0.4, 0.0])]
 
     @pytest.mark.parametrize("kind", ["exp3", "greedy"])
@@ -114,13 +130,13 @@ class TestCoupling:
         )
         attacker = make_attacker(config)
         defender = Exp3MVPLearner(config.n_arms, config.defender_eta)
-        att_rng, def_rng = np.random.default_rng(1), np.random.default_rng(2)
+        rng = np.random.default_rng(1)
         mu = config.payoff.mu.tolist()
         misses = 0
         for m in [1, 2, 3] * 100:
             weights = defender.weights.tobytes()
             plans = dict(defender._plans)
-            _, _, _, s = play_round(attacker, defender, m, mu, att_rng, def_rng.random())
+            _, _, (s,) = _game_rounds(attacker, defender, [m], mu, rng)
             if s == 0.0:
                 misses += 1
                 assert defender.weights.tobytes() == weights
@@ -184,13 +200,10 @@ class TestGreedyAttacker:
         att = GreedyAttacker(n)
         defender = _FixedDefender([0, 1], n)
         mu = PayoffProfile.homogeneous(n).mu.tolist()
-        rng = np.random.default_rng(1)
         horizon = 2000
-        total = 0.0
-        for _ in range(horizon):
-            _, _, r, _ = play_round(att, defender, 2, mu, rng, 0.5)
-            total += r
-        assert total / horizon >= 0.8
+        _, _, s = _game_rounds(att, defender, [2] * horizon, mu, np.random.default_rng(1))
+        # homogeneous payoffs: the attacker scores 1 in every round it is not caught
+        assert (horizon - sum(s)) / horizon >= 0.8
 
 
 class TestGameRuns:
@@ -486,10 +499,10 @@ class TestSinglePlayer:
 
 
 class TestUniformBlocks:
-    """The loops draw the defender's or learner's uniforms UNIFORM_BLOCK at a
-    time; every record equals a loop that calls ``rng.random()`` once per
-    round, whatever the block size.  The horizons span several blocks of
-    every size tried, the last one partial."""
+    """The round loop draws the defender's or learner's uniforms
+    UNIFORM_BLOCK at a time; every record equals a loop that calls
+    ``rng.random()`` once per round, whatever the block size.  The horizons
+    span several blocks of every size tried, the last one used in part."""
 
     @pytest.fixture(params=[1, 7, game.UNIFORM_BLOCK])
     def block(self, request, monkeypatch):
