@@ -51,7 +51,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, count
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from .scaling import BUDGET_WINDOW, MovingAverage, ScalingSpec, sample_arm_count
 
 DEFAULT_SCAN_DISCOUNT = 0.01
 ETA_CLAMP = 1.0 - 1e-6  # tuned rates are clamped below 1, the learner's open bound
-UNIFORM_BLOCK = 1024  # uniforms a simulation loop draws from a player's stream at once
+UNIFORM_BLOCK = 1024  # uniforms the round loop draws from the learner's stream at once
 # up to this many arms the learner builds its plans on Python floats, above it
 # with numpy; the crossover of the two builders' cost (README)
 SMALL_PLAN_ARMS = 32
@@ -84,7 +84,8 @@ def _rounds(learner, counts, rng, observe):
     chosen arms, which update the learner, or ``None``, which scores 0 and moves no
     weight.  Returns the rounds' play counts and rewards."""
     play_counts, round_rewards = array("q"), array("d")
-    uniforms = (u for _ in count() for u in rng.random(UNIFORM_BLOCK).tolist())
+    # an endless stream of blocks; the counts end the loop
+    uniforms = chain.from_iterable(iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None))
     for t, (m, u) in enumerate(zip(counts, uniforms)):
         chosen, probs = learner.play(m, u)
         obs = observe(t, chosen, probs)
