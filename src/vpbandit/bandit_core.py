@@ -12,6 +12,7 @@ argument, and the caller draws it from its own generator.
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,18 +37,26 @@ def cap_threshold(weights, target):
     One ascending sort and its running sums give both: the m-th largest
     weight is ``s[n - 1 - m]`` and the sum of all but the m largest is
     ``acc[n - 1 - m]``, the same doubles, added in the same order, as a
-    descending sort's reversed cumulative sum.
+    descending sort's reversed cumulative sum.  ``weights`` is an array,
+    sorted and summed by numpy, or a list of Python floats, as the learner
+    holds them for its small plans, sorted and summed in Python without
+    numpy's fixed cost per call; the running sums are sequential either
+    way, so both give the same doubles.
     """
     if not (0.0 < target < 1.0):
         raise InvalidConfigError(f"target must be in (0, 1), got {target}")
-    s = np.sort(np.asarray(weights, dtype=float))
-    acc = np.add.accumulate(s)
-    n = s.size
+    n = len(weights)
     # the scan stops before m * target >= 1, so it never reads past index top
     top = n if 1.0 / target >= n else math.ceil(1.0 / target)
     lo = max(n - 1 - top, 0)
-    head = s[lo:][::-1].tolist() + [-math.inf]  # head[m] = the (m + 1)-th largest weight
-    suffix = acc[lo:][::-1].tolist() + [0.0]  # suffix[m] = the sum of all but the m largest
+    if isinstance(weights, list):
+        s = sorted(weights)
+        head, suffix = s[lo:], list(accumulate(s))[lo:]
+    else:
+        s = np.sort(np.asarray(weights, dtype=float))
+        head, suffix = s[lo:].tolist(), np.add.accumulate(s)[lo:].tolist()
+    head = head[::-1] + [-math.inf]  # head[m] = the (m + 1)-th largest weight
+    suffix = suffix[::-1] + [0.0]  # suffix[m] = the sum of all but the m largest
     for m in range(1, top + 1):
         if m * target >= 1.0:
             break
@@ -75,49 +84,32 @@ def _checked(m, probs):
     return p
 
 
-def _systematic(m, c, u):
-    """Arms hit by the points ``(u + k) * total / m``, k = 0..m-1, as a list.
-
-    Arm i owns the interval [c[i-1], c[i]) of the cumulative marginals c,
-    and the points are spread over the actual total c[-1], so float drift in
-    the marginal sum cannot move them.  The last arm with mass also owns the
-    total itself, where the top point lands when ``u + m - 1`` rounds up to
-    m.  ``c`` is nondecreasing, so each bisection finds the index that
-    ``searchsorted`` would.  A draw that is not m distinct arms raises; it
-    is never repaired.
-    """
-    n = len(c)
-    total = c[n - 1]
-    step = total / m
-    drawn = []
-    for k in range(m):
-        drawn.append(bisect_right(c, (u + k) * step))
-    if drawn[-1] == n:  # the top point is on or past the total
-        last = bisect_left(c, total)  # the last arm with a nonempty interval
-        drawn = [bisect_right(c, (u + k) * step, 0, last) for k in range(m)]
-    if len(set(drawn)) != m:
-        raise NumericPathologyError(f"systematic sampling did not draw {m} distinct arms")
-    return drawn
-
-
 def dep_round(m, probs, u, cumulative=None, capped=()):
     """Sample exactly ``m`` distinct arm indices with the given marginals.
 
     Systematic sampling (Madow 1949; Tille, Sampling Algorithms, 2006,
-    ch. 7): one uniform ``u`` in [0, 1) places points a spacing of
-    total / m apart, and each point picks the arm whose cumulative-marginal
-    interval holds it.  ``probs`` must lie in [0, 1] and sum to ``m``, so no
-    interval is longer than the spacing: the m arms are distinct, each lands
-    in the output with probability exactly ``probs[i]`` when ``u`` is
-    uniform, and an arm at 0 has an empty interval and never is.  The k
-    arms at exactly 1.0 are certainty units, taken outright (Tille, ch. 7;
-    Cochran, Sampling Techniques, 1977, ch. 9A); the other m - k points are
-    placed over the running sums with those arms counted as 0.  An arm at
-    1.0 spans a whole spacing, so over every arm's running sums rounding
-    could put a point on its boundary and draw it twice or not at all; away
-    from such boundaries the two rules draw the same arms.  The caller draws
-    ``u``; the draw is a function of it alone.  Returns the indices as a
-    list of ints in increasing order.
+    ch. 7).  The k arms at exactly 1.0 are certainty units, taken outright
+    (Tille, ch. 7; Cochran, Sampling Techniques, 1977, ch. 9A).  One uniform
+    ``u`` in [0, 1) places the other m - k points a spacing of total /
+    (m - k) apart on the running sums of the marginals with the certainty
+    arms counted as 0, and each point picks the arm whose interval holds
+    it.  ``probs`` must lie in [0, 1] and sum to ``m``, so no interval is
+    longer than the spacing: the arms are distinct, each lands in the output
+    with probability exactly ``probs[i]`` when ``u`` is uniform, and an arm
+    at 0 has an empty interval and never is.  On every arm's running sums an
+    arm at 1.0 would span a whole spacing, and rounding could put a point on
+    its boundary and draw it twice or not at all; away from such boundaries
+    the two rules draw the same arms.  The caller draws ``u``; the draw is a
+    function of it alone.  Returns the indices as a list of ints in
+    increasing order.
+
+    Arm i owns the interval [c[i-1], c[i]) of the running sums c, and the
+    points are spread over the actual total c[-1], so float drift in the
+    marginal sum cannot move them.  The last arm with mass also owns the
+    total itself, where the top point lands when ``u + m - k - 1`` rounds
+    up to m - k.  ``c`` is nondecreasing, so each bisection finds the index
+    that ``searchsorted`` would.  A draw that is not distinct arms raises;
+    it is never repaired.
 
     Without ``cumulative``, the inputs are checked: ``u`` must lie in
     [0, 1) and ``probs`` as above, or ``InvalidConfigError`` is raised.
@@ -135,9 +127,21 @@ def dep_round(m, probs, u, cumulative=None, capped=()):
         sure = p == 1.0
         capped = sure.nonzero()[0].tolist()
         cumulative = memoryview(np.where(sure, 0.0, p).cumsum())
-    if not capped:
-        return _systematic(m, cumulative, u)
-    drawn = _systematic(m - len(capped), cumulative, u) if len(capped) < m else []
-    drawn += capped
-    drawn.sort()
+    c = cumulative
+    rest = m - len(capped)  # the points to place
+    drawn = []
+    if rest:
+        n = len(c)
+        total = c[n - 1]
+        step = total / rest
+        for j in range(rest):
+            drawn.append(bisect_right(c, (u + j) * step))
+        if drawn[-1] == n:  # the top point is on or past the total
+            last = bisect_left(c, total)  # the last arm with a nonempty interval
+            drawn = [bisect_right(c, (u + j) * step, 0, last) for j in range(rest)]
+        if len(set(drawn)) != rest:
+            raise NumericPathologyError(f"systematic sampling did not draw {rest} distinct arms")
+    if capped:
+        drawn += capped
+        drawn.sort()
     return drawn

@@ -149,9 +149,10 @@ class Exp3MVPLearner:
         if total is None:
             # what ``w.sum()`` computes, without its Python wrapper
             total = self._total = float(np.add.reduce(w))
+        ws = w.tolist() if n <= SMALL_PLAN_ARMS else w  # the weights the builder reads
         kappa = None
         if self._max >= c * total:
-            kappa = cap_threshold(w, c)
+            kappa = cap_threshold(ws, c)
             clipped = np.minimum(w, kappa)
             total = float(np.add.reduce(clipped))
         scale = m * (1.0 - eta) / total
@@ -160,10 +161,9 @@ class Exp3MVPLearner:
         # pinned so downstream code can rely on it
         if n <= SMALL_PLAN_ARMS:
             if kappa is None:
-                probs = tuple([x * scale + floor for x in w.tolist()])
+                probs = tuple([x * scale + floor for x in ws])
                 plan = self._plans[m] = (probs, tuple(accumulate(probs)), ())
                 return plan
-            ws = w.tolist()
             capped = tuple([i for i, x in enumerate(ws) if x >= kappa])
             probs = [x * scale + floor for x in ws]
             for i in capped:
