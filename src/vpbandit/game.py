@@ -51,7 +51,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 
 import numpy as np
 
@@ -86,7 +86,7 @@ def _rounds(learner, counts, rng, observe):
     play_counts, round_rewards = array("q"), array("d")
     # an endless stream of blocks; the counts end the loop
     uniforms = chain.from_iterable(iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None))
-    for t, (m, u) in enumerate(zip(counts, uniforms)):
+    for t, m, u in zip(count(), counts, uniforms):
         chosen, probs = learner.play(m, u)
         obs = observe(t, chosen, probs)
         if obs is not None:
