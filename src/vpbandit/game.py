@@ -89,10 +89,12 @@ def _rounds(learner, counts, rng, observe):
     for t, m, u in zip(count(), counts, uniforms):
         chosen, probs = learner.play(m, u)
         obs = observe(t, chosen, probs)
-        if obs is not None:
-            learner.update(chosen, obs, probs)
         play_counts.append(m)
-        round_rewards.append(sum(obs) if obs else 0.0)  # exact: 0/1 or one nonzero reward
+        if obs is None:
+            round_rewards.append(0.0)
+        else:
+            learner.update(chosen, obs, probs)
+            round_rewards.append(sum(obs))  # exact: 0/1 rewards, or one nonzero
     return np.frombuffer(play_counts, dtype=np.int64), np.frombuffer(round_rewards)
 
 
@@ -371,7 +373,9 @@ def run_single_player(spec, rng, record_weights=False):
         counts = (sample_arm_count(spec.scaling, ma) for _ in range(horizon))
 
     def observe(t, chosen, probs):
-        obs = [reward[t, j] for j in chosen]
+        obs = []
+        for j in chosen:  # a loop builds no function object, as a comprehension does
+            obs.append(reward[t, j])
         if record_weights:
             margs[t] = probs
         if ma is not None:
@@ -532,7 +536,9 @@ def play_round(attacker, chosen, mu, attacker_rng):
         attacker.update(i, mu_i)
         return i, None
     attacker.update(i, 0.0)
-    return i, [mu_i if j == i else 0.0 for j in chosen]
+    obs = [0.0] * len(chosen)
+    obs[chosen.index(i)] = mu_i
+    return i, obs
 
 
 def run_game(config, rng=None):
