@@ -51,7 +51,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -78,15 +78,17 @@ def _eta(eta, n_arms, a, b, horizon):
     return float(eta)
 
 
-def _rounds(learner, counts, rng, observe):
-    """Play a round per count in ``counts``, read lazily, on ``rng``'s uniforms drawn
-    ``UNIFORM_BLOCK`` at a time; ``observe(t, chosen, probs)`` gives the rewards at the
-    chosen arms, which update the learner, or ``None``, which scores 0 and moves no
-    weight.  Returns the rounds' play counts and rewards."""
+def _rounds(learner, horizon, counts, rng, observe):
+    """Play ``horizon`` rounds, one per count in ``counts``, read lazily, on ``rng``'s
+    uniforms drawn ``UNIFORM_BLOCK`` at a time; ``observe(t, chosen, probs)`` gives the
+    rewards at the chosen arms, which update the learner, or ``None``, which scores 0
+    and moves no weight.  Returns the rounds' play counts and rewards."""
     play_counts, round_rewards = array("q"), array("d")
-    # an endless stream of blocks; the counts end the loop
-    uniforms = chain.from_iterable(iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None))
-    for t, m, u in zip(count(), counts, uniforms):
+    uniforms = chain.from_iterable(
+        rng.random(min(UNIFORM_BLOCK, horizon - start)).tolist()
+        for start in range(0, horizon, UNIFORM_BLOCK)
+    )
+    for t, m, u in zip(range(horizon), counts, uniforms):
         chosen, probs = learner.play(m, u)
         obs = observe(t, chosen, probs)
         play_counts.append(m)
@@ -386,7 +388,7 @@ def run_single_player(spec, rng, record_weights=False):
         return obs
 
     learner = Exp3MVPLearner(n, spec.eta)
-    play_counts, round_rewards = _rounds(learner, counts, learner_rng, observe)
+    play_counts, round_rewards = _rounds(learner, horizon, counts, learner_rng, observe)
     return SinglePlayerRun(
         reward_matrix=rewards,
         play_counts=play_counts,
@@ -525,11 +527,11 @@ def make_attacker(config):
 
 
 def play_round(attacker, chosen, mu, attacker_rng):
-    """The attacker's round against the scan set ``chosen``: it selects a
-    location i, scores its payoff ``mu[i]`` unless caught, and updates.  Returns
-    ``(i, observations)``: on a catch the defender's rewards at ``chosen``,
-    ``mu[i]`` at i and 0 elsewhere; on a miss, which scores 0 at every scanned
-    arm, ``None``."""
+    """The attacker's round against the scan set ``chosen``, a list of arms:
+    it selects a location i, scores its payoff ``mu[i]`` unless caught, and
+    updates.  Returns ``(i, observations)``: on a catch the defender's
+    rewards at ``chosen``, ``mu[i]`` at i and 0 elsewhere; on a miss, which
+    scores 0 at every scanned arm, ``None``."""
     i = attacker.select(attacker_rng)
     mu_i = mu[i]
     if i not in chosen:
@@ -559,7 +561,7 @@ def run_game(config, rng=None):
         scanned.extend(chosen)
         return obs
 
-    play_counts, s = _rounds(defender, counts, def_rng, observe)
+    play_counts, s = _rounds(defender, config.horizon, counts, def_rng, observe)
     return GameTrace(
         attacker_arm=np.frombuffer(attacker_arm, dtype=np.int64),
         play_counts=play_counts,

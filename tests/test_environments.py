@@ -859,7 +859,7 @@ def _round_payoffs(prof, arm, chosen):
     defender = SimpleNamespace(play=lambda m, u: (chosen, None), update=lambda *a: None)
     mu = prof.mu.tolist()
     _, s = game._rounds(
-        defender, [len(chosen)], np.random.default_rng(0),
+        defender, 1, [len(chosen)], np.random.default_rng(0),
         lambda t, scan, probs: play_round(attacker, scan, mu, None)[1],
     )
     return rewards[0], float(s[0])

@@ -83,7 +83,7 @@ def _game_rounds(attacker, defender, counts, mu, rng):
         scans.append(list(chosen))
         return obs
 
-    _, s = game._rounds(defender, counts, rng, observe)
+    _, s = game._rounds(defender, len(counts), counts, rng, observe)
     return arms, scans, s.tolist()
 
 
