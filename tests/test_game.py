@@ -73,25 +73,24 @@ class _RecordingDefender(_FixedDefender):
 
 def _game_rounds(attacker, defender, counts, mu, rng):
     """Game rounds through the round loop with ``play_round`` as the reward
-    source, both players drawing from ``rng``; returns the attacker's arms,
-    each round's scan set, and the defender's round rewards."""
-    arms, scans = [], []
+    source, both players drawing from ``rng``; returns the attacker's arms
+    and the defender's round rewards."""
+    arms = []
 
     def observe(t, chosen, probs):
         i, obs = play_round(attacker, chosen, mu, rng)
         arms.append(i)
-        scans.append(list(chosen))
         return obs
 
     _, s = game._rounds(defender, len(counts), counts, rng, observe)
-    return arms, scans, s.tolist()
+    return arms, s.tolist()
 
 
 def _one_round(attacker_arm, scan, n_arms, mu):
     """``(attacker_arm, attacker_reward, defender_reward)`` of one round with
     both moves fixed; the attacker's reward is the one its update receives."""
     attacker = _FixedAttacker(attacker_arm)
-    arms, _, s = _game_rounds(
+    arms, s = _game_rounds(
         attacker, _FixedDefender(scan, n_arms), [len(scan)], mu, np.random.default_rng(0)
     )
     (r,) = attacker.rewards
@@ -136,7 +135,7 @@ class TestCoupling:
         for m in [1, 2, 3] * 100:
             weights = defender.weights.tobytes()
             plans = dict(defender._plans)
-            _, _, (s,) = _game_rounds(attacker, defender, [m], mu, rng)
+            _, (s,) = _game_rounds(attacker, defender, [m], mu, rng)
             if s == 0.0:
                 misses += 1
                 assert defender.weights.tobytes() == weights
@@ -201,7 +200,7 @@ class TestGreedyAttacker:
         defender = _FixedDefender([0, 1], n)
         mu = PayoffProfile.homogeneous(n).mu.tolist()
         horizon = 2000
-        _, _, s = _game_rounds(att, defender, [2] * horizon, mu, np.random.default_rng(1))
+        _, s = _game_rounds(att, defender, [2] * horizon, mu, np.random.default_rng(1))
         # homogeneous payoffs: the attacker scores 1 in every round it is not caught
         assert (horizon - sum(s)) / horizon >= 0.8
 
