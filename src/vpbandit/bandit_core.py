@@ -12,7 +12,6 @@ argument, and the caller draws it from its own generator.
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
 
 import numpy as np
 
@@ -37,26 +36,19 @@ def cap_threshold(weights, target):
     One ascending sort and its running sums give both: the m-th largest
     weight is ``s[n - 1 - m]`` and the sum of all but the m largest is
     ``acc[n - 1 - m]``, the same doubles, added in the same order, as a
-    descending sort's reversed cumulative sum.  ``weights`` is an array,
-    sorted and summed by numpy, or a list of Python floats, as the learner
-    holds them for its small plans, sorted and summed in Python without
-    numpy's fixed cost per call; the running sums are sequential either
-    way, so both give the same doubles.
+    descending sort's reversed cumulative sum.
     """
     if not (0.0 < target < 1.0):
         raise InvalidConfigError(f"target must be in (0, 1), got {target}")
-    n = len(weights)
+    s = np.array(weights, dtype=float)
+    s.sort()
+    acc = np.add.accumulate(s)
+    n = s.size
     # the scan stops before m * target >= 1, so it never reads past index top
     top = n if 1.0 / target >= n else math.ceil(1.0 / target)
     lo = max(n - 1 - top, 0)
-    if isinstance(weights, list):
-        s = sorted(weights)
-        head, suffix = s[lo:], list(accumulate(s))[lo:]
-    else:
-        s = np.sort(np.asarray(weights, dtype=float))
-        head, suffix = s[lo:].tolist(), np.add.accumulate(s)[lo:].tolist()
-    head = head[::-1] + [-math.inf]  # head[m] = the (m + 1)-th largest weight
-    suffix = suffix[::-1] + [0.0]  # suffix[m] = the sum of all but the m largest
+    head = s[lo:].tolist()[::-1] + [-math.inf]  # head[m] = the (m + 1)-th largest weight
+    suffix = acc[lo:].tolist()[::-1] + [0.0]  # suffix[m] = the sum of all but the m largest
     for m in range(1, top + 1):
         if m * target >= 1.0:
             break

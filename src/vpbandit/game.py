@@ -64,7 +64,7 @@ from .scaling import BUDGET_WINDOW, MovingAverage, ScalingSpec, sample_arm_count
 
 DEFAULT_SCAN_DISCOUNT = 0.01
 ETA_CLAMP = 1.0 - 1e-6  # tuned rates are clamped below 1, the learner's open bound
-UNIFORM_BLOCK = 1024  # uniforms the round loop draws from the learner's stream at once
+UNIFORM_BLOCK = 1024  # uniforms a simulation loop draws from a player's stream at once
 # up to this many arms the learner builds its plans on Python floats, above it
 # with numpy; the crossover of the two builders' cost (README)
 SMALL_PLAN_ARMS = 32
@@ -79,10 +79,9 @@ def _eta(eta, n_arms, a, b, horizon):
 
 
 def _rounds(learner, horizon, counts, rng, observe):
-    """Play ``horizon`` rounds, one per count in ``counts``, read lazily, on ``rng``'s
-    uniforms drawn ``UNIFORM_BLOCK`` at a time; ``observe(t, chosen, probs)`` gives the
-    rewards at the chosen arms, which update the learner, or ``None``, which scores 0
-    and moves no weight.  Returns the rounds' play counts and rewards."""
+    """Play ``horizon`` rounds, one per count in ``counts``, read lazily; ``observe(t, chosen,
+    probs)`` gives the rewards at ``chosen``, which update the learner, or ``None``, which
+    scores 0 and moves no weight.  Returns the rounds' play counts and rewards."""
     play_counts, round_rewards = array("q"), array("d")
     uniforms = chain.from_iterable(
         rng.random(min(UNIFORM_BLOCK, horizon - start)).tolist()
@@ -91,12 +90,10 @@ def _rounds(learner, horizon, counts, rng, observe):
     for t, m, u in zip(range(horizon), counts, uniforms):
         chosen, probs = learner.play(m, u)
         obs = observe(t, chosen, probs)
-        play_counts.append(m)
-        if obs is None:
-            round_rewards.append(0.0)
-        else:
+        if obs is not None:
             learner.update(chosen, obs, probs)
-            round_rewards.append(sum(obs))  # exact: 0/1 rewards, or one nonzero
+        play_counts.append(m)
+        round_rewards.append(sum(obs) if obs is not None else 0.0)  # exact: 0/1 or one nonzero
     return np.frombuffer(play_counts, dtype=np.int64), np.frombuffer(round_rewards)
 
 
@@ -153,43 +150,33 @@ class Exp3MVPLearner:
         if total is None:
             # what ``w.sum()`` computes, without its Python wrapper
             total = self._total = float(np.add.reduce(w))
-        ws = w.tolist() if n <= SMALL_PLAN_ARMS else w  # the weights the builder reads
         kappa = None
         if self._max >= c * total:
-            kappa = cap_threshold(ws, c)
-            clipped = np.minimum(w, kappa)
-            total = float(np.add.reduce(clipped))
+            kappa = cap_threshold(w, c)
+            total = float(np.add.reduce(np.minimum(w, kappa)))
         scale = m * (1.0 - eta) / total
         floor = m * eta / n
-        # the capped arms' marginals are algebraically exactly 1; they are
-        # pinned so downstream code can rely on it
+        # the capped arms add nothing to the running sums; their marginals are
+        # algebraically exactly 1, and pinned so downstream code can rely on it
         if n <= SMALL_PLAN_ARMS:
-            if kappa is None:
-                probs = tuple([x * scale + floor for x in ws])
-                plan = self._plans[m] = (probs, tuple(accumulate(probs)), ())
-                return plan
-            capped = tuple([i for i, x in enumerate(ws) if x >= kappa])
+            ws = w.tolist()
+            capped = () if kappa is None else tuple([i for i, x in enumerate(ws) if x >= kappa])
             probs = [x * scale + floor for x in ws]
             for i in capped:
-                probs[i] = 0.0  # the capped arms add nothing to the running sums
+                probs[i] = 0.0
             cumulative = tuple(accumulate(probs))
             for i in capped:
                 probs[i] = 1.0
             plan = self._plans[m] = (tuple(probs), cumulative, capped)
             return plan
-        if kappa is None:
-            probs = w * scale
-            probs += floor
-            cumulative = np.add.accumulate(probs)
-            capped = ()
-        else:
-            probs = clipped * scale
-            probs += floor
-            sure = w >= kappa
-            probs[sure] = 0.0
-            cumulative = np.add.accumulate(probs)
-            probs[sure] = 1.0
-            capped = tuple(sure.nonzero()[0].tolist())
+        capped = () if kappa is None else tuple((w >= kappa).nonzero()[0].tolist())
+        probs = w * scale
+        probs += floor
+        for i in capped:
+            probs[i] = 0.0
+        cumulative = np.add.accumulate(probs)
+        for i in capped:
+            probs[i] = 1.0
         probs.flags.writeable = False
         cumulative.flags.writeable = False
         plan = self._plans[m] = (probs, memoryview(cumulative), capped)
@@ -362,32 +349,33 @@ def run_single_player(spec, rng, record_weights=False):
     n = spec.n_arms
     horizon = spec.horizon
     env_rng, scale_rng, learner_rng = rng.spawn(3)
+    learner = Exp3MVPLearner(n, spec.eta)
+    needs_ma = spec.scaling.kind == "budget_threshold"
+    ma = MovingAverage(n, BUDGET_WINDOW) if needs_ma else None
     if isinstance(spec.env, IntrusionTrace):
         rewards = spec.env.indicators[:horizon].astype(float)
     else:
         rewards = bernoulli_rewards(spec.env, horizon, env_rng)
     reward = memoryview(rewards)  # reward[t, j] is a Python float
     margs = np.empty((horizon, n)) if record_weights else None
-    ma = MovingAverage(n, BUDGET_WINDOW) if spec.scaling.kind == "budget_threshold" else None
-    if ma is None:
-        counts = sample_arm_counts(spec.scaling, horizon, scale_rng).tolist()
-    else:  # lazy: each count reads the estimates of the rounds before it
+    if needs_ma:  # lazy: each count reads the estimates of the rounds before it
         counts = (sample_arm_count(spec.scaling, ma) for _ in range(horizon))
+    else:
+        counts = sample_arm_counts(spec.scaling, horizon, scale_rng).tolist()
 
     def observe(t, chosen, probs):
         obs = []
-        for j in chosen:  # a loop builds no function object, as a comprehension does
+        for j in chosen:  # on Python 3.11 a comprehension builds a closure per call
             obs.append(reward[t, j])
         if record_weights:
             margs[t] = probs
-        if ma is not None:
+        if needs_ma:
             est = np.zeros(n)
             for j, y in zip(chosen, obs):
                 est[j] = y / probs[j]
             ma.push(est)
         return obs
 
-    learner = Exp3MVPLearner(n, spec.eta)
     play_counts, round_rewards = _rounds(learner, horizon, counts, learner_rng, observe)
     return SinglePlayerRun(
         reward_matrix=rewards,
@@ -538,7 +526,7 @@ def play_round(attacker, chosen, mu, attacker_rng):
         attacker.update(i, mu_i)
         return i, None
     attacker.update(i, 0.0)
-    obs = [0.0] * len(chosen)
+    obs = [0.0] * len(chosen)  # no comprehension, which builds a closure per call on 3.11
     obs[chosen.index(i)] = mu_i
     return i, obs
 
@@ -550,7 +538,8 @@ def run_game(config, rng=None):
     att_rng, def_rng, scale_rng = rng.spawn(3)
     attacker = make_attacker(config)
     defender = Exp3MVPLearner(config.n_arms, config.defender_eta)
-    counts = sample_arm_counts(config.scaling, config.horizon, scale_rng).tolist()
+    horizon = config.horizon
+    counts = sample_arm_counts(config.scaling, horizon, scale_rng).tolist()
     mu = config.payoff.mu.tolist()
     attacker_arm = array("q")
     scanned = array("q")
@@ -561,7 +550,7 @@ def run_game(config, rng=None):
         scanned.extend(chosen)
         return obs
 
-    play_counts, s = _rounds(defender, config.horizon, counts, def_rng, observe)
+    play_counts, s = _rounds(defender, horizon, counts, def_rng, observe)
     return GameTrace(
         attacker_arm=np.frombuffer(attacker_arm, dtype=np.int64),
         play_counts=play_counts,
