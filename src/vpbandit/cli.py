@@ -1,16 +1,21 @@
 """Config-driven experiment runner.
 
 Every run takes a JSON config (schema version 1), resolves all defaults,
-and writes into the output directory:
+and writes into the output directory, in this order:
 
+* plot-ready CSV curves depending on the experiment kind, written by the
+  kind's runner through ``environments.write_csv`` (``ingest`` writes
+  ``trace.csv`` and ``trace.meta`` through ``IntrusionTrace.save``)
+* ``summary.txt`` — final metrics and applicable theoretical values, one
+  ``key=value`` per line (``environments.write_pairs``)
 * ``manifest.json`` — the config with every default filled in and no other
   key; fed back to the same subcommand, it reproduces the run byte for byte.
   A log ``path`` (``ingest``, the ``trace_csv`` environment) is kept as
   given, so a relative one reproduces the run only from the first run's
   working directory
-* ``summary.txt`` — final metrics and applicable theoretical values, one
-  ``key=value`` per line
-* plot-ready CSV curves depending on the experiment kind
+
+``run_experiment`` writes the last two once the runner has returned, so a
+directory holds a manifest only for a run that finished.
 
 The key tables below are the whole config schema: one per experiment kind,
 scaling kind and environment type, each mapping a key to its default and
@@ -43,7 +48,8 @@ from .environments import (
     PayoffProfile,
     ingest_can_log,
     synthesize_intrusion_trace,
-    write_columns,
+    write_csv,
+    write_pairs,
 )
 from .errors import InvalidConfigError, VPBanditError
 from .game import (
@@ -69,33 +75,10 @@ def _fmt(x):
     return str(x)
 
 
-def write_csv(path, header, columns):
-    """Comma-separated with a header row, written a column at a time.
-
-    ``columns`` holds one equal-length 1-D array (or list of str) per header
-    name.  A field reads as ``_fmt`` writes its value: bools as 1/0, integers
-    in decimal, floats at 17 significant digits (``nan``, ``inf``, ``-0``).
-    """
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        write_columns(f, columns)
-
-
 def _scan_sets(scanned, counts):
     """The ``J_t`` column: each round's ``counts[t]`` scanned arms joined by ``;``."""
     text = map(str, scanned.tolist())
     return [";".join(islice(text, k)) for k in counts.tolist()]
-
-
-def _write_summary(path, items):
-    with open(path, "w") as f:
-        for k, v in items:
-            f.write(f"{k}={_fmt(v)}\n")
-
-
-def _write_manifest(out_dir, resolved):
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        f.write(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +284,7 @@ def _environment(section, seed_seq):
 
 # ---------------------------------------------------------------------------
 # experiment kinds; each takes its resolved config, the output directory and
-# the replica worker count
+# the replica worker count, writes its CSVs and returns (manifest, summary items)
 
 
 def _equilibrium_items(payoff, law):
@@ -328,8 +311,7 @@ def _run_bounds(cfg, out_dir, workers):
         items += [("tuned_eta", eta), ("regret_ceiling", ceiling)]
     if "eta" in cfg:
         items.append(("theorem1_bound", analysis.theorem1_bound(cfg["gmax"], n, a, b, cfg["eta"])))
-    _write_manifest(out_dir, cfg)
-    _write_summary(os.path.join(out_dir, "summary.txt"), items)
+    return cfg, items
 
 
 def _run_single_player(cfg, out_dir, workers):
@@ -342,8 +324,6 @@ def _run_single_player(cfg, out_dir, workers):
         spec, cfg["replicas"], np.random.default_rng(run_ss),
         workers=workers, record_weights=cfg["record_weights"],
     )
-    derived = {"scaling": _scaling_manifest(scaling), "horizon": spec.horizon}
-    _write_manifest(out_dir, {**cfg, **derived})
     t = np.arange(1, spec.horizon + 1)
     header = ["t", "regret_mean", "regret_stderr", "bound"]
     columns = [t, report.regret_mean, report.regret_stderr, report.bound]
@@ -353,18 +333,16 @@ def _run_single_player(cfg, out_dir, workers):
         header = ["t", "m"] + [f"w_{i + 1}_norm" for i in range(spec.n_arms)]
         columns = [t, report.play_counts, *report.marginals.T]
         write_csv(os.path.join(out_dir, "weights.csv"), header, columns)
-    _write_summary(
-        os.path.join(out_dir, "summary.txt"),
-        [
-            ("final_regret_mean", report.regret_mean[-1]),
-            ("final_regret_stderr", report.regret_stderr[-1]),
-            ("final_bound", report.bound[-1]),
-            ("final_gmax_mean", report.gmax_mean[-1]),
-            ("final_reward_mean", report.reward_mean[-1]),
-            ("eta", spec.eta),
-            ("replicas", cfg["replicas"]),
-        ],
-    )
+    manifest = {**cfg, "scaling": _scaling_manifest(scaling), "horizon": spec.horizon}
+    return manifest, [
+        ("final_regret_mean", report.regret_mean[-1]),
+        ("final_regret_stderr", report.regret_stderr[-1]),
+        ("final_bound", report.bound[-1]),
+        ("final_gmax_mean", report.gmax_mean[-1]),
+        ("final_reward_mean", report.reward_mean[-1]),
+        ("eta", spec.eta),
+        ("replicas", cfg["replicas"]),
+    ]
 
 
 def _run_compare(cfg, out_dir, workers):
@@ -377,14 +355,11 @@ def _run_compare(cfg, out_dir, workers):
         env, np.random.default_rng(run_ss), epsilon=cfg["epsilon"], vp_scaling=scaling,
         fixed_m=cfg["fixed_m"],
     )
-    _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling)})
     names = sorted(curves)
     columns = [np.arange(1, env.n_rounds + 1)] + [curves[name] for name in names]
     write_csv(os.path.join(out_dir, "compare.csv"), ["t"] + names, columns)
-    _write_summary(
-        os.path.join(out_dir, "summary.txt"),
-        [(f"final_{name}", curves[name][-1]) for name in names],
-    )
+    manifest = {**cfg, "scaling": _scaling_manifest(scaling)}
+    return manifest, [(f"final_{name}", curves[name][-1]) for name in names]
 
 
 def _run_game(cfg, out_dir, workers):
@@ -396,64 +371,37 @@ def _run_game(cfg, out_dir, workers):
         scan_discount=cfg.get("scan_discount"), seed=cfg["seed"],
     )
     traces = run_game_replicas(config, cfg["replicas"], workers=workers)
-    own = ATTACKER_KEYS[config.attacker_kind]
-    derived = {
-        "defender_eta": config.defender_eta,
-        own: getattr(config, own),
-        "payoff": list(map(float, config.payoff.mu)),
-    }
-    _write_manifest(out_dir, {**cfg, "scaling": _scaling_manifest(scaling), **derived})
-    att_curves = []
-    def_curves = []
-    for idx, trace in enumerate(traces):
-        run_r, run_s = trace.running_averages()
-        att_curves.append(run_r)
-        def_curves.append(run_s)
-        columns = [
-            np.arange(1, trace.n_rounds + 1),
-            trace.attacker_arm,
-            trace.play_counts,
-            _scan_sets(trace.scanned, trace.play_counts),
-            trace.attacker_reward,
-            trace.defender_reward,
-            run_r,
-            run_s,
-        ]
-        write_csv(
-            os.path.join(out_dir, f"trace_{idx:03d}.csv"),
-            ["t", "I_t", "M_t", "J_t", "r", "s", "running_r", "running_s"],
-            columns,
-        )
-    att_mean = np.mean(att_curves, axis=0)
-    def_mean = np.mean(def_curves, axis=0)
-    columns = [np.arange(1, config.horizon + 1), att_mean, def_mean]
+    t = np.arange(1, config.horizon + 1)
+    averages = [trace.running_averages() for trace in traces]  # (running_r, running_s)
+    header = ["t", "I_t", "M_t", "J_t", "r", "s", "running_r", "running_s"]
+    for idx, (trace, running) in enumerate(zip(traces, averages)):
+        scan_sets = _scan_sets(trace.scanned, trace.play_counts)
+        columns = [t, trace.attacker_arm, trace.play_counts, scan_sets, trace.attacker_reward,
+                   trace.defender_reward, *running]
+        write_csv(os.path.join(out_dir, f"trace_{idx:03d}.csv"), header, columns)
+    columns = [t, *np.mean(averages, axis=0)]
     write_csv(os.path.join(out_dir, "curves.csv"), ["t", "attacker_mean", "defender_mean"], columns)
     tail = max(1, int(cfg["tail_fraction"] * config.horizon))
-    att_tail = float(np.mean([t.attacker_reward[-tail:].mean() for t in traces]))
-    def_tail = float(np.mean([t.defender_reward[-tail:].mean() for t in traces]))
-    items = [
-        ("attacker_tail_mean", att_tail),
-        ("defender_tail_mean", def_tail),
-        ("tail_rounds", tail),
-    ]
-    items += _equilibrium_items(config.payoff, scaling.law())
-    _write_summary(os.path.join(out_dir, "summary.txt"), items)
+    att_tail = float(np.mean([tr.attacker_reward[-tail:].mean() for tr in traces]))
+    def_tail = float(np.mean([tr.defender_reward[-tail:].mean() for tr in traces]))
+    items = [("attacker_tail_mean", att_tail), ("defender_tail_mean", def_tail),
+             ("tail_rounds", tail), *_equilibrium_items(config.payoff, scaling.law())]
+    own = ATTACKER_KEYS[config.attacker_kind]
+    manifest = {**cfg, "scaling": _scaling_manifest(scaling), "defender_eta": config.defender_eta,
+                own: getattr(config, own), "payoff": list(map(float, config.payoff.mu))}
+    return manifest, items
 
 
 def _run_ingest(cfg, out_dir, workers):
     trace = ingest_can_log(**{k: cfg[k] for k in _CAN_LOG})
-    _write_manifest(out_dir, cfg)
     trace.save(os.path.join(out_dir, "trace.csv"), os.path.join(out_dir, "trace.meta"))
     density = trace.attack_density()
-    _write_summary(
-        os.path.join(out_dir, "summary.txt"),
-        [
-            ("arms", trace.n_arms),
-            ("rounds", trace.n_rounds),
-            ("attack_density_mean", float(density.mean())),
-            ("attacked_arms", int(np.count_nonzero(density))),
-        ],
-    )
+    return cfg, [
+        ("arms", trace.n_arms),
+        ("rounds", trace.n_rounds),
+        ("attack_density_mean", float(density.mean())),
+        ("attacked_arms", int(np.count_nonzero(density))),
+    ]
 
 
 def _run_sweep(cfg, out_dir, workers):
@@ -463,9 +411,8 @@ def _run_sweep(cfg, out_dir, workers):
     profiles = (PayoffProfile.homogeneous(n, mu) for mu in mus)
     values = [[analysis.attacker_value(p, ((c,), (1.0,), c))[0] for c in (b, a)] for p in profiles]
     lower, upper = np.array(values).T
-    _write_manifest(out_dir, cfg)
     write_csv(os.path.join(out_dir, "sweep.csv"), ["mu", "lower", "upper"], [mus, lower, upper])
-    _write_summary(os.path.join(out_dir, "summary.txt"), [("points", steps)])
+    return cfg, [("points", steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +432,22 @@ _RUNNERS = {
 def run_experiment(cfg, out_dir, workers=1):
     """Resolve a config dict, dispatch, and write all outputs.
 
-    The whole config is resolved before the output directory is made, and
-    a run that fails after that, on a value the experiment rejects, removes
-    the directories it made, so a failed run leaves no output directory.
+    The whole config is resolved before the output directory is made.  The
+    kind's runner writes its CSVs and returns the manifest and the summary
+    items; then ``summary.txt`` is written and ``manifest.json`` last, so a
+    manifest marks a finished run.  A run that fails after the directory is
+    made removes the directories it made, so it leaves no output directory;
+    in a directory that existed it leaves what it wrote before the failure,
+    never a manifest.
     """
     cfg = resolve_config(cfg, "config")
     made = _first_missing(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     try:
-        _RUNNERS[cfg["kind"]](cfg, out_dir, workers)
+        manifest, items = _RUNNERS[cfg["kind"]](cfg, out_dir, workers)
+        write_pairs(os.path.join(out_dir, "summary.txt"), items, _fmt)
+        with open(os.path.join(out_dir, "manifest.json"), "w", newline="") as f:
+            f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except BaseException:
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)
@@ -573,8 +527,8 @@ def main(argv=None):
         cfg["replicas"] = args.replicas
     try:
         return run_experiment(cfg, args.out, workers=args.workers)
-    except (VPBanditError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (VPBanditError, OSError, MemoryError) as exc:  # numpy's MemoryError names its array
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

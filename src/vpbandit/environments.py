@@ -1,9 +1,14 @@
-"""Reward processes the learners face.
+"""Reward processes the learners face, and the package's file writers.
 
 Three kinds: i.i.d. Bernoulli arms, replayed intrusion traces (either
 ingested from a CAN-style CSV log or synthesized with the same burst
 structure), and location-dependent payoff weights for the heterogeneous
 game setting.
+
+``write_csv`` (a header row, then ``write_columns``' rows) and ``write_pairs``
+(one ``key=value`` line per item) write every CSV and key=value file of a
+run: the CLI's CSVs and ``summary.txt``, and ``trace.csv`` and
+``trace.meta`` from ``IntrusionTrace.save``.
 """
 
 import csv
@@ -86,6 +91,24 @@ def write_columns(f, columns, newline="\n"):
         f.write("".join(map(row.__mod__, zip(*fields))))
 
 
+def write_csv(path, header, columns, newline="\n"):
+    """Write ``columns`` to ``path`` as CSV under a ``header`` row, each line ended by ``newline``.
+
+    A field reads as the CLI's ``_fmt`` writes its value: bools as 1/0,
+    integers in decimal, floats at 17 significant digits (``nan``, ``inf``,
+    ``-0``), and text as it is.
+    """
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + newline)
+        write_columns(f, columns, newline)
+
+
+def write_pairs(path, items, value):
+    """Write one ``key=value`` line per (key, v) of ``items``, in order, with ``value(v)``."""
+    with open(path, "w", newline="") as f:
+        f.write("".join(f"{k}={value(v)}\n" for k, v in items))
+
+
 @dataclass
 class IntrusionTrace:
     """Binary attack indicators per round and arm, with arm identities."""
@@ -116,17 +139,14 @@ class IntrusionTrace:
         return self.indicators.mean(axis=0)
 
     def save(self, matrix_path, sidecar_path):
-        """Write the indicator matrix as CSV (CRLF line ends) plus a key=value sidecar."""
-        with open(matrix_path, "w", newline="") as f:
-            f.write(",".join(["round"] + [f"arm_{i}" for i in range(self.n_arms)]) + "\r\n")
-            columns = [np.arange(self.n_rounds), *self.indicators.astype(np.int64).T]
-            write_columns(f, columns, "\r\n")
-        with open(sidecar_path, "w") as f:
-            f.write(f"rounds={self.n_rounds}\n")
-            f.write(f"arms={self.n_arms}\n")
-            f.write("arm_labels=" + ";".join(str(s) for s in self.arm_labels) + "\n")
-            for k in sorted(self.metadata):
-                f.write(f"{k}={self.metadata[k]}\n")
+        """Write the indicator matrix as CSV (CRLF line ends) plus a key=value sidecar
+        (rounds, arms, arm labels joined by ``;``, then the metadata by key; values by ``str``)."""
+        header = ["round"] + [f"arm_{i}" for i in range(self.n_arms)]
+        columns = [np.arange(self.n_rounds), *self.indicators.astype(np.int64).T]
+        write_csv(matrix_path, header, columns, "\r\n")
+        labels = ";".join(map(str, self.arm_labels))
+        items = [("rounds", self.n_rounds), ("arms", self.n_arms), ("arm_labels", labels)]
+        write_pairs(sidecar_path, items + sorted(self.metadata.items()), str)
 
 
 def synthesize_intrusion_trace(

@@ -70,12 +70,16 @@ UNIFORM_BLOCK = 1024  # uniforms a simulation loop draws from a player's stream 
 SMALL_PLAN_ARMS = 32
 
 
-def _eta(eta, n_arms, a, b, horizon):
+def _eta(eta, n_arms, a, b, horizon, key="eta"):
     """``eta`` as a float; ``None`` or ``"corollary_1_1"`` asks for the
-    horizon-tuned rate of Corollary 1.1, clamped to ETA_CLAMP."""
+    horizon-tuned rate of Corollary 1.1, clamped to ETA_CLAMP.  A rate that
+    is not a number raises ``InvalidConfigError`` naming ``key``."""
     if eta is None or eta == "corollary_1_1":
         return min(corollary11_eta(n_arms, a, b, horizon)[0], ETA_CLAMP)
-    return float(eta)
+    try:
+        return float(eta)
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"{key} must be a number, got {eta!r}") from None
 
 
 def _rounds(learner, horizon, counts, rng, observe):
@@ -478,12 +482,12 @@ class GameConfig:
             self.payoff = PayoffProfile.homogeneous(self.n_arms)
         elif self.payoff.n_arms != self.n_arms:
             raise InvalidConfigError("payoff profile size must match n_arms")
-        a, b = self.scaling.a, self.scaling.b
-        self.defender_eta = _eta(self.defender_eta, self.n_arms, a, b, self.horizon)
+        n, a, b = self.n_arms, self.scaling.a, self.scaling.b
+        self.defender_eta = _eta(self.defender_eta, n, a, b, self.horizon, "defender_eta")
         if not 0.0 < self.defender_eta < 1.0:
             raise InvalidConfigError(f"defender_eta must be in (0, 1), got {self.defender_eta}")
         if self.attacker_kind == "exp3":
-            self.attacker_eta = _eta(self.attacker_eta, self.n_arms, 1, 1, self.horizon)
+            self.attacker_eta = _eta(self.attacker_eta, n, 1, 1, self.horizon, "attacker_eta")
             if not 0.0 < self.attacker_eta <= 1.0:
                 raise InvalidConfigError(f"attacker_eta must be in (0, 1], got {self.attacker_eta}")
 

@@ -297,6 +297,9 @@ class TestClosedForms:
             theorem1_bound(10.0, 5, 0, 3, 0.1)
         with pytest.raises(InvalidConfigError, match="need 1 <= a <= b < N, got a=1 b=5 N=5"):
             theorem1_bound(10.0, 5, 1, 5, 0.1)
+        for eta in (0.0, 1.5):
+            with pytest.raises(InvalidConfigError, match=rf"eta must be in \(0, 1\], got {eta}"):
+                theorem1_bound(10.0, 5, 1, 3, eta)
         # a negative optimum used to give a negative ceiling
         for gmax in (-1e6, -1e-9, np.array([3.0, -1.0, 2.0])):
             with pytest.raises(InvalidConfigError, match="gmax"):

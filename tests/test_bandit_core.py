@@ -628,6 +628,11 @@ class TestHedge:
     # Exp3Attacker keeps weights exp(cumulative_estimate); its
     # weight-proportional part is the hedge distribution
 
+    @pytest.mark.parametrize("eta", [0.0, -0.5, 1.5])
+    def test_rejects_eta_outside_0_1(self, eta):
+        with pytest.raises(InvalidConfigError, match=rf"eta must be in \(0, 1\], got {eta}"):
+            Exp3Attacker(5, eta=eta)
+
     def test_zero_cumulative_is_uniform(self):
         att = Exp3Attacker(5, eta=0.5)
         np.testing.assert_allclose(exp3_probabilities(att.weights, att.eta), 0.2)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vpbandit import cli, environments
+from vpbandit import cli, environments, game
 from vpbandit.analysis import attacker_value
 from vpbandit.environments import BernoulliEnv, PayoffProfile
 from vpbandit.errors import InvalidConfigError
@@ -278,6 +278,44 @@ class TestBadInput:
     def test_config_not_an_object(self, tmp_path, capsys):
         assert self._run(tmp_path, capsys, [TestGame.CFG]) == 2
 
+    def test_config_that_is_not_json(self, tmp_path, capsys):
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text('{"kind": "game",')
+        assert cli.main(["simulate-game", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: config is not valid JSON: ")
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "sub, cfg, owner, name",
+        [
+            ("bounds", {"schema_version": 1, "kind": "bounds", "seed": 0, "n": 10, "a": 1, "b": 3},
+             PayoffProfile, "homogeneous"),
+            ("simulate-game", TestGame.CFG, game, "sample_arm_counts"),
+        ],
+        ids=["bounds", "simulate-game"],
+    )
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                         "and data type float64"),
+             "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+             "and data type float64"),
+            (MemoryError(), "error: MemoryError"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_run_too_large_for_memory(self, tmp_path, monkeypatch, sub, cfg, owner, name, exc,
+                                      line):
+        # an allocation that fails is simulated: a real one could be granted and fill the machine
+        def allocate(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(owner, name, allocate)
+        rc, err = _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out")
+        assert (rc, err) == (1, [line])
+        assert os.listdir(tmp_path) == ["c.json"]
+
     def test_non_integer_config_seed(self, tmp_path, capsys):
         assert self._run(tmp_path, capsys, {**TestGame.CFG, "seed": "x"}) == 2
 
@@ -332,6 +370,22 @@ class TestBadInput:
         assert cli.main(["simulate-game", "--config", cfgp, "--out", str(out)]) == 0
         assert "notes.txt" in os.listdir(out) and "summary.txt" in os.listdir(out)
         assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
+
+    def test_run_that_fails_after_its_csvs_leaves_no_manifest_or_summary(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_equilibrium_items", fail)  # the game's last step
+        assert self._run(tmp_path, capsys, TestGame.CFG) == 1
+        assert sorted(os.listdir(out)) == [
+            "curves.csv", "notes.txt", "trace_000.csv", "trace_001.csv"
+        ]
 
     def test_replicas_flag_only_where_the_kind_has_replicas(self, tmp_path, capsys):
         cfgp = _write_config(tmp_path, {"schema_version": 1, "kind": "bounds", "seed": 0,
@@ -654,6 +708,25 @@ class TestSchema:
         if _DROP in change.values():
             given, dropped = ("eta", "gmax") if "gmax" in change else ("gmax", "eta")
             assert err == [f"error: {given} needs {dropped}: theorem1_bound takes both"]
+
+    @pytest.mark.parametrize(
+        "case, path, where",
+        [("game-exp3", ("horizon",), "config"),
+         ("single_player-bernoulli", ("environment", "means"), "config.environment")],
+    )
+    def test_missing_key_fails_before_any_output(self, tmp_path, case, path, where):
+        sub, cfg = _full_config(case, "unused")
+        del functools.reduce(operator.getitem, path[:-1], cfg)[path[-1]]
+        rc, err = _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out")
+        _assert_fails_fast(rc, err, tmp_path / "out")
+        assert err == [f"error: missing key(s) in {where}: [{path[-1]!r}]"]
+
+    def test_compare_needs_a_trace_environment(self, tmp_path):
+        cfg = {"schema_version": 1, "kind": "compare", "seed": 3,
+               "environment": {"type": "bernoulli", "means": [0.9, 0.5, 0.1, 0.2]}}
+        rc, err = _run_main("compare", cfg, tmp_path / "c.json", tmp_path / "out")
+        _assert_fails_fast(rc, err, tmp_path / "out")
+        assert err == ["error: compare needs a trace environment"]
 
     @pytest.mark.parametrize(
         "case, change, message",

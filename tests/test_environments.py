@@ -61,6 +61,28 @@ class TestSyntheticTrace:
         with pytest.raises(InvalidConfigError, match="attacked arm set must be nonempty"):
             synthesize_intrusion_trace(5, (), 100, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"attacked": (1, 5)}, "attacked arms must be valid indices"),
+            ({"attacked": (-1,)}, "attacked arms must be valid indices"),
+            ({"burst_length_range": (5.0, 3.0)}, "burst length range must be positive and ordered"),
+            ({"burst_length_range": (0.0, 3.0)}, "burst length range must be positive and ordered"),
+            ({"n_bursts": [4, 2, 1]}, "need one positive burst count per attacked arm"),
+            ({"n_bursts": [4, 0]}, "need one positive burst count per attacked arm"),
+        ],
+        ids=["arm-past-n", "arm-negative", "range-reversed", "range-at-zero", "counts-too-many",
+             "count-zero"],
+    )
+    def test_rejects_bad_arguments(self, kwargs, message):
+        kwargs = {"attacked": (1, 3), **kwargs}
+        with pytest.raises(InvalidConfigError, match=message):
+            synthesize_intrusion_trace(5, horizon=100, rng=np.random.default_rng(0), **kwargs)
+
+    def test_trace_needs_a_matrix(self):
+        with pytest.raises(InvalidConfigError, match=r"must be a \(rounds, arms\) matrix"):
+            IntrusionTrace(indicators=np.zeros(4), arm_labels=["a"])
+
     @pytest.mark.parametrize("window", [0.0, -0.25])
     def test_rejects_nonpositive_round_window(self, window):
         # no burst could land on a round of width <= 0

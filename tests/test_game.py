@@ -350,6 +350,8 @@ class TestGameRuns:
              "^attacker_eta applies only to the exp3 attacker$"),
             ({"scan_discount": DEFAULT_SCAN_DISCOUNT},
              "^scan_discount applies only to the greedy attacker$"),
+            ({"defender_eta": "x"}, "^defender_eta must be a number, got 'x'$"),
+            ({"attacker_eta": [1]}, r"^attacker_eta must be a number, got \[1\]$"),
         ],
     )
     def test_bad_rate_is_rejected_at_construction(self, rates, message):
@@ -404,11 +406,21 @@ class TestSinglePlayer:
             assert SinglePlayerSpec(env, scaling, eta=0.1, horizon=horizon).eta == 0.1
         assert tuned < ETA_CLAMP
 
-    @pytest.mark.parametrize("eta", [1.0, 0.0, -0.5])
-    def test_bad_eta_is_rejected_at_construction(self, eta):
-        with pytest.raises(InvalidConfigError, match=rf"eta must be in \(0, 1\), got {eta}"):
+    @pytest.mark.parametrize(
+        "eta, message",
+        [(1.0, r"eta must be in \(0, 1\), got 1.0"), (0.0, r"eta must be in \(0, 1\), got 0.0"),
+         (-0.5, r"eta must be in \(0, 1\), got -0.5"),
+         ("fast", "^eta must be a number, got 'fast'$"), ([0.1], r"^eta must be a number")],
+        ids=["1.0", "0.0", "-0.5", "fast", "list"],
+    )
+    def test_bad_eta_is_rejected_at_construction(self, eta, message):
+        with pytest.raises(InvalidConfigError, match=message):
             SinglePlayerSpec(BernoulliEnv.harmonic(10), ScalingSpec.uniform(1, 3), eta=eta,
                              horizon=10)
+
+    def test_bernoulli_env_needs_a_horizon(self):
+        with pytest.raises(InvalidConfigError, match="horizon required for non-trace environments"):
+            SinglePlayerSpec(BernoulliEnv.harmonic(4), ScalingSpec.uniform(1, 2), eta=0.1)
 
     def test_trace_env_sets_horizon(self):
         tr = synthesize_intrusion_trace(

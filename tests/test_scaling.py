@@ -44,6 +44,12 @@ class TestScalingSpec:
         spec = ScalingSpec.constant(3)
         assert (spec.a, spec.b, spec.m) == (3, 3, 3)
 
+    def test_constant_m_defaults_to_a_and_stays_in_range(self):
+        assert ScalingSpec("constant", 2, 4).m == 2
+        for m in (1, 5):
+            with pytest.raises(InvalidConfigError, match=rf"constant m={m} outside \[2, 4\]"):
+                ScalingSpec("constant", 2, 4, m=m)
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(InvalidConfigError, match="need 1 <= a <= b, got a=3 b=2"):
             ScalingSpec(kind="uniform_discrete", a=3, b=2)
