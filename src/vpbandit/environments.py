@@ -140,12 +140,17 @@ class IntrusionTrace:
 
     def save(self, matrix_path, sidecar_path):
         """Write the indicator matrix as CSV (CRLF line ends) plus a key=value sidecar
-        (rounds, arms, arm labels joined by ``;``, then the metadata by key; values by ``str``)."""
+        (rounds, arms, arm labels joined by ``;``, then the metadata by key; values by ``str``).
+        A label holding ``;``, ``\\r`` or ``\\n`` would not read back, so it raises
+        ``InputFileError`` before either file is written."""
+        labels = list(map(str, self.arm_labels))
+        for label in labels:
+            if ";" in label or "\r" in label or "\n" in label:
+                raise InputFileError(f"arm label {label!r} holds ';' or a line break")
         header = ["round"] + [f"arm_{i}" for i in range(self.n_arms)]
         columns = [np.arange(self.n_rounds), *self.indicators.astype(np.int64).T]
         write_csv(matrix_path, header, columns, "\r\n")
-        labels = ";".join(map(str, self.arm_labels))
-        items = [("rounds", self.n_rounds), ("arms", self.n_arms), ("arm_labels", labels)]
+        items = [("rounds", self.n_rounds), ("arms", self.n_arms), ("arm_labels", ";".join(labels))]
         write_pairs(sidecar_path, items + sorted(self.metadata.items()), str)
 
 

@@ -22,25 +22,34 @@ k calls of ``rng.random()``, so no result depends on the block size.  The
 single-play learners of ``run_comparison`` (exp3, UCB1, epsilon-greedy)
 replay their trace in a loop of their own.
 
-The learners mutate their weights in place.  ``Exp3MVPLearner`` is the
-package's one implementation of the variable-play learner; ``bandit_core``
-supplies its capping and subset-sampling steps.
+``Exp3MVPLearner`` is the package's one implementation of the
+variable-play learner; ``bandit_core`` supplies its capping and
+subset-sampling steps.  The learners own their weights and update them in
+place; assigning ``weights`` takes a checked float64 copy, and reading it
+returns a new array.  Where the weights of the variable-play learner and
+the Exp3 attacker live is set by N alone, when they are assigned: up to
+``SMALL_PLAN_ARMS`` arms a list of Python floats, where numpy's fixed cost
+per call would dominate a few numbers, above it a numpy array.  Both forms
+hold the same doubles after every step: a weight's update and a rescale
+are the same IEEE operations on either, a running sum is sequential on
+both, and a list's total is summed by ``_pairwise_sum`` in the order of
+numpy's ``np.add.reduce``.
 
 The defender's weights move only in rounds where it catches the attacker,
 so the learner caches a plan per play count m: the marginals, exactly 1.0
 at the capped arms and only there; their running sums with the capped arms
 counted as 0, which ``dep_round`` searches as its ``cumulative`` argument;
 and the capped arms, which it takes outright.  The first two are read-only
-sequences of N floats, built by a rule on N alone: up to
-``SMALL_PLAN_ARMS`` arms two tuples of Python floats, built per element,
-where numpy's fixed cost per call would dominate; above it a read-only
-array and a read-only memoryview of the running sums, built by numpy.  Both
-builders do the same IEEE operations in the same order (a multiply, an add,
-then a sequential running sum), so the two plans hold the same doubles.  A
-plan is built the first time m is played and dropped when the weights are
-assigned or an update moves a weight; the weights' total, which every
-uncapped plan divides by, is summed once per weight version.  With play
-counts in [a, b] at most (b - a + 1) plans exist.
+sequences of N floats: two tuples of Python floats, built per element, on
+a list of weights; a read-only array and a read-only memoryview of the
+running sums, built by numpy, on an array.  Both builders do the same IEEE
+operations in the same order (a multiply, an add, then a sequential
+running sum), so the two plans hold the same doubles.  A plan is built the
+first time m is played and dropped when the weights are assigned or an
+update moves a weight; the weights' total, which every uncapped plan
+divides by, is summed once per weight version.  With play counts in
+[a, b] at most (b - a + 1) plans exist.  The attacker likewise keeps the
+running sums it bisects until an update moves a weight.
 
 The per-round records of a run are appended to ``array.array`` buffers of
 8-byte items and handed out as numpy arrays over the same memory.
@@ -65,8 +74,9 @@ from .scaling import BUDGET_WINDOW, MovingAverage, ScalingSpec, sample_arm_count
 DEFAULT_SCAN_DISCOUNT = 0.01
 ETA_CLAMP = 1.0 - 1e-6  # tuned rates are clamped below 1, the learner's open bound
 UNIFORM_BLOCK = 1024  # uniforms a simulation loop draws from a player's stream at once
-# up to this many arms the learner builds its plans on Python floats, above it
-# with numpy; the crossover of the two builders' cost (README)
+# up to this many arms both players keep their weights as a list of Python
+# floats and the learner builds its plans on them, above it with numpy; the
+# crossover of the two builders' cost (README)
 SMALL_PLAN_ARMS = 32
 
 
@@ -80,6 +90,69 @@ def _eta(eta, n_arms, a, b, horizon, key="eta"):
         return float(eta)
     except (TypeError, ValueError):
         raise InvalidConfigError(f"{key} must be a number, got {eta!r}") from None
+
+
+def _pairwise_sum(values):
+    """``float(np.add.reduce(values))`` of a list of floats, bit for bit.
+
+    numpy sums pairwise: below 8 values one running sum, up to 128 eight
+    running sums over blocks of 8, combined as a tree, then the tail in
+    order; above 128 it splits at n/2 rounded down to a multiple of 8 and
+    recurses.  Its reduce starts at 0.0, so a sum of zeros is +0.0.  The
+    builtin ``sum`` is never called: since Python 3.12 it adds floats with
+    compensation, which rounds differently, and the package supports 3.10.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    end = n - n % 8
+    if end > 8:  # an empty loop still costs its range
+        for i in range(8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+    total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    for x in values[end:]:
+        total += x
+    return total
+
+
+def _weight_state(w, n_arms):
+    """``(weights, view, maximum)`` of an assigned weight vector: a float64
+    copy the player owns, checked to hold N positive finite weights.  Up to
+    SMALL_PLAN_ARMS arms the weights are a list of Python floats and their
+    own view, above it an array and a memoryview of it; either view reads
+    and writes single weights as Python floats."""
+    w = np.array(w, dtype=float)
+    if w.shape != (n_arms,) or not 0.0 < w.min() <= w.max() < math.inf:  # NaN fails too
+        raise InvalidConfigError(f"weights must be {n_arms} positive finite numbers")
+    top = float(w.max())
+    if n_arms <= SMALL_PLAN_ARMS:
+        ws = w.tolist()
+        return ws, ws, top
+    return w, memoryview(w), top
+
+
+def _divide(weights, top):
+    """Divide every weight by ``top`` in place, in either form; the list's
+    ``x / top`` is the same IEEE division as the array's."""
+    if isinstance(weights, list):
+        weights[:] = [x / top for x in weights]
+    else:
+        weights /= top
 
 
 def _rounds(learner, horizon, counts, rng, observe):
@@ -110,9 +183,10 @@ class Exp3MVPLearner:
     systematic sampling, and importance-weighted multiplicative updates of
     the uncapped arms.
 
-    Each play count's plan is cached until the weights are assigned or an
-    update moves one (see the module docstring), so callers must not change
-    the weights in place.
+    The learner owns its weights: assigning them takes a float64 copy, and
+    reading them returns a new array.  Each play count's plan is cached
+    until the weights are assigned or an update moves one (see the module
+    docstring).
     """
 
     def __init__(self, n_arms, eta):
@@ -124,15 +198,13 @@ class Exp3MVPLearner:
 
     @property
     def weights(self):
-        return self._weights
+        return np.array(self._weights)
 
     @weights.setter
     def weights(self, w):
-        # the running maximum that ``_plan`` and ``update`` read, and the view
-        # through which ``update`` reads and writes single weights as floats
-        self._weights = w
-        self._view = memoryview(w)
-        self._max = float(w.max())
+        # the form, a list or an array, is set here by N alone; ``_plan`` and
+        # ``update`` follow it.  ``_max`` is the running maximum they read.
+        self._weights, self._view, self._max = _weight_state(w, self.n_arms)
         self._drop_plans()
 
     def _drop_plans(self):
@@ -141,31 +213,34 @@ class Exp3MVPLearner:
 
     def _plan(self, m):
         """Build and cache ``(probs, cumulative, capped)`` for play count m:
-        ``probs`` and ``cumulative`` are two tuples of floats up to
-        SMALL_PLAN_ARMS arms, else a read-only array and a read-only
+        ``probs`` and ``cumulative`` are two tuples of floats when the
+        weights are a list, else a read-only array and a read-only
         memoryview; ``capped`` is a tuple of the arms at 1.0."""
         w = self._weights
         n = self.n_arms
         if not 1 <= m < n:
             raise InvalidConfigError(f"m must satisfy 1 <= m < {n}, got {m}")
         eta = self.eta
+        small = isinstance(w, list)
         c = (1.0 / m - eta / n) / (1.0 - eta)
         total = self._total
         if total is None:
             # what ``w.sum()`` computes, without its Python wrapper
-            total = self._total = float(np.add.reduce(w))
+            total = self._total = _pairwise_sum(w) if small else float(np.add.reduce(w))
         kappa = None
         if self._max >= c * total:
             kappa = cap_threshold(w, c)
-            total = float(np.add.reduce(np.minimum(w, kappa)))
+            if small:
+                total = _pairwise_sum([x if x < kappa else kappa for x in w])
+            else:
+                total = float(np.add.reduce(np.minimum(w, kappa)))
         scale = m * (1.0 - eta) / total
         floor = m * eta / n
         # the capped arms add nothing to the running sums; their marginals are
         # algebraically exactly 1, and pinned so downstream code can rely on it
-        if n <= SMALL_PLAN_ARMS:
-            ws = w.tolist()
-            capped = () if kappa is None else tuple([i for i, x in enumerate(ws) if x >= kappa])
-            probs = [x * scale + floor for x in ws]
+        if small:
+            capped = () if kappa is None else tuple([i for i, x in enumerate(w) if x >= kappa])
+            probs = [x * scale + floor for x in w]
             for i in capped:
                 probs[i] = 0.0
             cumulative = tuple(accumulate(probs))
@@ -209,10 +284,10 @@ class Exp3MVPLearner:
         nonnegative, so a moved weight only grows and the new maximum is
         the larger of the running maximum and the moved weights; dividing by
         it leaves the maximum at exactly 1.0.  Single weights are read and
-        written through a memoryview, as Python floats.  The rescale is
-        skipped when the new maximum is already exactly 1.0, since dividing
-        by 1.0 changes no weight, and skipped with the cached plans kept
-        when no weight moved.
+        written as Python floats, in the list or through the array's
+        memoryview.  The rescale is skipped when the new maximum is already
+        exactly 1.0, since dividing by 1.0 changes no weight, and skipped
+        with the cached plans kept when no weight moved.
         """
         w = self._view
         coef = len(chosen) * self.eta / self.n_arms
@@ -230,7 +305,7 @@ class Exp3MVPLearner:
                 moved = True
         if moved:
             if top != 1.0:  # dividing by 1.0 changes no weight
-                self._weights /= top
+                _divide(self._weights, top)
             self._max = 1.0
             self._drop_plans()
 
@@ -240,7 +315,11 @@ class Exp3Attacker:
 
     Keeps weights ``exp(cumulative_estimate)`` directly and samples
     the mixture (1 - eta) * weight-proportional + eta * uniform exactly, so
-    a round costs O(N) with no exponentiation of the whole vector.
+    a round costs O(N) with no exponentiation of the whole vector.  The
+    weights take the learner's form by the same rule on N (see
+    ``Exp3MVPLearner.weights``): a list of Python floats up to
+    SMALL_PLAN_ARMS arms, else an array.  ``select`` bisects their running
+    sums, cached until an update with a nonzero reward moves a weight.
     """
 
     def __init__(self, n_arms, eta):
@@ -250,11 +329,25 @@ class Exp3Attacker:
         self.eta = eta
         self.weights = np.ones(n_arms)
 
+    @property
+    def weights(self):
+        return np.array(self._weights)
+
+    @weights.setter
+    def weights(self, w):
+        self._weights, self._view, _ = _weight_state(w, self.n_arms)
+        self._cumulative = None
+
     def select(self, rng):
         n = self.n_arms
         if rng.random() < self.eta:
             return int(rng.integers(n))
-        cs = memoryview(np.add.accumulate(self.weights))
+        cs = self._cumulative
+        if cs is None:
+            w = self._weights
+            # both sum sequentially, so they hold the same doubles
+            cs = list(accumulate(w)) if isinstance(w, list) else memoryview(np.add.accumulate(w))
+            self._cumulative = cs
         # the weights are positive, so u * cs[-1] <= cs[-1] finds an arm below n;
         # on the increasing sums, bisect_left is searchsorted's left side
         return bisect_left(cs, rng.random() * cs[n - 1])
@@ -265,13 +358,15 @@ class Exp3Attacker:
         if not reward:
             return  # the factor is exp(0) = 1: no weight moves
         eta, n = self.eta, self.n_arms
-        w = self.weights
-        wa = float(w[arm])
-        p = (1.0 - eta) * wa / float(np.add.reduce(w)) + eta / n
+        w, view = self._weights, self._view
+        total = _pairwise_sum(w) if isinstance(w, list) else float(np.add.reduce(w))
+        wa = view[arm]
+        p = (1.0 - eta) * wa / total + eta / n
         v = wa * math.exp((eta / n) * reward / p)
-        w[arm] = v
+        view[arm] = v
+        self._cumulative = None
         if v > 1e100:  # no weight exceeds 1e100 after an update, so v is the maximum
-            w /= v
+            _divide(w, v)
 
 
 class GreedyAttacker:

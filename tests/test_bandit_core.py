@@ -22,10 +22,19 @@ from vpbandit.errors import InvalidConfigError, NumericPathologyError
 from vpbandit.game import Exp3Attacker, Exp3MVPLearner
 
 
-def _learner(weights, eta):
-    learner = Exp3MVPLearner(len(weights), eta)
-    learner.weights = np.array(weights, dtype=float)
-    return learner
+def _assign(player, weights, bound=None):
+    """Assign a player's weights; with ``bound``, while ``SMALL_PLAN_ARMS``
+    is ``bound``, which sets where the weights live: a list of Python floats
+    at a bound of N or more, an array below it."""
+    with pytest.MonkeyPatch.context() as mp:
+        if bound is not None:
+            mp.setattr(game, "SMALL_PLAN_ARMS", bound)
+        player.weights = np.array(weights, dtype=float)
+    return player
+
+
+def _learner(weights, eta, bound=None):
+    return _assign(Exp3MVPLearner(len(weights), eta), weights, bound)
 
 
 def _marginals(learner, m):
@@ -510,7 +519,7 @@ class TestPlanCache:
 
     def _check_plans(self, learner, eta):
         for m, (probs, cumulative, capped) in learner._plans.items():
-            fresh_probs, fresh_capped = _marginals(_learner(learner.weights.copy(), eta), m)
+            fresh_probs, fresh_capped = _marginals(_learner(learner.weights, eta), m)
             assert _bits(np.asarray(probs)) == _bits(fresh_probs)
             pinned = np.flatnonzero(np.asarray(probs) == 1.0)
             assert pinned.tolist() == ([] if fresh_capped is None else fresh_capped.tolist())
@@ -523,41 +532,51 @@ class TestPlanCache:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_plans_match_a_fresh_learner(self, data):
+        # one learner with its weights in a list (bound n) and one in an
+        # array (bound 0), stepped alike: same draws, same weight bits
         n = data.draw(st.integers(2, 12))
         eta = data.draw(st.floats(0.01, 0.9))
-        learner = _learner(_weight_vector(data, n), eta)
+        w = _weight_vector(data, n)
+        learners = {bound: _learner(w, eta, bound) for bound in (n, 0)}
+        assert type(learners[n]._weights) is list
+        assert type(learners[0]._weights) is np.ndarray
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         steps = st.sampled_from(["play", "update", "assign"])
         for step in data.draw(st.lists(steps, min_size=1, max_size=20)):
             m = data.draw(st.integers(1, n - 1))
+            u = rng.random()
             if step == "assign":
-                learner.weights = _weight_vector(data, n)
-                assert not learner._plans
-            elif step == "play":
-                fresh_probs, _ = _marginals(_learner(learner.weights.copy(), eta), m)
-                u = rng.random()
-                chosen, probs = learner.play(m, u)
-                assert chosen == dep_round(m, fresh_probs, u)
-                # the cached plan's array, which _check_plans compares
-                assert probs is learner._plans[m][0]
-                assert _read_only(probs)
-            else:
-                chosen, probs = learner.play(m, rng.random())
+                w = _weight_vector(data, n)
+            elif step == "update":
                 rewards = data.draw(
                     st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=m, max_size=m)
                 )
-                _, capped = _marginals(_learner(learner.weights.copy(), eta), m)
-                frozen = set() if capped is None else set(capped.tolist())
-                moving = any(y and j not in frozen for j, y in zip(chosen, rewards))
-                before = list(learner._plans.values())
-                learner.update(chosen, rewards, probs)
-                after = list(learner._plans.values())
-                if moving:
-                    assert not after  # no plan survives a moving update
+            for bound, learner in learners.items():
+                if step == "assign":
+                    _assign(learner, w, bound)
+                    assert not learner._plans
+                elif step == "play":
+                    fresh_probs, _ = _marginals(_learner(learner.weights, eta), m)
+                    chosen, probs = learner.play(m, u)
+                    assert chosen == dep_round(m, fresh_probs, u)
+                    # the cached plan's array, which _check_plans compares
+                    assert probs is learner._plans[m][0]
+                    assert _read_only(probs)
                 else:
-                    assert len(after) == len(before)
-                    assert all(a is b for a, b in zip(after, before))
-            self._check_plans(learner, eta)
+                    chosen, probs = learner.play(m, u)
+                    _, capped = _marginals(_learner(learner.weights, eta), m)
+                    frozen = set() if capped is None else set(capped.tolist())
+                    moving = any(y and j not in frozen for j, y in zip(chosen, rewards))
+                    before = list(learner._plans.values())
+                    learner.update(chosen, rewards, probs)
+                    after = list(learner._plans.values())
+                    if moving:
+                        assert not after  # no plan survives a moving update
+                    else:
+                        assert len(after) == len(before)
+                        assert all(a is b for a, b in zip(after, before))
+                self._check_plans(learner, eta)
+            assert learners[n].weights.tobytes() == learners[0].weights.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -646,19 +665,50 @@ class TestHedge:
         np.testing.assert_allclose(att.weights / att.weights.sum(), [e / (e + 1), 1 / (e + 1)])
 
     def test_large_gap_saturates_stably(self):
-        att = Exp3Attacker(2, eta=1.0)
+        # the weights in a list (bound 2) and in an array (bound 1) move alike
+        atts = [_assign(Exp3Attacker(2, eta=1.0), np.ones(2), bound) for bound in (2, 1)]
         for _ in range(100):
-            att.update(0, 1.0)  # cumulative gap 100
-        beta = att.weights / att.weights.sum()
-        assert np.argmax(beta) == 0
-        assert beta[0] > 1 - 1e-6
+            for att in atts:
+                att.update(0, 1.0)  # cumulative gap 100
+        for att in atts:
+            beta = att.weights / att.weights.sum()
+            assert np.argmax(beta) == 0
+            assert beta[0] > 1 - 1e-6
         # a gap of 20000 (e**20000 overflows a float) stays finite through
-        # the 1e100 rescale
+        # the 1e100 rescale, which both forms pass at the same update
+        rescales = 0
         for _ in range(19_900):
-            att.update(0, 1.0)
-        assert np.all(np.isfinite(att.weights)) and att.weights.max() <= 1e100
-        probs = exp3_probabilities(att.weights, att.eta)
-        assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0)
+            for att in atts:
+                att.update(0, 1.0)
+            small, big = (att.weights for att in atts)
+            assert small.tobytes() == big.tobytes()
+            rescales += small[0] == 1.0
+        assert rescales > 50
+        for att in atts:
+            assert np.all(np.isfinite(att.weights)) and att.weights.max() <= 1e100
+            probs = exp3_probabilities(att.weights, att.eta)
+            assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_both_weight_forms_agree_bit_for_bit(self, data):
+        # one attacker with its weights in a list (bound n) and one in an
+        # array (bound n - 1), on the same uniforms and rewards; a top weight
+        # just under 1e100 puts the rescale within a few updates
+        n = data.draw(st.integers(2, 40))
+        eta = data.draw(st.floats(0.01, 1.0))
+        w = np.exp(np.array(data.draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n))))
+        w *= data.draw(st.sampled_from([1.0, 9.9e99])) / w.max()
+        atts = [_assign(Exp3Attacker(n, eta), w, bound) for bound in (n, n - 1)]
+        assert type(atts[0]._weights) is list and type(atts[1]._weights) is np.ndarray
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rngs = [np.random.default_rng(seed) for _ in atts]
+        for y in data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=1, max_size=60)):
+            arms = [att.select(rng) for att, rng in zip(atts, rngs)]
+            assert arms[0] == arms[1]
+            for att in atts:
+                att.update(arms[0], y)
+            assert atts[0].weights.tobytes() == atts[1].weights.tobytes()
 
     def test_zero_reward_is_a_no_op(self):
         att = Exp3Attacker(3, eta=0.5)

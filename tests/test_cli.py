@@ -810,6 +810,21 @@ class TestSchema:
         assert _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "marked") == (0, [])
         assert _read_all(tmp_path / "marked") == _read_all(tmp_path / "plain")
 
+    @pytest.mark.parametrize("label", ["a;b", "d\ne", "f\rg"])
+    def test_label_that_trace_meta_cannot_hold_fails_fast(self, tmp_path, label):
+        # trace.meta joins the labels with ';', one key per line; a quoted CSV
+        # field holds either, so the ingest stops before writing any file
+        log = tmp_path / "log.csv"
+        log.write_text(f'Timestamp,CAN_ID,Flag\n0.0,"{label}",T\n0.1,c,R\n', newline="")
+        sub, cfg = _full_config("ingest", log)
+        rc, err = _run_main(sub, cfg, tmp_path / "c.json", tmp_path / "out")
+        _assert_fails_fast(rc, err, tmp_path / "out")
+        assert err == [f"error: arm label {label!r} holds ';' or a line break"]
+        # in a directory that exists, neither trace file is written
+        (tmp_path / "kept").mkdir()
+        _assert_one_error(*_run_main(sub, cfg, tmp_path / "c.json", tmp_path / "kept"))
+        assert not any((tmp_path / "kept").iterdir())
+
 
 _LEAF = st.one_of(st.none(), st.booleans(), st.text(max_size=8))
 _WRONG = st.one_of(

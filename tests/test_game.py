@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from reference import game_one_draw_per_round, greedy_select, single_player_one_draw_per_round
 
 from vpbandit import game
@@ -158,6 +158,67 @@ class TestExp3MVPLearner:
             Exp3MVPLearner(4, 0.0)
         with pytest.raises(InvalidConfigError, match=r"eta must be in \(0, 1\), got 1.0"):
             Exp3MVPLearner(4, 1.0)
+
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_integer_weights_are_taken_as_floats(self, n):
+        # N = 4 keeps the weights in a list, N = 40 in an array
+        learners = [Exp3MVPLearner(n, 0.2) for _ in range(2)]
+        learners[0].weights = np.arange(1, n + 1)
+        learners[1].weights = np.arange(1.0, n + 1)
+        for learner in learners:
+            _, probs = learner.play(2, 0.5)
+            learner.update([0, 1], [1.0, 1.0], probs)  # moves both weights
+        assert learners[0].weights.dtype == np.float64
+        assert learners[0].weights.tobytes() == learners[1].weights.tobytes()
+
+    @pytest.mark.parametrize("player", [Exp3MVPLearner, Exp3Attacker])
+    @pytest.mark.parametrize("n", [4, 40])
+    @pytest.mark.parametrize(
+        "change", ["short", "long", "matrix", 0.0, -1.0, math.inf, math.nan]
+    )
+    def test_rejects_weights_that_are_not_n_positive_finite_numbers(self, player, n, change):
+        w = np.ones(n)
+        if change == "short":
+            w = w[:-1]
+        elif change == "long":
+            w = np.ones(n + 1)
+        elif change == "matrix":
+            w = np.ones((1, n))
+        else:
+            w[n // 2] = change
+        p = player(n, 0.2)
+        with pytest.raises(InvalidConfigError, match=f"weights must be {n} positive finite"):
+            p.weights = w
+        assert p.weights.tobytes() == np.ones(n).tobytes()
+
+    @pytest.mark.parametrize("player", [Exp3MVPLearner, Exp3Attacker])
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_weights_are_copied_in_and_out(self, player, n):
+        w = np.linspace(0.5, 1.0, n)
+        p = player(n, 0.2)
+        p.weights = w
+        w[0] = 7.0
+        p.weights[1] = 7.0
+        assert p.weights.tobytes() == np.linspace(0.5, 1.0, n).tobytes()
+        assert p.weights is not p.weights
+
+
+_SUMMAND = st.builds(lambda x, neg: -x if neg else x, st.floats(1e-300, 1e300), st.booleans())
+
+
+class TestPairwiseSum:
+    # no shrink phase: shrinking lists of up to 300 floats takes minutes
+    @settings(max_examples=250, deadline=None, phases=[Phase.reuse, Phase.generate])
+    @given(data=st.data())
+    def test_matches_numpy_reduce_bit_for_bit(self, data):
+        # the short loop below 8 values, blocks of 8 and a tail up to 128,
+        # the split above it; sums of signed zeros are +0.0, as numpy's
+        n = data.draw(st.integers(0, 300) | st.sampled_from([7, 8, 9, 16, 17, 128, 129, 136]))
+        element = data.draw(st.sampled_from([_SUMMAND, _SUMMAND | st.just(-0.0),
+                                             st.sampled_from([0.0, -0.0]), st.just(-0.0)]))
+        values = data.draw(st.lists(element, min_size=n, max_size=n))
+        expected = np.add.reduce(np.array(values, dtype=float))
+        assert np.float64(game._pairwise_sum(values)).tobytes() == expected.tobytes()
 
 
 class TestGreedyAttacker:
