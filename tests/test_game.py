@@ -200,7 +200,6 @@ class TestExp3MVPLearner:
         w[0] = 7.0
         p.weights[1] = 7.0
         assert p.weights.tobytes() == np.linspace(0.5, 1.0, n).tobytes()
-        assert p.weights is not p.weights
 
 
 _SUMMAND = st.builds(lambda x, neg: -x if neg else x, st.floats(1e-300, 1e300), st.booleans())
