@@ -12,6 +12,7 @@ argument, and the caller draws it from its own generator.
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,27 +34,42 @@ def cap_threshold(weights, target):
     one with exactly m weights at or above kappa, so the capped arms are
     ``weights >= kappa``.
 
-    One ascending sort and its running sums give both: the m-th largest
-    weight is ``s[n - 1 - m]`` and the sum of all but the m largest is
-    ``acc[n - 1 - m]``, the same doubles, added in the same order, as a
-    descending sort's reversed cumulative sum.
+    One ascending sort ``s`` and its running sums ``acc`` give both: the
+    m-th largest weight is ``s[n - m]`` and the sum of all but the m
+    largest is ``acc[n - 1 - m]``, the same doubles, added in the same
+    order, as a descending sort's reversed cumulative sum.  A list, such
+    as the learner's weights up to ``SMALL_PLAN_ARMS`` arms, must hold
+    Python floats; it is sorted by ``sorted`` and summed by
+    ``itertools.accumulate``, since numpy's fixed cost per call would
+    dominate a few numbers.  Anything else is read as a float64 array,
+    sorted and summed by numpy, and only the entries the scan can read
+    become Python floats.  On positive finite weights both forms scan the
+    same doubles, so they return the same kappa bits and raise alike.
     """
     if not (0.0 < target < 1.0):
         raise InvalidConfigError(f"target must be in (0, 1), got {target}")
-    s = np.array(weights, dtype=float)
-    s.sort()
-    acc = np.add.accumulate(s)
-    n = s.size
-    # the scan stops before m * target >= 1, so it never reads past index top
+    small = isinstance(weights, list)
+    if small:
+        s = sorted(weights)
+    else:
+        s = np.array(weights, dtype=float)
+        s.sort()
+    n = len(s)
+    # the scan stops before m * target >= 1, so it never reads a cap size past top
     top = n if 1.0 / target >= n else math.ceil(1.0 / target)
-    lo = max(n - 1 - top, 0)
-    head = s[lo:].tolist()[::-1] + [-math.inf]  # head[m] = the (m + 1)-th largest weight
-    suffix = acc[lo:].tolist()[::-1] + [0.0]  # suffix[m] = the sum of all but the m largest
+    if small:
+        acc = list(accumulate(s))
+    else:  # the scan reads no entry below lo
+        lo = max(n - 1 - top, 0)
+        acc = np.add.accumulate(s)[lo:].tolist()
+        s = s[lo:].tolist()
+        n -= lo
     for m in range(1, top + 1):
         if m * target >= 1.0:
             break
-        kappa = target * suffix[m] / (1.0 - m * target)
-        if head[m - 1] >= kappa > head[m]:
+        # past the end, all n weights are capped: no rest sum, no weight below
+        kappa = target * (acc[n - 1 - m] if m < n else 0.0) / (1.0 - m * target)
+        if s[n - m] >= kappa > (s[n - 1 - m] if m < n else -math.inf):
             return kappa
     raise NumericPathologyError(
         "no consistent cap size found; check the capping precondition and weights"

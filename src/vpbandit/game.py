@@ -44,7 +44,9 @@ sequences of N floats: two tuples of Python floats, built per element, on
 a list of weights; a read-only array and a read-only memoryview of the
 running sums, built by numpy, on an array.  Both builders do the same IEEE
 operations in the same order (a multiply, an add, then a sequential
-running sum), so the two plans hold the same doubles.  A plan is built the
+running sum), so the two plans hold the same doubles.  ``cap_threshold``
+follows the same form, sorting and summing a list on Python floats, so a
+plan built on a list, capped or not, calls no numpy.  A plan is built the
 first time m is played and dropped when the weights are assigned or an
 update moves a weight; the weights' total, which every uncapped plan
 divides by, is summed once per weight version.  With play counts in
@@ -75,8 +77,8 @@ DEFAULT_SCAN_DISCOUNT = 0.01
 ETA_CLAMP = 1.0 - 1e-6  # tuned rates are clamped below 1, the learner's open bound
 UNIFORM_BLOCK = 1024  # uniforms a simulation loop draws from a player's stream at once
 # up to this many arms both players keep their weights as a list of Python
-# floats and the learner builds its plans on them, above it with numpy; the
-# crossover of the two builders' cost (README)
+# floats and the learner builds and caps its plans on them, above it with
+# numpy; the crossover of the two builders' cost (README)
 SMALL_PLAN_ARMS = 32
 
 

@@ -75,24 +75,50 @@ def _cap_oracle(weights, c):
     return solutions[0]
 
 
+def _kappa_or_raise(w, target, expected):
+    """``cap_threshold`` on the weights as a float64 array and as a list of
+    Python floats returns the ``expected`` kappa bits on both, or raises
+    ``NumericPathologyError`` on both where ``expected`` is None."""
+    w = np.asarray(w, dtype=float)
+    for weights in (w, w.tolist()):
+        if expected is None:
+            with pytest.raises(NumericPathologyError, match="no consistent cap size"):
+                cap_threshold(weights, target)
+        else:
+            assert cap_threshold(weights, target).hex() == float(expected).hex()
+
+
+def _near_one_over(k):
+    """The targets 1/k and one ulp either side, those inside (0, 1)."""
+    t = 1.0 / k
+    return [x for x in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)) if 0.0 < x < 1.0]
+
+
 class TestCapThreshold:
-    def test_single_dominant_weight(self):
+    @pytest.mark.parametrize("form", [np.array, list])
+    def test_single_dominant_weight(self, form):
         w = np.array([10.0, 1.0, 1.0, 1.0])
-        kappa = cap_threshold(w, 0.5)
+        kappa = cap_threshold(form(w.tolist()), 0.5)
         capped = np.flatnonzero(w >= kappa)
         assert kappa == pytest.approx(3.0)
         assert capped.tolist() == [0]
         # defining equation: kappa / (kappa + 3) = 0.5
         assert kappa / (kappa + 3.0) == pytest.approx(0.5)
 
-    def test_two_equal_dominant_weights(self):
+    @pytest.mark.parametrize("form", [np.array, list])
+    def test_two_equal_dominant_weights(self, form):
         w = np.array([5.0, 5.0, 1.0, 1.0])
-        kappa = cap_threshold(w, 0.4)
+        kappa = cap_threshold(form(w.tolist()), 0.4)
         capped = np.flatnonzero(w >= kappa)
         assert kappa == pytest.approx(4.0)
         assert capped.tolist() == [0, 1]
         # defining equation with both large weights capped
         assert kappa / (2 * kappa + 2.0) == pytest.approx(0.4)
+
+    def test_a_weight_exactly_at_the_cap_is_capped(self):
+        # the top weights are their own cap: 3 / (3 + 3) = 1/2, 3 / (6 + 2) = 3/8
+        _kappa_or_raise([3.0, 1.0, 1.0, 1.0], 0.5, 3.0)
+        _kappa_or_raise([3.0, 3.0, 1.0, 1.0], 0.375, 3.0)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(7)
@@ -104,13 +130,13 @@ class TestCapThreshold:
             c = 1.0 / n + (1.0 / m_play - 1.0 / n) * rng.uniform(0.1, 1.0)
             if w.max() < c * w.sum():  # precondition: capping must be needed
                 continue
-            kappa = cap_threshold(w, c)
-            capped = np.flatnonzero(w >= kappa)
             ok, ocapped = _cap_oracle(w, c)
-            assert kappa == pytest.approx(ok, rel=1e-12)
-            assert capped.tolist() == ocapped.tolist()
+            for weights in (w, w.tolist()):
+                kappa = cap_threshold(weights, c)
+                assert kappa == pytest.approx(ok, rel=1e-12)
+                assert np.flatnonzero(w >= kappa).tolist() == ocapped.tolist()
 
-    @pytest.mark.parametrize("n", [10, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000])
     def test_bit_for_bit_with_the_full_scan(self, n):
         # the scan reads Python floats of the first sorted weights only; it
         # must give the kappa bits and capped set of the scan over them all
@@ -119,38 +145,52 @@ class TestCapThreshold:
             w = np.exp(rng.uniform(-8.0, 8.0, size=n)) if k % 2 else rng.uniform(0.01, 10.0, n)
             if k % 5 == 0:
                 w[rng.integers(n, size=3)] = w.max()  # ties at the top
-            target = float(rng.uniform(1.0 / n, 1.0) if k % 3 else rng.uniform(0.001, 0.999))
+            if k % 3 == 0:
+                target = float(rng.uniform(0.001, 0.999))
+            elif k % 3 == 1 and n > 1:
+                target = float(rng.uniform(1.0 / n, 1.0))
+            else:
+                target = float(rng.choice(_near_one_over(int(rng.integers(2, n + 3)))))
             expected = cap_threshold_scan(w, target)
-            if expected is None:
-                with pytest.raises(NumericPathologyError, match="no consistent cap size"):
-                    cap_threshold(w, target)
-                continue
-            kappa = cap_threshold(w, target)
-            capped = np.flatnonzero(w >= kappa)
-            assert float(kappa).hex() == float(expected[0]).hex()
-            assert capped.tolist() == expected[1].tolist()
+            _kappa_or_raise(w, target, None if expected is None else expected[0])
+            if expected is not None:
+                capped = np.flatnonzero(w >= cap_threshold(w, target))
+                assert capped.tolist() == expected[1].tolist()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ties_at_the_top_and_targets_at_one_over_k(self, n):
+        # every count of weights tied at the top, against every target at
+        # 1/k or one ulp from it, where a cap size's test turns on one ulp
+        for tied in range(1, n + 1):
+            w = np.array([3.0] * tied + [0.5 + 0.25 * i for i in range(n - tied)])
+            for k in range(2, n + 3):
+                for target in _near_one_over(k):
+                    expected = cap_threshold_scan(w, target)
+                    _kappa_or_raise(w, target, None if expected is None else expected[0])
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_one_sort_matches_the_argsort_scan(self, data):
-        # ties, weights over 1e-300..1, and targets across (0, 1)
-        n = data.draw(st.integers(2, 40))
+        # ties, weights over 1e-300..1, and targets across (0, 1) and at 1/k
+        n = data.draw(st.integers(1, 40))
         pool = data.draw(st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=n))
         w = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
-        target = data.draw(st.floats(1e-3, 1.0, exclude_max=True))
+        target = data.draw(
+            st.floats(1e-3, 1.0, exclude_max=True)
+            | st.integers(2, n + 2).flatmap(lambda k: st.sampled_from(_near_one_over(k)))
+        )
         try:
             expected = cap_threshold_argsort(w, target)
         except NumericPathologyError:
-            with pytest.raises(NumericPathologyError):
-                cap_threshold(w, target)
-            return
-        assert cap_threshold(w, target).hex() == expected.hex()
+            expected = None
+        _kappa_or_raise(w, target, expected)
 
-    def test_rejects_bad_target(self):
+    @pytest.mark.parametrize("form", [np.ones, lambda n: [1.0] * n])
+    def test_rejects_bad_target(self, form):
         with pytest.raises(InvalidConfigError, match=r"target must be in \(0, 1\), got 0.0"):
-            cap_threshold(np.ones(3), 0.0)
+            cap_threshold(form(3), 0.0)
         with pytest.raises(InvalidConfigError, match=r"target must be in \(0, 1\), got 1.0"):
-            cap_threshold(np.ones(3), 1.0)
+            cap_threshold(form(3), 1.0)
 
 
 class TestMarginals:

@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from vpbandit import cli, game
@@ -185,21 +186,37 @@ def test_outputs_match_pinned_digests(tmp_path, monkeypatch, name):
     assert _run(tmp_path, monkeypatch, name) == DIGESTS[name]
 
 
+def _cap_calls(tmp_path, monkeypatch, name):
+    """The config's run, with the type and length of the weights of every
+    ``cap_threshold`` call the learner made."""
+    calls = []
+    cap_threshold = game.cap_threshold
+
+    def counted(weights, target):
+        calls.append((type(weights), len(weights)))
+        return cap_threshold(weights, target)
+
+    monkeypatch.setattr(game, "cap_threshold", counted)
+    _run(tmp_path, monkeypatch, name)
+    return calls
+
+
 def test_large_n_case_builds_capped_numpy_plans(tmp_path, monkeypatch):
     # the one pinned learner run above the small-plan bound: multi-play, with
     # capping firing, so the numpy builder's capped branch is pinned too
     _, cfg = CONFIGS["single-harmonic-n80-capped"]
     assert cfg["environment"]["n_arms"] > game.SMALL_PLAN_ARMS and cfg["scaling"]["b"] >= 2
-    calls = []
-    cap_threshold = game.cap_threshold
+    calls = _cap_calls(tmp_path, monkeypatch, "single-harmonic-n80-capped")
+    assert len(calls) > 100 and set(calls) == {(np.ndarray, 80)}
 
-    def counted(weights, target):
-        calls.append(len(weights))
-        return cap_threshold(weights, target)
 
-    monkeypatch.setattr(game, "cap_threshold", counted)
-    _run(tmp_path, monkeypatch, "single-harmonic-n80-capped")
-    assert len(calls) > 100 and set(calls) == {80}
+def test_small_n_case_builds_capped_list_plans(tmp_path, monkeypatch):
+    # a pinned learner run at or below the small-plan bound, with capping
+    # firing, so capping on a list of Python floats is pinned too
+    _, cfg = CONFIGS["single-harmonic"]
+    assert cfg["environment"]["n_arms"] <= game.SMALL_PLAN_ARMS and cfg["scaling"]["b"] >= 2
+    calls = _cap_calls(tmp_path, monkeypatch, "single-harmonic")
+    assert len(calls) > 100 and set(calls) == {(list, 10)}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
