@@ -48,26 +48,23 @@ def cap_threshold(weights, target):
     """
     if not (0.0 < target < 1.0):
         raise InvalidConfigError(f"target must be in (0, 1), got {target}")
-    small = isinstance(weights, list)
-    if small:
-        s = sorted(weights)
-    else:
-        s = np.array(weights, dtype=float)
-        s.sort()
-    n = len(s)
+    n = len(weights)
     # the scan stops before m * target >= 1, so it never reads a cap size past top
     top = n if 1.0 / target >= n else math.ceil(1.0 / target)
-    if small:
+    if isinstance(weights, list):
+        s = sorted(weights)
         acc = list(accumulate(s))
-    else:  # the scan reads no entry below lo
-        lo = max(n - 1 - top, 0)
-        acc = np.add.accumulate(s)[lo:].tolist()
-        s = s[lo:].tolist()
+    else:
+        a = np.array(weights, dtype=float)
+        a.sort()
+        lo = max(n - 1 - top, 0)  # the scan reads no entry below lo
+        s = a[lo:].tolist()
+        acc = np.add.accumulate(a)[lo:].tolist()
         n -= lo
     for m in range(1, top + 1):
         if m * target >= 1.0:
             break
-        # past the end, all n weights are capped: no rest sum, no weight below
+        # at m = n every weight is capped: no rest sum, no weight below kappa
         kappa = target * (acc[n - 1 - m] if m < n else 0.0) / (1.0 - m * target)
         if s[n - m] >= kappa > (s[n - 1 - m] if m < n else -math.inf):
             return kappa
