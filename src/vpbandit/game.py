@@ -452,7 +452,7 @@ def run_single_player(spec, rng, record_weights=False):
     env_rng, scale_rng, learner_rng = rng.spawn(3)
     learner = Exp3MVPLearner(n, spec.eta)
     needs_ma = spec.scaling.kind == "budget_threshold"
-    ma = MovingAverage(n, BUDGET_WINDOW) if needs_ma else None
+    ma = MovingAverage(n, BUDGET_WINDOW, spec.scaling.threshold) if needs_ma else None
     if isinstance(spec.env, IntrusionTrace):
         rewards = spec.env.indicators[:horizon].astype(float)
     else:
@@ -471,9 +471,10 @@ def run_single_player(spec, rng, record_weights=False):
         if record_weights:
             margs[t] = probs
         if needs_ma:
-            est = np.zeros(n)
+            est = {}
             for j, y in zip(chosen, obs):
-                est[j] = y / probs[j]
+                if y:
+                    est[j] = y / probs[j]
             ma.push(est)
         return obs
 

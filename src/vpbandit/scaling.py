@@ -8,10 +8,27 @@ draws the whole sequence of a stateless kind in one batch,
 The ``budget_threshold`` kind is our own illustrative rule (the contract
 only requires boundedness), combining a resource budget with the number of
 arms whose recent reward average looks active.
+
+That rule's window is sparse: a round changes the estimates of at most b
+arms, so ``MovingAverage`` stores each round as its nonzero (arm, estimate)
+pairs, updates the sums of only the arms of the new and the evicted round,
+and keeps the set of hot arms, which ``sample_arm_count`` reads.  Once the
+window is full a round costs O(touched arms), not O(N).  The bits are those
+of a dense (window, N) numpy ring updated by ``sums += row - evicted``: at
+an arm neither round touches that adds ``0.0 - 0.0 = +0.0``, and ``s + 0.0``
+is ``s`` for every double but -0.0.  No sum is -0.0: sums start at +0.0,
+an estimate is y/p with y >= 0 and p > 0, so no difference e - r is -0.0,
+and a rounded sum is -0.0 only when both addends are.  A touched arm gets
+the same ``s + (e - r)``, with 0.0 for the side that does not hold it, and
+its average the same ``s / filled``, compared with the threshold's double
+as numpy compares it.
 """
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,27 +43,60 @@ MIN_GAUSSIAN_MASS = 1e-3
 
 
 class MovingAverage:
-    """Per-arm mean of the last ``window`` reward estimates.
+    """Per-arm mean of the last ``window`` reward estimates, and the arms
+    whose mean exceeds ``threshold``.
 
     Arms with no history yet average to 0 by convention, so unexplored arms
-    do not inflate the play-count budget.
+    do not inflate the play-count budget; with a negative threshold every
+    arm is hot before the first push.  The ring holds one dict per round,
+    arm -> estimate, and the sums are Python floats: ``push`` adds
+    ``e - r`` (new estimate minus evicted one, 0.0 for the side without the
+    arm) to the sum of each arm of the two rounds, the same double a dense
+    numpy ring adds there; at every other arm it would add +0.0, which
+    changes no sum (module docstring).  While the window fills every
+    average moves, so every arm is re-tested; after that only the touched
+    ones.  ``hot`` is compared with ``float(threshold)``, the double numpy
+    compares an array with.
     """
 
-    def __init__(self, n_arms, window):
-        self._buf = np.zeros((window, n_arms))  # ring buffer, one row per push
-        self._sums = np.zeros(n_arms)
+    def __init__(self, n_arms, window, threshold=0.0):
+        self._rows = [{}] * window  # ring, one round's nonzero estimates per slot
+        self._sums = [0.0] * n_arms
         self._pushes = 0
+        self._threshold = float(threshold)
+        self.hot = set(range(n_arms)) if 0.0 > self._threshold else set()
 
     @property
     def averages(self):
-        filled = min(self._pushes, len(self._buf))
-        return self._sums / filled if filled else np.zeros(self._sums.size)
+        filled = min(self._pushes, len(self._rows))
+        return np.array(self._sums) / filled if filled else np.zeros(len(self._sums))
 
     def push(self, estimates):
-        row = self._buf[self._pushes % len(self._buf)]
-        self._sums += estimates - row
-        row[:] = estimates
-        self._pushes += 1
+        """Add one round: a dict arm -> estimate, which the ring keeps.
+        Arms left out estimate 0.0, so zero estimates may be left out."""
+        rows = self._rows
+        pushes = self._pushes
+        slot = pushes % len(rows)
+        evicted = rows[slot]
+        rows[slot] = estimates
+        self._pushes = pushes + 1
+        s = self._sums
+        for j, e in estimates.items():
+            s[j] += e - evicted.get(j, 0.0)
+        for j, r in evicted.items():
+            if j not in estimates:
+                s[j] += 0.0 - r
+        threshold = self._threshold
+        if pushes < len(rows):  # the window fills: every average moved
+            self.hot = {j for j, x in enumerate(s) if x / (pushes + 1) > threshold}
+            return
+        window = len(rows)
+        hot = self.hot
+        for j in chain(estimates, evicted):
+            if s[j] / window > threshold:
+                hot.add(j)
+            else:
+                hot.discard(j)
 
 
 @dataclass
@@ -79,6 +129,14 @@ class ScalingSpec:
                 raise InvalidConfigError(
                     f"truncated_gaussian mean={self.mean} std={self.std} has mass {mass:.3g} "
                     f"on [{self.a - 0.5}, {self.b + 0.5}], below {MIN_GAUSSIAN_MASS}"
+                )
+        if self.kind == "budget_threshold":
+            t = self.threshold
+            # NaN, the infinities and ints beyond a double fail the bound
+            finite = isinstance(t, numbers.Real) and abs(t) <= sys.float_info.max
+            if isinstance(t, bool) or not finite:
+                raise InvalidConfigError(
+                    f"budget_threshold threshold must be a finite real number, got {t!r}"
                 )
 
     def _gaussian_mass(self, lo, hi):
@@ -140,11 +198,10 @@ def sample_arm_count(spec, ma):
     """This round's play count under the ``budget_threshold`` rule.
 
     The number of arms whose recent average in ``ma``, a ``MovingAverage``
-    over ``BUDGET_WINDOW`` rounds, exceeds the threshold, clipped to
-    [a, b]: b is the budget.
+    over ``BUDGET_WINDOW`` rounds built with the spec's threshold, exceeds
+    that threshold, clipped to [a, b]: b is the budget.
     """
-    hot = len((ma.averages > spec.threshold).nonzero()[0])
-    return min(spec.b, max(spec.a, hot))
+    return min(spec.b, max(spec.a, len(ma.hot)))
 
 
 def sample_arm_counts(spec, count, rng):

@@ -13,7 +13,7 @@ import numpy as np
 from vpbandit.environments import IntrusionTrace, bernoulli_rewards
 from vpbandit.errors import NumericPathologyError
 from vpbandit.game import Exp3MVPLearner, make_attacker
-from vpbandit.scaling import BUDGET_WINDOW, MovingAverage, sample_arm_count, sample_arm_counts
+from vpbandit.scaling import BUDGET_WINDOW, sample_arm_counts
 
 
 def systematic_draw(m, c, u):
@@ -241,11 +241,41 @@ def game_one_draw_per_round(config, rng):
     return np.array(arms), np.concatenate(scans), np.array(r), np.array(s)
 
 
+class DenseMovingAverage:
+    """The budget window as a dense numpy ring, one (N,) row per round.
+
+    ``push`` takes a round's estimate of every arm and does
+    ``sums += row - evicted`` over all N arms; ``hot_count`` recounts the
+    arms whose average exceeds ``threshold``.  ``scaling.MovingAverage``
+    must hold the same sum bits and the same hot arms after every push.
+    """
+
+    def __init__(self, n_arms, window):
+        self._buf = np.zeros((window, n_arms))
+        self.sums = np.zeros(n_arms)
+        self._pushes = 0
+
+    @property
+    def averages(self):
+        filled = min(self._pushes, len(self._buf))
+        return self.sums / filled if filled else np.zeros(self.sums.size)
+
+    def push(self, estimates):
+        row = self._buf[self._pushes % len(self._buf)]
+        self.sums += estimates - row
+        row[:] = estimates
+        self._pushes += 1
+
+    def hot_count(self, threshold):
+        return len((self.averages > threshold).nonzero()[0])
+
+
 def single_player_one_draw_per_round(spec, rng):
     """``run_single_player``'s rounds, written out on their own: the learner
     plays on one ``rng.random()`` call per round and is updated with the
     rewards at its scan set, and the rewards and budget estimates are
-    gathered by numpy fancy indexing.
+    gathered by numpy fancy indexing.  The budget rule counts its hot arms
+    on a ``DenseMovingAverage``.
 
     Returns ``(play_counts, cumulative_reward)``.
     """
@@ -253,7 +283,7 @@ def single_player_one_draw_per_round(spec, rng):
     env_rng, scale_rng, learner_rng = rng.spawn(3)
     learner = Exp3MVPLearner(n, spec.eta)
     needs_ma = spec.scaling.kind == "budget_threshold"
-    ma = MovingAverage(n, BUDGET_WINDOW) if needs_ma else None
+    ma = DenseMovingAverage(n, BUDGET_WINDOW) if needs_ma else None
     if isinstance(spec.env, IntrusionTrace):
         rewards = spec.env.indicators[:horizon].astype(float)
     else:
@@ -262,7 +292,10 @@ def single_player_one_draw_per_round(spec, rng):
     play_counts = np.empty(horizon, dtype=int)
     round_rewards = np.empty(horizon)
     for t in range(horizon):
-        m = int(counts[t]) if counts is not None else sample_arm_count(spec.scaling, ma)
+        if counts is None:
+            m = min(spec.scaling.b, max(spec.scaling.a, ma.hot_count(spec.scaling.threshold)))
+        else:
+            m = int(counts[t])
         chosen, probs = learner.play(m, learner_rng.random())
         idx = np.array(chosen)
         obs = rewards[t, idx]

@@ -6,7 +6,9 @@ callers look up.  A renamed or moved function would make it fail with a
 here, reading ``perfbench/`` without changing it.  The simulation loops must
 also still call the wrapped names: each round draws through ``game.dep_round``,
 and a game calls ``game.play_round`` and the attacker's ``select`` once per
-round and the defender's ``update`` once per catch.
+round and the defender's ``update`` once per catch, and a single-player run
+under the budget rule calls ``game.sample_arm_count`` and
+``MovingAverage.push`` once per round.
 """
 
 import collections
@@ -110,3 +112,25 @@ def test_game_calls_the_traced_spans_per_round(monkeypatch, kind):
     catches = int(np.count_nonzero(trace.defender_reward > 0))
     assert 0 < catches < config.horizon
     assert calls == {"play_round": config.horizon, "select": config.horizon, "update": catches}
+
+
+def test_budget_rule_calls_the_scaling_spans_per_round(monkeypatch):
+    # ``scaling.sample_arm_count`` and ``scaling.moving_average_push`` are
+    # per-round costs only while every round goes through both names
+    calls = collections.Counter()
+    for owner, attr in ((game, "sample_arm_count"), (scaling.MovingAverage, "push")):
+        fn = vars(owner)[attr]
+
+        def wrapper(*args, _fn=fn, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+    spec = game.SinglePlayerSpec(
+        env=environments.BernoulliEnv.harmonic(10),
+        scaling=scaling.ScalingSpec(kind="budget_threshold", a=1, b=3, threshold=0.1),
+        horizon=600,
+    )
+    run = game.run_single_player(spec, np.random.default_rng(5))
+    assert len(set(run.play_counts.tolist())) > 1  # the budget moved the play count
+    assert calls == {"sample_arm_count": spec.horizon, "push": spec.horizon}

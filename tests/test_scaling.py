@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vpbandit.errors import InvalidConfigError
 from vpbandit.scaling import (
@@ -14,13 +15,17 @@ from vpbandit.scaling import (
     sample_arm_count,
     sample_arm_counts,
 )
+from vpbandit.environments import BernoulliEnv
+from vpbandit.game import SinglePlayerSpec, run_single_player
+
+from reference import DenseMovingAverage
 
 
 class TestMovingAverage:
     def test_short_history_mean(self):
         ma = MovingAverage(1, window=3)
         for v in (1.0, 0.0, 1.0):
-            ma.push([v])
+            ma.push({0: v})
         assert ma.averages[0] == pytest.approx(2 / 3)
 
     def test_empty_history_is_zero(self):
@@ -28,15 +33,83 @@ class TestMovingAverage:
 
     def test_window_one_tracks_last_value(self):
         ma = MovingAverage(2, window=1)
-        ma.push([0.4, 0.9])
-        ma.push([0.1, 0.2])
+        ma.push({0: 0.4, 1: 0.9})
+        ma.push({0: 0.1, 1: 0.2})
         np.testing.assert_allclose(ma.averages, [0.1, 0.2])
 
     def test_window_eviction(self):
         ma = MovingAverage(1, window=2)
         for v in (1.0, 1.0, 0.0):
-            ma.push([v])
+            ma.push({0: v})
         assert ma.averages[0] == pytest.approx(0.5)
+
+
+# dyadic estimates and thresholds make averages that equal the threshold
+# exactly; the floats cover the rest
+ESTIMATES = st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 0.1, 1 / 3]) | st.floats(1e-3, 1e3)
+THRESHOLDS = st.sampled_from([-1, -1e-9, 0, 0.0, 0.125, 0.25, 0.5, 1.0]) | st.floats(-2.0, 4.0)
+
+
+@st.composite
+def budget_windows(draw):
+    """``(window, n, threshold, rounds)``: each round a dict arm -> estimate,
+    fresh, empty, all zeros, or an echo of the round it evicts (the same
+    arms, some with the same estimates, some dropped or changed, plus
+    fresh ones)."""
+    window = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
+    threshold = draw(THRESHOLDS)
+    arms = st.integers(0, n - 1)
+    rounds = []
+    for t in range(draw(st.integers(0, 3 * window + 4))):
+        kind = draw(st.sampled_from(["fresh", "empty", "zeros", "echo"]))
+        row = {}
+        if kind == "zeros":
+            row = {j: 0.0 for j in draw(st.sets(arms, max_size=4))}
+        elif kind == "echo" and t >= window:
+            for j, e in rounds[t - window].items():
+                how = draw(st.sampled_from(["same", "other", "drop"]))
+                if how != "drop":
+                    row[j] = e if how == "same" else draw(ESTIMATES)
+        if kind in ("fresh", "echo"):
+            for j in draw(st.sets(arms, max_size=3)):
+                row.setdefault(j, draw(ESTIMATES))
+        rounds.append(row)
+    return window, n, threshold, rounds
+
+
+class TestSparseWindowOracle:
+    """The sparse window against the dense numpy ring it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(budget_windows())
+    # arm 0 averages 0.5, then 0.25 (the threshold, so not hot) while the
+    # window fills and again after a push that evicts its own estimate
+    @example((2, 3, 0.25, [{0: 0.5}, {}, {0: 0.5}, {0: 0.5}, {1: 0.5}, {}]))
+    # three pushes of 1/3 sum to 1.0 after rounding, whose third is the
+    # double 1/3: a tie that rounding makes
+    @example((3, 2, 1 / 3, [{0: 1 / 3}, {0: 1 / 3}, {0: 1 / 3}, {0: 1 / 3, 1: 1.0}, {}]))
+    # a negative threshold makes every arm hot before the first push
+    @example((1, 4, -1, []))
+    # numpy compares with the double 2**53 + 4, which this int rounds to
+    @example((1, 1, 2**53 + 3, [{0: 2.0**53 + 4}]))
+    def test_sums_and_hot_arms_match_the_dense_ring(self, case):
+        window, n, threshold, rounds = case
+        sparse = MovingAverage(n, window, threshold)
+        dense = DenseMovingAverage(n, window)
+
+        def check():
+            assert [x.hex() for x in sparse._sums] == [x.hex() for x in dense.sums.tolist()]
+            assert len(sparse.hot) == dense.hot_count(threshold)
+            assert sparse.hot == set(np.flatnonzero(dense.averages > threshold).tolist())
+
+        check()
+        for row in rounds:
+            full = np.zeros(n)
+            full[list(row)] = list(row.values())
+            sparse.push(row)
+            dense.push(full)
+            check()
 
 
 class TestScalingSpec:
@@ -127,6 +200,29 @@ class TestScalingSpec:
             sigma = math.sqrt(p * (1 - p) / draws)
             assert abs(np.mean(vals == k) - p) <= 5 * sigma + 1e-12, k
 
+    @pytest.mark.parametrize(
+        "threshold",
+        [math.nan, math.inf, -math.inf, "x", None, True, False, 10**400, [0.1]],
+        ids=repr,
+    )
+    def test_budget_threshold_must_be_a_finite_real(self, threshold):
+        # NaN used to play a in every round, a string to fail mid-run in numpy
+        with pytest.raises(InvalidConfigError, match="threshold must be a finite real number"):
+            ScalingSpec(kind="budget_threshold", a=1, b=3, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold, m", [(-1, 3), (-0.5, 3), (0, None), (10**6, 1)])
+    def test_budget_threshold_is_kept_as_given(self, threshold, m):
+        # any finite real is a threshold: below 0 every arm is hot from the
+        # first round (M_t = b), above every average none is (M_t = a)
+        spec = ScalingSpec(kind="budget_threshold", a=1, b=3, threshold=threshold)
+        assert spec.threshold is threshold
+        run = run_single_player(
+            SinglePlayerSpec(env=BernoulliEnv.harmonic(10), scaling=spec, horizon=200),
+            np.random.default_rng(3),
+        )
+        counts = set(run.play_counts.tolist())
+        assert counts == ({m} if m else {1, 2, 3})
+
     def test_validate_for_requires_b_below_n(self):
         spec = ScalingSpec.uniform(1, 3)
         spec.validate_for(10)
@@ -188,12 +284,12 @@ class TestSampling:
 
     def test_budget_threshold_rule(self):
         spec = ScalingSpec(kind="budget_threshold", a=1, b=3, threshold=0.1)
-        ma = MovingAverage(5, window=4)
+        ma = MovingAverage(5, window=4, threshold=spec.threshold)
         # nothing hot yet: clamps to a
         assert sample_arm_count(spec, ma) == 1
-        ma.push([0.5, 0.5, 0.0, 0.0, 0.0])
+        ma.push({0: 0.5, 1: 0.5})
         assert sample_arm_count(spec, ma) == 2
-        ma.push([0.5, 0.5, 0.5, 0.5, 0.5])
+        ma.push({0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5, 4: 0.5})
         # five hot arms, capped by b
         assert sample_arm_count(spec, ma) == 3
         spec = ScalingSpec(kind="budget_threshold", a=1, b=2, threshold=0.1)

@@ -2,14 +2,16 @@
 
 Run from a checkout, at the repository root::
 
-    python3 tools/bench_snapshot.py
+    python3 tools/bench_snapshot.py [PAIRS_OUTPUT]
 
 It runs ``perfbench/run.py --workload all`` unchanged, at seed ``SEED``
 and ``BENCHMARK.json``'s ``run_seconds``, and keeps, per workload, the
 result line's end-to-end and per-layer metrics, and from
 ``perfbench/out/results/`` the environment and the calibration kernel's
 median of each run, with ``git rev-parse HEAD``.  ``n`` is one more than
-the highest ``BENCH_<n>.json`` at the top level.
+the highest ``BENCH_<n>.json`` at the top level.  ``PAIRS_OUTPUT``, the
+saved standard output of ``tools/bench_pairs.py``, adds its last line, the
+paired comparison's report, as the ``pairs`` block.
 """
 
 import json
@@ -22,7 +24,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 2601  # the seed of every BENCH_<n>.json, so that any two compare
 
 
-def main():
+def main(argv):
+    pairs = None
+    if argv:
+        with open(argv[0]) as f:
+            pairs = json.loads(f.read().splitlines()[-1])
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         seconds = json.load(f)["run_seconds"]
     run = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
@@ -45,6 +51,8 @@ def main():
     taken = [int(m[1]) for m in names if m]
     path = os.path.join(ROOT, f"BENCH_{max(taken, default=0) + 1}.json")
     snapshot = {"git_head": head, "seed": SEED, "seconds": float(seconds)}
+    if pairs is not None:
+        snapshot["pairs"] = pairs
     with open(path, "w") as f:
         f.write(json.dumps({**snapshot, "workloads": workloads}, indent=2, sort_keys=True) + "\n")
     print(f"wrote {os.path.relpath(path, ROOT)}", file=sys.stderr)
@@ -52,4 +60,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
