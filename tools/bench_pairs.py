@@ -5,7 +5,8 @@ Run from a checkout, at the repository root::
     python3 tools/bench_pairs.py <base-rev>
 
 ``git archive`` exports ``<base-rev>`` and the working tree (every file
-``git add -A`` would stage, through a temporary index) into a temporary
+``git add -A`` would stage, through a temporary index, so their blobs land
+in the object store as ``git add`` leaves them) into a temporary
 directory.  On both sides it runs ``perfbench/run.py --workload W --seed S
 --seconds <run_seconds> --trace 0`` unchanged, ``PAIRS`` pairs per workload
 of ``BENCHMARK.json``, the side that runs first alternating pair by pair, at
