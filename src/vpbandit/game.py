@@ -59,6 +59,7 @@ The per-round records of a run are appended to ``array.array`` buffers of
 
 import functools
 import math
+import numbers
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -92,6 +93,19 @@ def _eta(eta, n_arms, a, b, horizon, key="eta"):
         return float(eta)
     except (TypeError, ValueError):
         raise InvalidConfigError(f"{key} must be a number, got {eta!r}") from None
+
+
+def _scan_discount(discount, key):
+    """``discount`` as a float if it is a real number in (0, 1], the range
+    in which the greedy attacker's values stay nonnegative; anything else,
+    a bool among them, raises ``InvalidConfigError`` naming ``key``."""
+    if (
+        isinstance(discount, bool)
+        or not isinstance(discount, numbers.Real)
+        or not 0.0 < discount <= 1.0  # NaN fails too
+    ):
+        raise InvalidConfigError(f"{key} must be a real number in (0, 1], got {discount!r}")
+    return float(discount)
 
 
 def _pairwise_sum(values):
@@ -377,27 +391,85 @@ class GreedyAttacker:
     The scan-frequency estimate ``values`` only uses the attacker's own
     feedback: an importance-weighted scan indicator with exponential
     discounting, with uniform tie-breaking over the current argmin set.
+
+    The attacker keeps the increasing list of arms whose value is exactly
+    0.0.  With a discount in (0, 1] every value stays >= 0 and a zero stays
+    zero under the decay, so while that list is not empty it is the argmin
+    set, the arms in the same order as ``(v == v.min()).nonzero()``, and
+    ``select`` reads it in O(1); only when no arm is at 0.0 does it scan
+    the values.  A catch moves its arm off the list.  A positive value
+    could still underflow to 0.0 under the decay, so the attacker keeps
+    ``_floor``, a lower bound on the positive values, decayed with them:
+    rounding is monotone, so every decayed positive value is at least the
+    decayed floor, and while that is > 0 no value reached 0.0.  When it is
+    not (an underflow risk, a discount of 1, which zeroes every value, or
+    no positive value at all with inf * 0 = NaN), the list and the floor
+    are recounted from the values in O(N).
+
+    ``values`` follows the contract of the learner's ``weights``: reading
+    it returns a new array, and assigning it takes a float64 copy, checked
+    to hold N finite nonnegative numbers.
     """
 
     def __init__(self, n_arms, discount=DEFAULT_SCAN_DISCOUNT):
         self.n_arms = n_arms
+        self.discount = _scan_discount(discount, "discount")
+        self._decay = 1.0 - self.discount
         self.values = np.zeros(n_arms)
-        self.discount = discount
         self._rho = 1.0
 
+    @property
+    def values(self):
+        return self._values.copy()
+
+    @values.setter
+    def values(self, v):
+        v = np.array(v, dtype=float)
+        if v.shape != (self.n_arms,) or not 0.0 <= v.min() <= v.max() < math.inf:  # NaN fails
+            raise InvalidConfigError(f"values must be {self.n_arms} finite nonnegative numbers")
+        self._values = v
+        self._view = memoryview(v)
+        self._recount()
+
+    def _recount(self):
+        """Read the arms at 0.0 and the smallest positive value (inf when
+        there is none) off the values.  The arms stay an array, which
+        ``select`` reads as it reads a list, until a catch removes one."""
+        v = self._values
+        zero = v == 0.0
+        self._zeros = zero.nonzero()[0]
+        self._floor = float(v.min(initial=math.inf, where=~zero))
+
     def select(self, rng):
-        v = self.values
-        ties = (v == v[v.argmin()]).nonzero()[0]  # the arms at the minimum
-        k = ties.size
+        ties = self._zeros
+        k = len(ties)
+        if not k:  # every value is positive: the arms at the minimum
+            v = self._values
+            ties = (v == v[v.argmin()]).nonzero()[0]
+            k = ties.size
         self._rho = 1.0 / k
         return int(ties[0] if k == 1 else ties[rng.integers(k)])
 
     def update(self, arm, reward):
         # payoffs lie in (0, 1], so a reward of 0 means the location was scanned
-        lam = self.discount
-        v = self.values
-        v *= 1.0 - lam
-        v[arm] += lam * (float(reward == 0) / self._rho)
+        c = self._decay
+        self._values *= c
+        floor = self._floor * c
+        if not floor > 0.0:  # a positive value may have reached 0.0
+            self._recount()
+            floor = self._floor
+        if not reward:
+            view = self._view
+            x = view[arm]
+            y = view[arm] = x + self.discount * (1.0 / self._rho)
+            if x == 0.0:
+                zeros = self._zeros
+                if not isinstance(zeros, list):
+                    zeros = self._zeros = zeros.tolist()
+                del zeros[bisect_left(zeros, arm)]
+            if y < floor:
+                floor = y
+        self._floor = floor
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +639,7 @@ class GameConfig:
         if self.attacker_kind == "greedy":
             if self.scan_discount is None:
                 self.scan_discount = DEFAULT_SCAN_DISCOUNT
-            if not 0.0 < self.scan_discount <= 1.0:
-                raise InvalidConfigError(
-                    f"scan_discount must be in (0, 1], got {self.scan_discount}"
-                )
+            _scan_discount(self.scan_discount, "scan_discount")
         self.scaling.validate_for(self.n_arms)
         if self.scaling.law() is None:
             raise InvalidConfigError(

@@ -66,11 +66,6 @@ class MovingAverage:
         self._threshold = float(threshold)
         self.hot = set(range(n_arms)) if 0.0 > self._threshold else set()
 
-    @property
-    def averages(self):
-        filled = min(self._pushes, len(self._rows))
-        return np.array(self._sums) / filled if filled else np.zeros(len(self._sums))
-
     def push(self, estimates):
         """Add one round: a dict arm -> estimate, which the ring keeps.
         Arms left out estimate 0.0, so zero estimates may be left out."""

@@ -141,6 +141,35 @@ def greedy_select(values, rng):
     return int(ties[rng.integers(ties.size)]), 1.0 / ties.size
 
 
+class DenseGreedyAttacker:
+    """The greedy attacker with its values in one numpy array and no other
+    state: ``select`` finds the argmin set by scanning all N values each
+    round, and ``update`` decays every value and adds the catch term at the
+    attacked arm, ``+= 0.0`` when it was not caught.
+
+    ``game.GreedyAttacker`` must pick the same arm with the same ``_rho``
+    and the same draws, and hold equal values, after every step.
+    """
+
+    def __init__(self, n_arms, discount):
+        self.values = np.zeros(n_arms)
+        self.discount = discount
+        self._rho = 1.0
+
+    def select(self, rng):
+        v = self.values
+        ties = (v == v[v.argmin()]).nonzero()[0]  # the arms at the minimum
+        k = ties.size
+        self._rho = 1.0 / k
+        return int(ties[0] if k == 1 else ties[rng.integers(k)])
+
+    def update(self, arm, reward):
+        lam = self.discount
+        v = self.values
+        v *= 1.0 - lam
+        v[arm] += lam * (float(reward == 0) / self._rho)
+
+
 def g_max_curve(reward_matrix, play_counts):
     """The hindsight-optimum curve, one scipy assignment per round.
 

@@ -5,9 +5,9 @@ callers look up.  A renamed or moved function would make it fail with a
 ``KeyError`` when the benchmark runs, so every name it patches is checked
 here, reading ``perfbench/`` without changing it.  The simulation loops must
 also still call the wrapped names: each round draws through ``game.dep_round``,
-and a game calls ``game.play_round`` and the attacker's ``select`` once per
-round and the defender's ``update`` once per catch, and a single-player run
-under the budget rule calls ``game.sample_arm_count`` and
+a game calls ``game.play_round`` and the attacker's ``select`` and ``update``
+once per round and the defender's ``update`` once per catch, and a
+single-player run under the budget rule calls ``game.sample_arm_count`` and
 ``MovingAverage.push`` once per round.
 """
 
@@ -86,24 +86,25 @@ def test_single_player_draws_through_dep_round_every_round(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["exp3", "greedy"])
 def test_game_calls_the_traced_spans_per_round(monkeypatch, kind):
-    # ``game.attacker_select`` and ``game.play_round`` count rounds, and
-    # ``game.defender_update`` counts catches: a round the attacker escapes
-    # calls no update
+    # ``game.attacker_select``, ``game.attacker_update`` and
+    # ``game.play_round`` count rounds, and ``game.defender_update`` counts
+    # catches: a round the attacker escapes calls no defender update
     calls = collections.Counter()
 
-    def counting(owner, attr):
+    def counting(owner, attr, key):
         fn = vars(owner)[attr]
 
         def wrapper(*args, **kwargs):
-            calls[attr] += 1
+            calls[key] += 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, wrapper)
 
     attacker = {"exp3": game.Exp3Attacker, "greedy": game.GreedyAttacker}[kind]
-    counting(game, "play_round")
-    counting(attacker, "select")
-    counting(game.Exp3MVPLearner, "update")
+    counting(game, "play_round", "play_round")
+    counting(attacker, "select", "attacker_select")
+    counting(attacker, "update", "attacker_update")
+    counting(game.Exp3MVPLearner, "update", "defender_update")
     config = game.GameConfig(
         n_arms=10, horizon=600, scaling=scaling.ScalingSpec.uniform(1, 4), attacker_kind=kind,
         seed=3,
@@ -111,7 +112,12 @@ def test_game_calls_the_traced_spans_per_round(monkeypatch, kind):
     trace = game.run_game(config)
     catches = int(np.count_nonzero(trace.defender_reward > 0))
     assert 0 < catches < config.horizon
-    assert calls == {"play_round": config.horizon, "select": config.horizon, "update": catches}
+    assert calls == {
+        "play_round": config.horizon,
+        "attacker_select": config.horizon,
+        "attacker_update": config.horizon,
+        "defender_update": catches,
+    }
 
 
 def test_budget_rule_calls_the_scaling_spans_per_round(monkeypatch):

@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
-from reference import game_one_draw_per_round, greedy_select, single_player_one_draw_per_round
+from hypothesis import Phase, example, given, settings, strategies as st
+from reference import (
+    DenseGreedyAttacker,
+    game_one_draw_per_round,
+    greedy_select,
+    single_player_one_draw_per_round,
+)
 
 from vpbandit import game
 from vpbandit.analysis import attacker_value, corollary11_eta
@@ -220,6 +225,22 @@ class TestPairwiseSum:
         assert np.float64(game._pairwise_sum(values)).tobytes() == expected.tobytes()
 
 
+@st.composite
+def greedy_walks(draw):
+    """``(n, discount, start, p_catch, rounds, seed)`` for a walk of the
+    greedy attacker: ``start`` is None for the all-zero start, or values
+    holding zeros, -0.0, subnormals, or all positive; each round it is
+    caught with probability ``p_catch``."""
+    n = draw(st.integers(1, 40))
+    discount = draw(st.sampled_from([1.0, 0.9, 0.5, 1e-3]) | st.floats(1e-6, 1.0))
+    mixed = st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 0.25, 1.0]) | st.floats(0.0, 4.0)
+    positive = st.sampled_from([5e-324, 2.2e-308, 0.25, 1.0]) | st.floats(1e-300, 4.0)
+    start = draw(st.none() | st.lists(mixed | positive, min_size=n, max_size=n)
+                 | st.lists(positive, min_size=n, max_size=n))
+    return (n, discount, start, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 1200)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
 class TestGreedyAttacker:
     def test_full_tie_is_uniform(self):
         att = GreedyAttacker(4)
@@ -231,7 +252,7 @@ class TestGreedyAttacker:
 
     def test_argmin_selection(self):
         att = GreedyAttacker(3)
-        att.values[:] = [0.9, 0.1, 0.5]
+        att.values = [0.9, 0.1, 0.5]
         assert att.select(np.random.default_rng(0)) == 1
 
     @settings(max_examples=300, deadline=None)
@@ -247,10 +268,78 @@ class TestGreedyAttacker:
         # repeated values, zeros and subnormals: the same arm, the same
         # tie share and the same generator state as the reference selector
         att = GreedyAttacker(len(values))
-        att.values[:] = values
+        att.values = values
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         assert (att.select(rng), att._rho) == greedy_select(values, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(greedy_walks())
+    # discount 0.5 halves the values each round, so an arm left alone for
+    # about 1075 rounds underflows to 0.0 and rejoins the argmin set
+    @example((3, 0.5, None, 0.3, 1200, 4))
+    # a subnormal start underflows in the first update
+    @example((2, 0.9, [5e-324, 1.0], 0.0, 3, 0))
+    # every value positive, ties among them: the dense fallback
+    @example((4, 1e-3, [0.5, 0.25, 0.25, 1.0], 0.5, 30, 1))
+    # discount 1 zeroes every value each round
+    @example((5, 1.0, [-0.0, 0.0, 2.0, 3.0, 0.5], 0.5, 40, 2))
+    def test_matches_the_dense_attacker_step_for_step(self, walk):
+        n, discount, start, p_catch, rounds, seed = walk
+        att, dense = GreedyAttacker(n, discount), DenseGreedyAttacker(n, discount)
+        if start is not None:
+            att.values = start
+            dense.values[:] = start
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        catches = np.random.default_rng(seed + 1).random(rounds) < p_catch
+        for caught in catches.tolist():
+            arm = att.select(rng)
+            assert (arm, att._rho) == (dense.select(ref_rng), dense._rho)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            reward = 0.0 if caught else 0.5
+            att.update(arm, reward)
+            dense.update(arm, reward)
+            assert att.values.tolist() == dense.values.tolist()  # -0.0 == 0.0
+
+    def test_an_underflowed_value_rejoins_the_argmin_set(self):
+        # the catch puts arm 0 below arm 2, the smallest positive value
+        # until then, so the bound on the positive values must follow it
+        # down to see it underflow while arm 2 is still positive
+        att = GreedyAttacker(3, discount=0.5)
+        att.values = [0.0, 0.0, 4.0]
+        rng = np.random.default_rng(0)
+        att.select(rng)
+        att.update(0, 0.0)  # caught: 0.0 + 0.5 * 2 = 1.0, and arm 2 at 2.0
+        rounds = 0
+        while att.values[0] > 0.0:  # halved each round, 0.0 after 2**-1074
+            assert (att.select(rng), att._rho) == (1, 1.0)
+            att.update(1, 1.0)
+            rounds += 1
+        assert rounds == 1075 and att.values[2] == 2.0**-1074
+        assert att.select(rng) in (0, 1) and att._rho == 0.5
+
+    def test_values_are_a_checked_copy(self):
+        att = GreedyAttacker(3)
+        att.values[:] = 1.0  # writes a copy
+        assert att.values.tolist() == [0.0] * 3
+        given = np.array([0.5, 0.0, 0.25])
+        att.values = given
+        given[1] = 9.0
+        assert att.select(np.random.default_rng(0)) == 1
+        att.values = [-0.0, 1.0, 2.0]  # -0.0 is a zero
+        assert att.select(np.random.default_rng(0)) == 0
+        for bad in ([0.5, -1e-300, 1.0], [0.5, math.nan, 1.0], [0.5, math.inf, 1.0], [0.0] * 4):
+            with pytest.raises(InvalidConfigError, match="^values must be 3 finite nonnegative"):
+                att.values = bad
+
+    @pytest.mark.parametrize("discount", [0.0, 1.5, -0.1, True, False, math.nan, "0.5", None])
+    def test_bad_discount_fails_fast(self, discount):
+        with pytest.raises(InvalidConfigError, match=r"^discount must be a real number in \(0, 1\]"):
+            GreedyAttacker(4, discount=discount)
+
+    @pytest.mark.parametrize("discount", [1, 1.0, np.float64(0.5), 1e-300])
+    def test_discount_in_the_unit_interval_is_taken(self, discount):
+        assert GreedyAttacker(4, discount=discount).discount == float(discount)
 
     def test_beats_a_fixed_scanning_set(self):
         # defender always scans {0, 1} out of 10; the attacker's long-run

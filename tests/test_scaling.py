@@ -21,27 +21,35 @@ from vpbandit.game import SinglePlayerSpec, run_single_player
 from reference import DenseMovingAverage
 
 
+def _averages(n, window, rows):
+    """The averages after pushing ``rows`` (dicts arm -> estimate) into the
+    sparse window, read off the dense ring given the same rows once the
+    two hold the same sums bit for bit."""
+    sparse, dense = MovingAverage(n, window), DenseMovingAverage(n, window)
+    for row in rows:
+        sparse.push(row)
+        full = np.zeros(n)
+        full[list(row)] = list(row.values())
+        dense.push(full)
+    assert [x.hex() for x in sparse._sums] == [x.hex() for x in dense.sums.tolist()]
+    return dense.averages
+
+
 class TestMovingAverage:
     def test_short_history_mean(self):
-        ma = MovingAverage(1, window=3)
-        for v in (1.0, 0.0, 1.0):
-            ma.push({0: v})
-        assert ma.averages[0] == pytest.approx(2 / 3)
+        averages = _averages(1, 3, [{0: v} for v in (1.0, 0.0, 1.0)])
+        assert averages[0] == pytest.approx(2 / 3)
 
     def test_empty_history_is_zero(self):
-        assert MovingAverage(4, window=5).averages.tolist() == [0.0] * 4
+        assert _averages(4, 5, []).tolist() == [0.0] * 4
 
     def test_window_one_tracks_last_value(self):
-        ma = MovingAverage(2, window=1)
-        ma.push({0: 0.4, 1: 0.9})
-        ma.push({0: 0.1, 1: 0.2})
-        np.testing.assert_allclose(ma.averages, [0.1, 0.2])
+        averages = _averages(2, 1, [{0: 0.4, 1: 0.9}, {0: 0.1, 1: 0.2}])
+        np.testing.assert_allclose(averages, [0.1, 0.2])
 
     def test_window_eviction(self):
-        ma = MovingAverage(1, window=2)
-        for v in (1.0, 1.0, 0.0):
-            ma.push({0: v})
-        assert ma.averages[0] == pytest.approx(0.5)
+        averages = _averages(1, 2, [{0: v} for v in (1.0, 1.0, 0.0)])
+        assert averages[0] == pytest.approx(0.5)
 
 
 # dyadic estimates and thresholds make averages that equal the threshold
