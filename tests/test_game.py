@@ -275,9 +275,10 @@ class TestGreedyAttacker:
 
     @settings(max_examples=80, deadline=None)
     @given(greedy_walks())
-    # discount 0.5 halves the values each round, so an arm left alone for
-    # about 1075 rounds underflows to 0.0 and rejoins the argmin set
-    @example((3, 0.5, None, 0.3, 1200, 4))
+    # discount 0.5 halves the values each round, so the arm at 1e-300,
+    # never attacked, underflows to 0.0 after about 75 rounds and joins the
+    # arms at 0.0
+    @example((3, 0.5, [1e-300, 0.0, 0.0], 0.0, 100, 0))
     # a subnormal start underflows in the first update
     @example((2, 0.9, [5e-324, 1.0], 0.0, 3, 0))
     # every value positive, ties among them: the dense fallback
@@ -461,7 +462,7 @@ class TestGameRuns:
                 payoff=PayoffProfile.homogeneous(4),
             )
 
-    @pytest.mark.parametrize("discount", [0.0, -1.0, 2.0, 1e300, math.nan])
+    @pytest.mark.parametrize("discount", [0.0, -1.0, 2.0, 1e300, math.nan, True, "0.5"])
     def test_scan_discount_outside_unit_interval(self, discount):
         with pytest.raises(InvalidConfigError, match="scan_discount"):
             GameConfig(n_arms=5, horizon=10, scaling=ScalingSpec.uniform(1, 2),
