@@ -436,9 +436,8 @@ class GreedyAttacker:
         there is none) off the values.  The arms stay an array, which
         ``select`` reads as it reads a list, until a catch removes one."""
         v = self._values
-        zero = v == 0.0
-        self._zeros = zero.nonzero()[0]
-        self._floor = float(v.min(initial=math.inf, where=~zero))
+        zeros = self._zeros = (v == 0.0).nonzero()[0]
+        self._floor = float(v[v > 0.0].min()) if zeros.size < v.size else math.inf
 
     def select(self, rng):
         ties = self._zeros
